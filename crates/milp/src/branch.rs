@@ -7,29 +7,38 @@
 //! plunging by default; branching uses pseudo-costs with a most-fractional
 //! fallback.
 //!
-//! # Parallel search
+//! # One search kernel
 //!
-//! With [`Config::threads`] above 1 the tree is explored by scoped worker
-//! threads: open nodes live in a shared best-bound heap behind a `Mutex`,
-//! the incumbent objective is published through an `AtomicU64` (f64 bits)
-//! so every worker prunes against the freshest bound, and each worker runs
-//! its own simplex instance with the shared warm-start bases (`Arc`).
-//! Workers plunge depth-first locally exactly like the sequential search.
-//! Node processing order differs run to run, so pseudo-cost learning and
-//! node counts vary — but pruning only ever discards nodes whose LP bound
-//! cannot beat the incumbent, so the *objective value* of the result is
+//! Every thread count runs the same node loop (`worker`). Worker 0 runs
+//! on the calling thread and each extra [`Config::threads`] adds one scoped
+//! worker thread: open nodes live in a shared best-bound heap behind a
+//! `Mutex`, the incumbent objective is published through an `AtomicU64`
+//! (f64 bits) so every worker prunes against the freshest bound, and each
+//! worker runs its own simplex instance with the shared warm-start bases
+//! (`Arc`). Workers plunge depth-first locally and rebuild node bounds from
+//! one shared copy of the reduced-cost-tightened base bounds. With one
+//! worker the trajectory is a pure function of the problem and the
+//! configuration (given [`crate::HeurConfig::sync`]); with more, node
+//! processing order differs run to run, so pseudo-cost learning and node
+//! counts vary — but pruning only ever discards nodes whose LP bound cannot
+//! beat the incumbent, so the *objective value* of the result is
 //! deterministic to within the configured gap tolerances at any thread
-//! count. `threads: 1` runs the original single-threaded loop unchanged.
+//! count.
+//!
+//! A resumed solve is a cold solve seeded from a checkpoint frame: both
+//! entry points share the base-LP builder (`BaseLp::build`), the root
+//! heuristics (`root_heuristics`), and the search-and-wrap-up tail
+//! (`search_and_wrap_up`).
 
-use crate::checkpoint::{self, CkptRuntime, FrameError, FrameNode, SearchFrame};
+use crate::checkpoint::{self, CkptRuntime, FrameBase, FrameError, FrameNode, SearchFrame};
 use crate::config::{Branching, Config, NodeSelection};
 use crate::cuts;
-use crate::error::relock;
+use crate::error::{relock, SolveError};
 use crate::heur;
 use crate::presolve::{presolve, Presolved};
 use crate::pricing::{self, ColumnSource};
 use crate::problem::{Problem, Sense, VarId, VarType};
-use crate::simplex::{solve_lp, LpData, LpStatus, VStat};
+use crate::simplex::{solve_lp, LpData, LpResult, LpStatus, VStat};
 use crate::solution::{Solution, Stats, Status};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,8 +48,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One open node: bound changes relative to the root plus bookkeeping.
-/// `Clone` lets the parallel search keep an in-flight copy per worker so a
-/// panicking worker's node can be re-queued instead of lost.
+/// `Clone` lets a worker keep an in-flight copy so a panicking worker's
+/// node can be re-queued instead of lost.
 #[derive(Clone)]
 struct Node {
     /// `(var, new_lb, new_ub)` tightenings along the path from the root.
@@ -48,8 +57,8 @@ struct Node {
     /// LP bound inherited from the parent (internal minimize sense).
     bound: f64,
     depth: usize,
-    /// Warm-start statuses shared with the sibling (and, in parallel
-    /// search, across worker threads).
+    /// Warm-start statuses shared with the sibling (and across worker
+    /// threads).
     warm: Option<Arc<Vec<VStat>>>,
 }
 
@@ -79,8 +88,8 @@ impl Ord for HeapNode {
     }
 }
 
-/// Per-variable pseudo-cost records. Parallel workers keep their own copy:
-/// the records steer branching, not correctness, so they need no sharing.
+/// Per-variable pseudo-cost records. Each worker keeps its own copy: the
+/// records steer branching, not correctness, so they need no sharing.
 struct PseudoCosts {
     up_sum: Vec<f64>,
     up_cnt: Vec<usize>,
@@ -129,30 +138,130 @@ impl PseudoCosts {
     }
 }
 
-/// Read-only problem data shared by every search worker.
-struct SearchCtx<'a> {
-    lp: &'a LpData,
-    root_lb: &'a [f64],
-    root_ub: &'a [f64],
-    int_vars: &'a [usize],
-    reduced: &'a Problem,
-    cfg: &'a Config,
-    deadline: Option<Instant>,
+/// The presolved problem in internal LP form (minimize sense): the matrix
+/// and objective every node LP solves against, the base variable bounds,
+/// and the integrality pattern. Pricing and root cuts grow it in place;
+/// the base bounds are the root bounds after reduced-cost fixing (or, on
+/// resume, the frame's).
+struct BaseLp {
+    ps: Presolved,
+    lp: LpData,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    int_vars: Vec<usize>,
     /// `+1.0` when the user problem minimizes, `-1.0` when it maximizes.
     sign: f64,
     obj_offset: f64,
-    /// Problem structure the separators work from.
-    cut_ctx: &'a cuts::CutContext,
-    /// Shared cut pool; its applied list is append-only and globally
-    /// ordered, so workers can extend local LP copies by prefix.
-    cut_pool: &'a Mutex<cuts::CutPool>,
-    /// Lock-free mirror of the pool's applied length, written under the
-    /// pool lock by whoever applies cuts. Workers check it before locking,
-    /// so the common no-new-cuts node solve never touches the pool mutex.
-    cuts_applied_hint: &'a AtomicUsize,
-    /// Cuts already baked into `lp` (the root cuts); node-level syncing
-    /// starts from this prefix.
-    root_cuts: usize,
+}
+
+impl BaseLp {
+    /// Presolves `problem` (or takes it as is when `identity` is set or
+    /// presolve is off) and builds the internal LP form. Fails with the
+    /// presolver's conclusion when it already decided the problem.
+    fn build(
+        problem: &Problem,
+        cfg: &Config,
+        identity: bool,
+        stats: &mut Stats,
+    ) -> Result<Self, Status> {
+        let minimize = problem.sense() == Sense::Minimize;
+        let ps = if cfg.presolve && !identity {
+            presolve(problem, minimize)
+        } else {
+            Presolved::identity(problem)
+        };
+        stats.presolve_rows_removed = ps.rows_removed;
+        stats.presolve_vars_removed = ps.vars_removed;
+        if let Some(conclusion) = ps.conclusion {
+            return Err(conclusion);
+        }
+        let red = &ps.reduced;
+        let n = red.num_vars();
+        let sign = if minimize { 1.0 } else { -1.0 };
+        let (row_lb, row_ub): (Vec<f64>, Vec<f64>) =
+            red.row_ids().map(|r| red.row_bounds(r)).unzip();
+        let lp = LpData {
+            a: red.matrix(),
+            c: red.objective().iter().map(|&v| sign * v).collect(),
+            row_lb,
+            row_ub,
+        };
+        let (lb, ub): (Vec<f64>, Vec<f64>) = (0..n).map(|j| red.var_bounds(VarId(j))).unzip();
+        let int_vars = (0..n)
+            .filter(|&j| red.var_type(VarId(j)) != VarType::Continuous)
+            .collect();
+        let obj_offset = red.obj_offset();
+        Ok(BaseLp {
+            ps,
+            lp,
+            lb,
+            ub,
+            int_vars,
+            sign,
+            obj_offset,
+        })
+    }
+
+    /// Translates an internal (minimize-sense) objective to the user sense.
+    fn user_obj(&self, internal: f64) -> f64 {
+        self.sign * internal + self.obj_offset
+    }
+
+    /// Hash of the LP plus its bounds and integrality pattern, taken before
+    /// any pricing or cut appends. Checkpoint frames carry it; resume
+    /// recomputes it from a fresh encode and refuses frames whose hash
+    /// differs, so a snapshot can never silently continue a different
+    /// model.
+    fn fingerprint(&self) -> u64 {
+        let mut w = checkpoint::ByteWriter::new();
+        w.put_usize(self.lp.num_vars());
+        w.put_usize(self.lp.num_rows());
+        for v in [&self.lp.c, &self.lp.row_lb, &self.lp.row_ub, &self.lb, &self.ub] {
+            for &x in v {
+                w.put_f64(x);
+            }
+        }
+        w.put_usize(self.int_vars.len());
+        for &j in &self.int_vars {
+            w.put_usize(j);
+        }
+        checkpoint::fnv1a64(&w.into_bytes())
+    }
+
+    /// Solves the root relaxation at the base bounds, charging the work to
+    /// `stats`.
+    fn solve_root(
+        &self,
+        cfg: &Config,
+        deadline: Option<Instant>,
+        stats: &mut Stats,
+    ) -> Result<LpResult, SolveError> {
+        stats.lp_solves += 1;
+        let r = solve_lp(&self.lp, &self.lb, &self.ub, cfg, None, deadline)?;
+        charge_lp(stats, &r);
+        Ok(r)
+    }
+}
+
+/// Adds one LP solve's pivots, and its recovery if it needed one.
+fn charge_lp(stats: &mut Stats, r: &LpResult) {
+    stats.simplex_iters += r.iters;
+    stats.phase1_iters += r.phase1_iters;
+    stats.dual_iters += r.dual_iters;
+    if r.recoveries > 0 {
+        stats.lp_recoveries += 1;
+    }
+}
+
+/// Read-only problem data shared by every search worker.
+struct SearchCtx<'a> {
+    base: &'a BaseLp,
+    cfg: &'a Config,
+    deadline: Option<Instant>,
+    /// Root reduced costs and root LP bound, when reduced-cost fixing is
+    /// on and a root solution is at hand: every incumbent a worker finds
+    /// re-runs fixing against the shared base bounds.
+    rc_root: Option<(&'a [f64], f64)>,
     /// Durable-solve runtime, when [`Config::checkpoint`] is set: snapshot
     /// cadence claims, the frame hand-off slot, the write-time debit, and
     /// the stall watchdog's abort flag.
@@ -168,18 +277,11 @@ const _: () = {
     assert_sync::<SearchCtx<'_>>();
 };
 
-impl SearchCtx<'_> {
-    /// Translates an internal (minimize-sense) objective to the user sense.
-    fn user_obj(&self, internal: f64) -> f64 {
-        self.sign * internal + self.obj_offset
-    }
-}
-
 /// Shared incumbent state: the objective as atomic f64 bits for lock-free
 /// pruning, the full vector behind a mutex, and a timestamped publication
-/// trace for the anytime metrics. One instance is shared by the tree search
-/// (sequential or parallel), the dive heuristics, and the LNS + tabu engine,
-/// so an improvement from any of them immediately tightens every worker's
+/// trace for the anytime metrics. One instance is shared by the tree
+/// workers, the dive heuristics, and the LNS + tabu engine, so an
+/// improvement from any of them immediately tightens every worker's
 /// pruning bound.
 pub(crate) struct Incumbent {
     /// Incumbent objective as f64 bits (∞ = none), internal minimize sense.
@@ -384,148 +486,90 @@ pub fn solve_milp_with(
     mut columns: Option<&mut dyn ColumnSource>,
 ) -> Solution {
     let deadline = cfg.time_limit.map(|d| start + d);
-    let minimize = problem.sense() == Sense::Minimize;
     let mut stats = Stats::default();
 
-    // --- Presolve ---
+    // --- Presolve and the internal LP form ---
     // Pricing requires stable row indices (the source addresses rows by
     // their encode-time position), so a column source forces the identity.
-    let mut ps: Presolved = if cfg.presolve && columns.is_none() {
-        presolve(problem, minimize)
-    } else {
-        identity_presolved(problem)
-    };
-    stats.presolve_rows_removed = ps.rows_removed;
-    stats.presolve_vars_removed = ps.vars_removed;
-    if let Some(conclusion) = ps.conclusion {
-        stats.elapsed = start.elapsed();
-        return match conclusion {
-            Status::Infeasible => Solution::infeasible(stats),
-            Status::Unbounded => Solution::unbounded(stats),
-            _ => unreachable!("presolve only concludes infeasible/unbounded"),
-        };
-    }
-
-    // --- Build internal (minimize) LP form ---
-    // (`ps.reduced` is still mutable here: the pricing loop below may append
-    // columns to it; the long-lived `reduced` borrow is taken afterwards.)
-    let n = ps.reduced.num_vars();
-    let sign = if minimize { 1.0 } else { -1.0 };
-    let c: Vec<f64> = ps.reduced.objective().iter().map(|&v| sign * v).collect();
-    let (row_lb, row_ub): (Vec<f64>, Vec<f64>) = ps
-        .reduced
-        .row_ids()
-        .map(|r| ps.reduced.row_bounds(r))
-        .unzip();
-    let mut lp = LpData {
-        a: ps.reduced.matrix(),
-        c,
-        row_lb,
-        row_ub,
-    };
-    let mut root_lb: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).0).collect();
-    let mut root_ub: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).1).collect();
-    let mut int_vars: Vec<usize> = (0..n)
-        .filter(|&j| ps.reduced.var_type(VarId(j)) != VarType::Continuous)
-        .collect();
-    let obj_offset = ps.reduced.obj_offset();
-    let user_obj = |internal: f64| sign * internal + obj_offset;
-
-    // Fingerprint the base LP before pricing or cuts mutate it: checkpoint
-    // frames carry this hash, and resume recomputes it from a fresh encode
-    // so a frame can never be applied to a different problem.
-    let fingerprint = if cfg.checkpoint.is_some() {
-        frame_fingerprint(&lp, &root_lb, &root_ub, &int_vars)
-    } else {
-        0
-    };
-
-    // --- Root LP ---
-    stats.lp_solves += 1;
-    let mut root = match solve_lp(&lp, &root_lb, &root_ub, cfg, None, deadline) {
-        Ok(r) => r,
-        Err(e) => {
-            // Even the recovery ladder could not solve the root relaxation:
-            // there is nothing to search, so surface the failure.
-            stats.nodes = 1;
+    let mut base = match BaseLp::build(problem, cfg, columns.is_some(), &mut stats) {
+        Ok(base) => base,
+        Err(conclusion) => {
             stats.elapsed = start.elapsed();
-            return Solution::numeric_failure(stats, e);
-        }
-    };
-    stats.simplex_iters += root.iters;
-    stats.phase1_iters += root.phase1_iters;
-    stats.dual_iters += root.dual_iters;
-    if root.recoveries > 0 {
-        stats.lp_recoveries += 1;
-    }
-    match root.status {
-        LpStatus::Infeasible => {
-            stats.nodes = 1;
-            stats.elapsed = start.elapsed();
-            return Solution::infeasible(stats);
-        }
-        LpStatus::Unbounded => {
-            stats.nodes = 1;
-            stats.elapsed = start.elapsed();
-            return Solution::unbounded(stats);
-        }
-        LpStatus::Limit => {
-            stats.nodes = 1;
-            stats.elapsed = start.elapsed();
-            return Solution {
-                status: Status::LimitNoSolution,
-                objective: f64::INFINITY,
-                best_bound: user_obj(f64::NEG_INFINITY),
-                values: Vec::new(),
-                stats,
-                error: None,
+            return match conclusion {
+                Status::Infeasible => Solution::infeasible(stats),
+                Status::Unbounded => Solution::unbounded(stats),
+                _ => unreachable!("presolve only concludes infeasible/unbounded"),
             };
         }
-        LpStatus::Optimal => {}
-    }
+    };
+    // Fingerprint the base LP before pricing or cuts mutate it (see
+    // `BaseLp::fingerprint`); only checkpoint frames need it.
+    let durable = cfg.checkpoint.is_some();
+    let fingerprint = if durable { base.fingerprint() } else { 0 };
+
+    // --- Root LP ---
+    let mut root = match base.solve_root(cfg, deadline, &mut stats) {
+        Ok(r) if r.status == LpStatus::Optimal => r,
+        other => {
+            stats.nodes = 1;
+            stats.elapsed = start.elapsed();
+            return match other.map(|r| r.status) {
+                // Even the recovery ladder could not solve the root
+                // relaxation: there is nothing to search, so surface the
+                // failure.
+                Err(e) => Solution::numeric_failure(stats, e),
+                Ok(LpStatus::Infeasible) => Solution::infeasible(stats),
+                Ok(LpStatus::Unbounded) => Solution::unbounded(stats),
+                Ok(_) => Solution {
+                    status: Status::LimitNoSolution,
+                    objective: f64::INFINITY,
+                    best_bound: base.user_obj(f64::NEG_INFINITY),
+                    values: Vec::new(),
+                    stats,
+                    error: None,
+                },
+            };
+        }
+    };
 
     // --- Root column generation ---
     // The pricing loop runs before cut separation: every Gomory cut below
     // is derived on the final column set, so no cut is ever missing a
-    // coefficient for a priced-in variable. The loop grows `ps.reduced`,
-    // `lp`, the root bound vectors, and `int_vars` in lockstep, and leaves
-    // `root` optimal over the grown LP.
-    let mut accepted_batches: Vec<checkpoint::FrameBatch> = Vec::new();
-    if let Some(source) = columns.as_deref_mut() {
-        if cfg.colgen.enabled {
-            pricing::run_root_pricing(
-                source,
-                &mut ps,
-                &mut lp,
-                &mut root_lb,
-                &mut root_ub,
-                &mut int_vars,
-                cfg,
-                &mut root,
-                deadline,
-                sign,
-                &mut stats,
-                &mut accepted_batches,
-            );
-        }
+    // coefficient for a priced-in variable. The loop grows the reduced
+    // problem, the LP, the base bounds, and `int_vars` in lockstep, and
+    // leaves `root` optimal over the grown LP.
+    let mut batches: Vec<checkpoint::FrameBatch> = Vec::new();
+    if let Some(source) = columns.as_deref_mut().filter(|_| cfg.colgen.enabled) {
+        pricing::run_root_pricing(
+            source,
+            &mut base.ps,
+            &mut base.lp,
+            &mut base.lb,
+            &mut base.ub,
+            &mut base.int_vars,
+            cfg,
+            &mut root,
+            deadline,
+            base.sign,
+            &mut stats,
+            &mut batches,
+        );
     }
-    let reduced = &ps.reduced;
-    let int_vars = int_vars;
 
     // --- Root cutting planes ---
     // Separation rounds tighten the relaxation before any branching: each
     // round appends the pool's surviving cuts and dual-reoptimizes from the
     // old basis (cut slacks enter basic, which keeps it dual-feasible).
-    // Gomory cuts are derived here, at the root bounds, so every cut below
-    // is globally valid and the pool can be shared across workers.
-    let cut_ctx = cuts::CutContext::from_problem(reduced);
+    // Gomory cuts are derived here, at the root bounds, so every cut is
+    // globally valid and baked into the LP every node solves.
+    let cut_ctx = cuts::CutContext::from_problem(&base.ps.reduced);
     let mut cut_pool = cuts::CutPool::new();
-    if cfg.cuts.enabled && !int_vars.is_empty() {
+    if cfg.cuts.enabled && !base.int_vars.is_empty() {
         let pre = (root.iters, root.phase1_iters, root.dual_iters, root.recoveries);
         cuts::run_root_cuts(
-            &mut lp,
-            &root_lb,
-            &root_ub,
+            &mut base.lp,
+            &base.lb,
+            &base.ub,
             cfg,
             &cut_ctx,
             &mut root,
@@ -540,12 +584,9 @@ pub fn solve_milp_with(
         }
         stats.lp_solves += cut_pool.rounds;
     }
-    let root_cuts = cut_pool.applied_len();
-    let cuts_applied_hint = AtomicUsize::new(root_cuts);
-    // Root LP bound after the cut rounds; the reported root gap measures
-    // the incumbent against this tightened bound.
-    let root_cut_bound = root.obj;
-    let cut_pool = Mutex::new(cut_pool);
+    stats.cuts_generated = cut_pool.generated;
+    stats.cuts_applied = cut_pool.applied_len();
+    stats.cut_rounds = cut_pool.rounds;
 
     // --- Incumbent state (internal minimize sense) ---
     // One shared instance for the whole solve: tree workers, dives, and the
@@ -565,9 +606,9 @@ pub fn solve_milp_with(
     // ignored (priced columns have no value in the caller's vector).
     if let Some(warm) = cfg.warm_start.as_deref() {
         if problem.check_feasible(warm, cfg.int_tol).is_none() {
-            if let Some(red) = ps.map_to_reduced(warm, cfg.int_tol) {
-                if reduced.check_feasible(&red, cfg.int_tol).is_none() {
-                    let obj: f64 = lp.c.iter().zip(&red).map(|(&c, &x)| c * x).sum();
+            if let Some(red) = base.ps.map_to_reduced(warm, cfg.int_tol) {
+                if base.ps.reduced.check_feasible(&red, cfg.int_tol).is_none() {
+                    let obj: f64 = base.lp.c.iter().zip(&red).map(|(&c, &x)| c * x).sum();
                     if inc.offer(obj, red) {
                         stats.warm_seeded = true;
                     }
@@ -575,150 +616,322 @@ pub fn solve_milp_with(
             }
         }
     }
-
-    // Root heuristics.
-    if cfg.heuristics.enabled && !int_vars.is_empty() {
-        if let Some((obj, x)) = heur::try_rounding(reduced, &lp, &root.x, cfg.int_tol) {
-            if inc.offer(obj, x) {
-                stats.heuristic_solutions += 1;
-            }
-        }
-        let root_dive_budget = cfg
-            .time_limit
-            .map(|t| (t.as_secs_f64() * 0.1).clamp(1.0, 15.0))
-            .unwrap_or(15.0);
-        for strategy in [
-            heur::DiveStrategy::NearestInteger,
-            heur::DiveStrategy::MostFractionalUp,
-        ] {
-            let Some(dd) = dive_window(deadline, root_dive_budget) else {
-                break;
-            };
-            if let Some((obj, x)) = heur::dive_with(
-                strategy,
-                reduced,
-                &lp,
-                &int_vars,
-                &root_lb,
-                &root_ub,
-                cfg,
-                Some(&root.statuses),
-                Some(dd),
-            ) {
-                if inc.offer(obj, x) {
-                    stats.heuristic_solutions += 1;
-                }
-            }
-        }
-    }
+    root_heuristics(&base, &root, cfg, deadline, &inc, &mut stats);
 
     // --- Root reduced-cost fixing ---
     // With an incumbent in hand the root reduced costs bound how far any
     // nonbasic integer can move in a better solution; pull the opposite
     // bounds in before the tree search ever sees them.
-    if cfg.reduced_cost_fixing && !int_vars.is_empty() {
-        let inc_obj = inc.bound();
-        if inc_obj.is_finite() {
-            stats.rc_fixed += fix_by_reduced_costs(
-                &mut root_lb,
-                &mut root_ub,
-                &root.dj,
-                &int_vars,
-                root.obj,
-                inc_obj,
-            )
-            .len();
-        }
+    if cfg.reduced_cost_fixing && !base.int_vars.is_empty() {
+        stats.rc_fixed += fix_by_reduced_costs(
+            &mut base.lb,
+            &mut base.ub,
+            &root.dj,
+            &base.int_vars,
+            root.obj,
+            inc.bound(),
+        )
+        .len();
     }
 
-    // --- Durable-solve runtime ---
-    // Everything static for the rest of the search goes into the frame
-    // base; the watchdog thread (spawned around the dispatch below) arms
-    // the snapshot cadence, persists frames the search threads assemble,
-    // and turns a stalled worker pool into a clean checkpointed abort.
-    let ckpt_rt = cfg.checkpoint.as_ref().map(|ck| {
-        let base = checkpoint::FrameBase {
-            fingerprint,
-            root_bound: root_cut_bound,
-            base_lb: root_lb.clone(),
-            base_ub: root_ub.clone(),
-            batches: accepted_batches,
-            user_data: columns
-                .as_ref()
-                .map(|s| s.snapshot_state())
-                .unwrap_or_default(),
-        };
-        CkptRuntime::new(ck.clone(), base, cfg.faults.clone())
-    });
-
-    let ctx = SearchCtx {
-        lp: &lp,
-        root_lb: &root_lb,
-        root_ub: &root_ub,
-        int_vars: &int_vars,
-        reduced,
-        cfg,
-        deadline,
-        sign,
-        obj_offset,
-        cut_ctx: &cut_ctx,
-        cut_pool: &cut_pool,
-        cuts_applied_hint: &cuts_applied_hint,
-        root_cuts,
-        ckpt: ckpt_rt.as_ref(),
-        inc: &inc,
-    };
-
-    // --- Search ---
     let root_node = Node {
         changes: Vec::new(),
         bound: root.obj,
         depth: 0,
         warm: Some(Arc::new(root.statuses.clone())),
     };
-    let nthreads = cfg.effective_threads();
-    let root_djb = (cfg.reduced_cost_fixing && !int_vars.is_empty())
-        .then_some((root.dj.as_slice(), root.obj));
+    // Everything static for the rest of the search goes into the frame
+    // base; the root bound after the cut rounds also anchors `root_gap`.
+    let frame_base = FrameBase {
+        fingerprint,
+        root_bound: root.obj,
+        batches,
+        user_data: columns
+            .filter(|_| durable)
+            .map(|s| s.snapshot_state())
+            .unwrap_or_default(),
+        cuts: cut_pool.applied().to_vec(),
+    };
+    search_and_wrap_up(
+        base,
+        cfg,
+        start,
+        inc,
+        vec![root_node],
+        Some(&root),
+        frame_base,
+        &cut_ctx,
+        stats,
+    )
+}
+
+/// Resumes a checkpointed solve from a decoded [`SearchFrame`]: a cold
+/// solve seeded from the frame. It rebuilds the base LP exactly as
+/// [`solve_milp_with`] does, verifies the frame's problem fingerprint,
+/// replays the accepted pricing batches in order, bakes the frame's cuts
+/// into the LP, restores the incumbent, and continues the tree search from
+/// the frame's open nodes. Resuming from *any* valid frame — even a stale
+/// one — yields the same final objective and proof status as an
+/// uninterrupted run; staleness only re-does work.
+///
+/// Fails with [`FrameError::Mismatch`] when the frame does not belong to
+/// this problem/configuration pairing; callers typically fall back to a
+/// cold solve.
+pub fn resume_milp_with(
+    problem: &Problem,
+    cfg: &Config,
+    start: Instant,
+    frame: SearchFrame,
+    mut columns: Option<&mut dyn ColumnSource>,
+) -> Result<Solution, FrameError> {
+    let deadline = cfg.time_limit.map(|d| start + d);
+    let mut stats = Stats {
+        resumed: true,
+        ..Stats::default()
+    };
+
+    // --- Rebuild the base LP exactly as the cold path does ---
+    let Ok(mut base) = BaseLp::build(problem, cfg, columns.is_some(), &mut stats) else {
+        // The original solve never searched (so never wrote a frame) for a
+        // presolve-concluded problem; this frame is someone else's.
+        return Err(FrameError::Mismatch("presolve concluded the problem"));
+    };
+    if base.fingerprint() != frame.fingerprint {
+        return Err(FrameError::Mismatch("problem fingerprint differs"));
+    }
+
+    // --- Replay the accepted pricing rounds ---
+    // Batch by batch, so side-row column indices (`num_vars + i` within
+    // their own round) resolve exactly as they did when first accepted.
+    if !frame.batches.is_empty() {
+        if columns.is_none() || !cfg.colgen.enabled {
+            return Err(FrameError::Mismatch(
+                "frame carries priced columns but column generation is off",
+            ));
+        }
+        if !pricing::replay_batches(
+            &mut base.ps,
+            &mut base.lp,
+            &mut base.lb,
+            &mut base.ub,
+            &mut base.int_vars,
+            &frame.batches,
+            base.sign,
+        ) {
+            return Err(FrameError::Mismatch("pricing batches do not fit the base LP"));
+        }
+        stats.cols_priced = frame.batches.iter().map(|b| b.cols.len()).sum();
+    }
+    if let Some(source) = &mut columns {
+        source.restore_state(&frame.user_data);
+    }
+
+    // --- Validate the frame against the rebuilt LP ---
+    let n = base.lp.num_vars();
+    if frame.base_lb.len() != n || frame.base_ub.len() != n {
+        return Err(FrameError::Mismatch("bound vector length differs"));
+    }
+    if frame.cuts.iter().any(|c| c.coefs.iter().any(|&(j, _)| j >= n)) {
+        return Err(FrameError::Mismatch("cut references an unknown column"));
+    }
+    if frame.incumbent.as_ref().is_some_and(|(_, x)| x.len() != n) {
+        return Err(FrameError::Mismatch("incumbent length differs"));
+    }
+    if frame
+        .open_nodes
+        .iter()
+        .any(|nd| nd.changes.iter().any(|&(j, _, _)| j >= n))
+    {
+        return Err(FrameError::Mismatch("node change references an unknown column"));
+    }
+
+    // --- Seed the cold pipeline from the frame ---
+    // Every cut is a root cut, valid for the whole tree: all of them go
+    // into the base LP (frames from builds with node-level separation
+    // carry globally valid cover/clique cuts past the root prefix, which
+    // bake in just as soundly). The base bounds carry the killed run's
+    // reduced-cost fixing.
+    let rows = cuts::cuts_to_rows(&frame.cuts);
+    if !rows.is_empty() {
+        base.lp.append_rows(&rows);
+    }
+    stats.cuts_applied = frame.cuts.len();
+    stats.nodes = frame.nodes_done;
+    let SearchFrame {
+        fingerprint,
+        root_bound,
+        incumbent,
+        base_lb,
+        base_ub,
+        batches,
+        cuts,
+        open_nodes,
+        user_data,
+        ..
+    } = frame;
+    base.lb = base_lb;
+    base.ub = base_ub;
+    let inc = Incumbent::new(start);
+    if let Some((obj, x)) = incumbent {
+        inc.offer(obj, x);
+    }
+
+    // Re-solve the root relaxation once against the restored LP. Frames
+    // drop warm bases, but every open node is just a set of bound deltas
+    // from this root, so the root basis stays dual-feasible for all of
+    // them — one solve here turns thousands of would-be cold node solves
+    // back into short dual-simplex reoptimizations. The same root point
+    // drives the cold-style root heuristics: the frame's incumbent is
+    // whatever the killed run had found by its last snapshot, which can be
+    // far from what a fresh root dive reaches in seconds. Failure is
+    // non-fatal: nodes then cold-solve, and the heuristics, incumbent-time
+    // reduced-cost fixing, and the LNS engine are skipped (pruning
+    // strength lost, never correctness).
+    let root = base
+        .solve_root(cfg, deadline, &mut stats)
+        .ok()
+        .filter(|r| r.status == LpStatus::Optimal);
+    if let Some(root) = &root {
+        root_heuristics(&base, root, cfg, deadline, &inc, &mut stats);
+    }
+    let warm = root.as_ref().map(|r| Arc::new(r.statuses.clone()));
+    let roots = open_nodes
+        .into_iter()
+        .map(|nd| Node {
+            changes: nd.changes,
+            bound: nd.bound,
+            depth: nd.depth,
+            warm: warm.clone(),
+        })
+        .collect();
+    let cut_ctx = cuts::CutContext::from_problem(&base.ps.reduced);
+    let frame_base = FrameBase {
+        fingerprint,
+        root_bound,
+        batches,
+        user_data,
+        cuts,
+    };
+    Ok(search_and_wrap_up(
+        base,
+        cfg,
+        start,
+        inc,
+        roots,
+        root.as_ref(),
+        frame_base,
+        &cut_ctx,
+        stats,
+    ))
+}
+
+/// Root primal heuristics shared by the cold and the resumed solve: simple
+/// rounding of the root point, then two time-boxed dives from the root
+/// basis. Every improvement is published through `inc`.
+fn root_heuristics(
+    base: &BaseLp,
+    root: &LpResult,
+    cfg: &Config,
+    deadline: Option<Instant>,
+    inc: &Incumbent,
+    stats: &mut Stats,
+) {
+    if !cfg.heuristics.enabled || base.int_vars.is_empty() {
+        return;
+    }
+    let reduced = &base.ps.reduced;
+    if let Some((obj, x)) = heur::try_rounding(reduced, &base.lp, &root.x, cfg.int_tol) {
+        if inc.offer(obj, x) {
+            stats.heuristic_solutions += 1;
+        }
+    }
+    let root_dive_budget = cfg
+        .time_limit
+        .map(|t| (t.as_secs_f64() * 0.1).clamp(1.0, 15.0))
+        .unwrap_or(15.0);
+    for strategy in [
+        heur::DiveStrategy::NearestInteger,
+        heur::DiveStrategy::MostFractionalUp,
+    ] {
+        let Some(dd) = dive_window(deadline, root_dive_budget) else {
+            break;
+        };
+        if let Some((obj, x)) = heur::dive_with(
+            strategy,
+            reduced,
+            &base.lp,
+            &base.int_vars,
+            &base.lb,
+            &base.ub,
+            cfg,
+            Some(&root.statuses),
+            Some(dd),
+        ) {
+            if inc.offer(obj, x) {
+                stats.heuristic_solutions += 1;
+            }
+        }
+    }
+}
+
+/// The search-and-wrap-up tail shared by the cold and the resumed solve:
+/// the durable-solve runtime, the search context, the LNS engine, the tree
+/// search from `roots`, and postsolve. `root` is the root LP solution the
+/// open nodes descend from; it seeds incumbent-time reduced-cost fixing
+/// and the LNS engine, both skipped without it.
+#[allow(clippy::too_many_arguments)]
+fn search_and_wrap_up(
+    base: BaseLp,
+    cfg: &Config,
+    start: Instant,
+    inc: Incumbent,
+    roots: Vec<Node>,
+    root: Option<&LpResult>,
+    frame_base: FrameBase,
+    cut_ctx: &cuts::CutContext,
+    mut stats: Stats,
+) -> Solution {
+    let deadline = cfg.time_limit.map(|d| start + d);
+    let root_bound = frame_base.root_bound;
+    // The watchdog thread (spawned around the search in `run_search`) arms
+    // the snapshot cadence, persists frames the workers assemble, and turns
+    // a stalled worker pool into a clean checkpointed abort.
+    let ckpt_rt = cfg
+        .checkpoint
+        .as_ref()
+        .map(|ck| CkptRuntime::new(ck.clone(), frame_base, cfg.faults.clone()));
+    let has_ints = !base.int_vars.is_empty();
+    let ctx = SearchCtx {
+        base: &base,
+        cfg,
+        deadline,
+        rc_root: root
+            .filter(|_| cfg.reduced_cost_fixing && has_ints)
+            .map(|r| (r.dj.as_slice(), r.obj)),
+        ckpt: ckpt_rt.as_ref(),
+        inc: &inc,
+    };
 
     // --- LNS + tabu primal engine ---
     // Destroy units come from the encoder's GUB annotations (route
     // candidate disjunctions, device-placement rows); integer variables
     // outside every group are chunked so the whole space stays reachable.
-    let lns_in = (cfg.heuristics.enabled && cfg.heuristics.lns && !int_vars.is_empty())
-        .then(|| heur::LnsInput {
-            reduced,
-            lp: &lp,
-            int_vars: &int_vars,
-            base_lb: &root_lb,
-            base_ub: &root_ub,
+    let lns_in = root
+        .filter(|_| cfg.heuristics.enabled && cfg.heuristics.lns && has_ints)
+        .map(|root| heur::LnsInput {
+            reduced: &base.ps.reduced,
+            lp: &base.lp,
+            int_vars: &base.int_vars,
+            base_lb: &base.lb,
+            base_ub: &base.ub,
             root_x: &root.x,
             root_warm: Some(&root.statuses),
-            neighborhoods: heur::build_neighborhoods(&cut_ctx.gub_groups, &int_vars),
+            neighborhoods: heur::build_neighborhoods(&cut_ctx.gub_groups, &base.int_vars),
             cfg,
             deadline,
         });
-    let outcome = run_search_with_lns(
-        &ctx,
-        vec![root_node],
-        root_djb,
-        nthreads,
-        lns_in,
-        &mut stats,
-    );
-
-    wrap_up(
-        outcome,
-        inc,
-        &ps,
-        cfg,
-        &cut_pool,
-        ckpt_rt.as_ref(),
-        root_cut_bound,
-        sign,
-        obj_offset,
-        start,
-        stats,
-    )
+    let outcome = run_search_with_lns(&ctx, roots, lns_in, &mut stats);
+    wrap_up(outcome, inc, &base, cfg, ckpt_rt.as_ref(), root_bound, start, stats)
 }
 
 /// Runs the tree search with the LNS engine riding shotgun: in async mode
@@ -731,8 +944,6 @@ pub fn solve_milp_with(
 fn run_search_with_lns(
     ctx: &SearchCtx<'_>,
     roots: Vec<Node>,
-    root_djb: Option<(&[f64], f64)>,
-    nthreads: usize,
     lns_in: Option<heur::LnsInput<'_>>,
     stats: &mut Stats,
 ) -> SearchOutcome {
@@ -740,8 +951,7 @@ fn run_search_with_lns(
         stats.lns_iters += l.iters;
         stats.lns_published += l.published;
         stats.heuristic_solutions += l.published;
-        let user = |o: f64| ctx.sign * o + ctx.obj_offset;
-        stats.lns_trace = l.trace.iter().map(|&o| user(o)).collect();
+        stats.lns_trace = l.trace.iter().map(|&o| ctx.base.user_obj(o)).collect();
     };
     match lns_in {
         Some(lns) if ctx.cfg.heuristics.sync => {
@@ -749,7 +959,7 @@ fn run_search_with_lns(
                 Ok(l) => record(stats, l),
                 Err(_) => stats.worker_panics += 1,
             }
-            run_search(ctx, roots, root_djb, nthreads, stats)
+            run_search(ctx, roots, stats)
         }
         Some(lns) => {
             let lns_stop = AtomicBool::new(false);
@@ -759,7 +969,7 @@ fn run_search_with_lns(
                         heur::run_lns(&lns, ctx.inc, Some(&lns_stop))
                     }))
                 });
-                let outcome = run_search(ctx, roots, root_djb, nthreads, stats);
+                let outcome = run_search(ctx, roots, stats);
                 lns_stop.store(true, AtomicOrdering::SeqCst);
                 match engine.join() {
                     Ok(Ok(l)) => record(stats, l),
@@ -771,7 +981,7 @@ fn run_search_with_lns(
                 outcome
             })
         }
-        None => run_search(ctx, roots, root_djb, nthreads, stats),
+        None => run_search(ctx, roots, stats),
     }
 }
 
@@ -779,65 +989,39 @@ fn run_search_with_lns(
 /// thread when durable solves are configured. The watchdog runs for the
 /// whole search and flushes any pending frame on shutdown, so even a
 /// limit-stopped solve leaves its final frame on disk.
-fn run_search(
-    ctx: &SearchCtx<'_>,
-    roots: Vec<Node>,
-    root_djb: Option<(&[f64], f64)>,
-    nthreads: usize,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let run = move |stats: &mut Stats| {
-        if nthreads <= 1 || ctx.int_vars.is_empty() {
-            search_sequential(ctx, roots, root_djb, stats)
-        } else {
-            // Parallel workers reconstruct bounds from the (already
-            // root-fixed) context; incumbent-time refixing is
-            // sequential-only.
-            search_parallel(ctx, nthreads, roots, stats)
-        }
-    };
+fn run_search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOutcome {
     match ctx.ckpt {
         Some(rt) => std::thread::scope(|s| {
             let wd = s.spawn(|| rt.watchdog());
-            let outcome = run(stats);
+            let outcome = search(ctx, roots, stats);
             rt.shutdown();
             let _ = wd.join();
             outcome
         }),
-        None => run(stats),
+        None => search(ctx, roots, stats),
     }
 }
 
-/// Shared wrap-up of both the cold and the resumed solve: cut-pool and
-/// checkpoint statistics, bound/status reconciliation, and postsolve of
-/// the incumbent back to the original variable space.
+/// Checkpoint and limit statistics, bound/status reconciliation, and
+/// postsolve of the incumbent back to the original variable space.
 #[allow(clippy::too_many_arguments)]
 fn wrap_up(
     outcome: SearchOutcome,
     inc: Incumbent,
-    ps: &Presolved,
+    base: &BaseLp,
     cfg: &Config,
-    cut_pool: &Mutex<cuts::CutPool>,
     ckpt_rt: Option<&CkptRuntime>,
     root_cut_bound: f64,
-    sign: f64,
-    obj_offset: f64,
     start: Instant,
     mut stats: Stats,
 ) -> Solution {
-    {
-        let pool = relock(cut_pool);
-        stats.cuts_generated = pool.generated;
-        stats.cuts_applied = pool.applied_len();
-        stats.cut_rounds = pool.rounds;
-    }
     if let Some(rt) = ckpt_rt {
         stats.checkpoint_time = rt.debit();
         stats.checkpoints_written = rt.frames_written();
         stats.stalls_detected = rt.stalls();
     }
     stats.elapsed = start.elapsed();
-    let user_obj = |internal: f64| sign * internal + obj_offset;
+    let user_obj = |internal: f64| base.user_obj(internal);
     // Anytime metrics from the incumbent trace: when the first feasible
     // point landed, and when the incumbent first came within 1% of the
     // final objective (in user space — the headline number of the LNS
@@ -863,7 +1047,7 @@ fn wrap_up(
     let hit_limit = outcome.hit_limit || outcome.dropped_bound.is_finite();
     match incumbent {
         Some((obj, x)) => {
-            let values = ps.postsolve(&x);
+            let values = base.ps.postsolve(&x);
             stats.root_gap = ((obj - root_cut_bound) / obj.abs().max(1e-10)).max(0.0);
             let bound_internal = if hit_limit || open_bound.is_finite() {
                 open_bound.min(obj)
@@ -904,36 +1088,6 @@ fn wrap_up(
     }
 }
 
-/// Hash of the base LP (before any pricing or cut appends) plus the root
-/// bounds and integrality pattern. Checkpoint frames carry it; resume
-/// recomputes it from a fresh encode and refuses frames whose hash
-/// differs, so a snapshot can never silently continue a different model.
-fn frame_fingerprint(lp: &LpData, root_lb: &[f64], root_ub: &[f64], int_vars: &[usize]) -> u64 {
-    let mut w = checkpoint::ByteWriter::new();
-    w.put_usize(lp.num_vars());
-    w.put_usize(lp.num_rows());
-    for &v in &lp.c {
-        w.put_f64(v);
-    }
-    for &v in &lp.row_lb {
-        w.put_f64(v);
-    }
-    for &v in &lp.row_ub {
-        w.put_f64(v);
-    }
-    for &v in root_lb {
-        w.put_f64(v);
-    }
-    for &v in root_ub {
-        w.put_f64(v);
-    }
-    w.put_usize(int_vars.len());
-    for &j in int_vars {
-        w.put_usize(j);
-    }
-    checkpoint::fnv1a64(&w.into_bytes())
-}
-
 /// A [`FrameNode`] snapshot of one open node (the warm basis is dropped;
 /// a resumed node cold-solves once and re-warms its subtree).
 fn frame_node(n: &Node) -> FrameNode {
@@ -941,719 +1095,6 @@ fn frame_node(n: &Node) -> FrameNode {
         bound: n.bound,
         depth: n.depth,
         changes: n.changes.clone(),
-    }
-}
-
-/// Assembles a complete [`SearchFrame`] from the runtime's static base
-/// plus the dynamic state captured by the caller. The cut pool is read
-/// here: its applied list is append-only and globally ordered, so a
-/// snapshot taken between a peer's append and its hint publish is still
-/// consistent (the restored LP simply catches the extras up lazily).
-fn snapshot_frame(
-    ctx: &SearchCtx<'_>,
-    rt: &CkptRuntime,
-    nodes_done: usize,
-    base_lb: &[f64],
-    base_ub: &[f64],
-    open_nodes: Vec<FrameNode>,
-) -> SearchFrame {
-    let mut frame = rt.base_frame();
-    frame.nodes_done = nodes_done;
-    // Read the shared incumbent *after* the open set was collected: every
-    // pruning decision reflected in that set used an incumbent at least as
-    // old as this one, so the frame never pairs a pruned-down tree with a
-    // weaker incumbent. LNS publications land here automatically.
-    frame.incumbent = ctx.inc.best();
-    frame.base_lb = base_lb.to_vec();
-    frame.base_ub = base_ub.to_vec();
-    frame.cuts = relock(ctx.cut_pool).applied().to_vec();
-    frame.root_cuts = ctx.root_cuts;
-    frame.open_nodes = open_nodes;
-    frame
-}
-
-/// Resumes a checkpointed solve from a decoded [`SearchFrame`]: rebuilds
-/// the base LP exactly as [`solve_milp_with`] would, verifies the frame's
-/// problem fingerprint, replays the accepted pricing batches in order,
-/// restores the cut pool and incumbent, and continues the tree search from
-/// the frame's open nodes. Resuming from *any* valid frame — even a stale
-/// one — yields the same final objective and proof status as an
-/// uninterrupted run; staleness only re-does work.
-///
-/// Fails with [`FrameError::Mismatch`] when the frame does not belong to
-/// this problem/configuration pairing; callers typically fall back to a
-/// cold solve.
-pub fn resume_milp_with(
-    problem: &Problem,
-    cfg: &Config,
-    start: Instant,
-    frame: SearchFrame,
-    mut columns: Option<&mut dyn ColumnSource>,
-) -> Result<Solution, FrameError> {
-    let deadline = cfg.time_limit.map(|d| start + d);
-    let minimize = problem.sense() == Sense::Minimize;
-    let mut stats = Stats {
-        resumed: true,
-        ..Stats::default()
-    };
-
-    // --- Rebuild the base LP exactly as the cold path does ---
-    let mut ps: Presolved = if cfg.presolve && columns.is_none() {
-        presolve(problem, minimize)
-    } else {
-        identity_presolved(problem)
-    };
-    stats.presolve_rows_removed = ps.rows_removed;
-    stats.presolve_vars_removed = ps.vars_removed;
-    if ps.conclusion.is_some() {
-        // The original solve never searched (so never wrote a frame) for a
-        // presolve-concluded problem; this frame is someone else's.
-        return Err(FrameError::Mismatch("presolve concluded the problem"));
-    }
-    let n = ps.reduced.num_vars();
-    let sign = if minimize { 1.0 } else { -1.0 };
-    let c: Vec<f64> = ps.reduced.objective().iter().map(|&v| sign * v).collect();
-    let (row_lb, row_ub): (Vec<f64>, Vec<f64>) = ps
-        .reduced
-        .row_ids()
-        .map(|r| ps.reduced.row_bounds(r))
-        .unzip();
-    let mut lp = LpData {
-        a: ps.reduced.matrix(),
-        c,
-        row_lb,
-        row_ub,
-    };
-    let mut root_lb: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).0).collect();
-    let mut root_ub: Vec<f64> = (0..n).map(|j| ps.reduced.var_bounds(VarId(j)).1).collect();
-    let mut int_vars: Vec<usize> = (0..n)
-        .filter(|&j| ps.reduced.var_type(VarId(j)) != VarType::Continuous)
-        .collect();
-    let obj_offset = ps.reduced.obj_offset();
-
-    if frame_fingerprint(&lp, &root_lb, &root_ub, &int_vars) != frame.fingerprint {
-        return Err(FrameError::Mismatch("problem fingerprint differs"));
-    }
-
-    // --- Replay the accepted pricing rounds ---
-    // Batch by batch, so side-row column indices (`num_vars + i` within
-    // their own round) resolve exactly as they did when first accepted.
-    if !frame.batches.is_empty() {
-        if columns.is_none() || !cfg.colgen.enabled {
-            return Err(FrameError::Mismatch(
-                "frame carries priced columns but column generation is off",
-            ));
-        }
-        if !pricing::replay_batches(
-            &mut ps,
-            &mut lp,
-            &mut root_lb,
-            &mut root_ub,
-            &mut int_vars,
-            &frame.batches,
-            sign,
-        ) {
-            return Err(FrameError::Mismatch("pricing batches do not fit the base LP"));
-        }
-        stats.cols_priced = frame.batches.iter().map(|b| b.cols.len()).sum();
-    }
-    if let Some(source) = &mut columns {
-        source.restore_state(&frame.user_data);
-    }
-
-    // --- Base bounds from the frame (they carry root rc-fixing) ---
-    if frame.base_lb.len() != root_lb.len() || frame.base_ub.len() != root_ub.len() {
-        return Err(FrameError::Mismatch("bound vector length differs"));
-    }
-    let root_lb = frame.base_lb.clone();
-    let root_ub = frame.base_ub.clone();
-    let int_vars = int_vars;
-    let reduced = &ps.reduced;
-
-    // --- Cut pool restore ---
-    // The root prefix is baked back into the base LP; the rest go into the
-    // pool only, and every worker catches them up lazily through
-    // `sync_cut_lp` — the pool being ahead of a restored LP is the normal,
-    // tolerated state of the append-only global order.
-    for cut in &frame.cuts {
-        if cut.coefs.iter().any(|&(j, _)| j >= lp.num_vars()) {
-            return Err(FrameError::Mismatch("cut references an unknown column"));
-        }
-    }
-    let root_rows = cuts::cuts_to_rows(&frame.cuts[..frame.root_cuts]);
-    if !root_rows.is_empty() {
-        lp.append_rows(&root_rows);
-    }
-    let cut_ctx = cuts::CutContext::from_problem(reduced);
-    let mut pool = cuts::CutPool::new();
-    let total_cuts = frame.cuts.len();
-    let root_cuts = frame.root_cuts;
-    pool.restore_applied(frame.cuts.clone());
-    let cuts_applied_hint = AtomicUsize::new(total_cuts);
-    let cut_pool = Mutex::new(pool);
-    let root_cut_bound = frame.root_bound;
-
-    // --- Incumbent and open nodes ---
-    let inc = Incumbent::new(start);
-    if let Some((obj, x)) = frame.incumbent.clone() {
-        if x.len() != lp.num_vars() {
-            return Err(FrameError::Mismatch("incumbent length differs"));
-        }
-        inc.offer(obj, x);
-    }
-    if frame
-        .open_nodes
-        .iter()
-        .any(|nd| nd.changes.iter().any(|&(j, _, _)| j >= root_lb.len()))
-    {
-        return Err(FrameError::Mismatch("node change references an unknown column"));
-    }
-    // Re-solve the root relaxation once against the restored LP (base
-    // columns + replayed pricing + baked root cuts). Frames drop warm
-    // bases, but every open node is just a set of bound deltas from this
-    // root, so the root basis stays dual-feasible for all of them — one
-    // solve here turns thousands of would-be cold node solves back into
-    // short dual-simplex reoptimizations. Failure is non-fatal: nodes
-    // then cold-solve exactly as before.
-    stats.lp_solves += 1;
-    let root_res = match solve_lp(&lp, &root_lb, &root_ub, cfg, None, deadline) {
-        Ok(r) if r.status == LpStatus::Optimal => {
-            stats.simplex_iters += r.iters;
-            stats.phase1_iters += r.phase1_iters;
-            stats.dual_iters += r.dual_iters;
-            Some(r)
-        }
-        _ => None,
-    };
-    let root_warm = root_res
-        .as_ref()
-        .map(|r| Arc::new(r.statuses.clone()));
-    let root_djb_owned = root_res
-        .as_ref()
-        .filter(|_| cfg.reduced_cost_fixing && !int_vars.is_empty())
-        .map(|r| (r.dj.clone(), r.obj));
-
-    // Root heuristics, same recipe as a cold solve: the frame's incumbent
-    // is whatever the killed run had found by its last snapshot, which can
-    // be far from what a fresh root dive reaches in seconds — and the
-    // incumbent drives all pruning below. Keep whichever is better.
-    if cfg.heuristics.enabled && !int_vars.is_empty() {
-        if let Some(root) = &root_res {
-            if let Some((obj, x)) = heur::try_rounding(reduced, &lp, &root.x, cfg.int_tol) {
-                if inc.offer(obj, x) {
-                    stats.heuristic_solutions += 1;
-                }
-            }
-            let root_dive_budget = cfg
-                .time_limit
-                .map(|t| (t.as_secs_f64() * 0.1).clamp(1.0, 15.0))
-                .unwrap_or(15.0);
-            for strategy in [
-                heur::DiveStrategy::NearestInteger,
-                heur::DiveStrategy::MostFractionalUp,
-            ] {
-                let Some(dd) = dive_window(deadline, root_dive_budget) else {
-                    break;
-                };
-                if let Some((obj, x)) = heur::dive_with(
-                    strategy,
-                    reduced,
-                    &lp,
-                    &int_vars,
-                    &root_lb,
-                    &root_ub,
-                    cfg,
-                    Some(&root.statuses),
-                    Some(dd),
-                ) {
-                    if inc.offer(obj, x) {
-                        stats.heuristic_solutions += 1;
-                    }
-                }
-            }
-        }
-    }
-    let roots: Vec<Node> = frame
-        .open_nodes
-        .iter()
-        .map(|nd| Node {
-            changes: nd.changes.clone(),
-            bound: nd.bound,
-            depth: nd.depth,
-            warm: root_warm.clone(),
-        })
-        .collect();
-    stats.nodes = frame.nodes_done;
-
-    // --- Durable-solve runtime (the resumed run checkpoints too) ---
-    let ckpt_rt = cfg.checkpoint.as_ref().map(|ck| {
-        let base = checkpoint::FrameBase {
-            fingerprint: frame.fingerprint,
-            root_bound: frame.root_bound,
-            base_lb: root_lb.clone(),
-            base_ub: root_ub.clone(),
-            batches: frame.batches.clone(),
-            user_data: frame.user_data.clone(),
-        };
-        CkptRuntime::new(ck.clone(), base, cfg.faults.clone())
-    });
-
-    let ctx = SearchCtx {
-        lp: &lp,
-        root_lb: &root_lb,
-        root_ub: &root_ub,
-        int_vars: &int_vars,
-        reduced,
-        cfg,
-        deadline,
-        sign,
-        obj_offset,
-        cut_ctx: &cut_ctx,
-        cut_pool: &cut_pool,
-        cuts_applied_hint: &cuts_applied_hint,
-        root_cuts,
-        ckpt: ckpt_rt.as_ref(),
-        inc: &inc,
-    };
-
-    // --- Search ---
-    // Root reduced costs come from the re-solve above (when it succeeded),
-    // so incumbent-time refixing keeps working across a resume; without
-    // them only pruning strength is lost, never correctness.
-    let nthreads = cfg.effective_threads();
-    let root_djb = root_djb_owned
-        .as_ref()
-        .map(|(dj, obj)| (dj.as_slice(), *obj));
-    // The LNS engine rides along on a resumed solve exactly as on a cold
-    // one; it needs the re-solved root point, so a failed root re-solve
-    // just skips it (pruning strength lost, never correctness).
-    let lns_in = (cfg.heuristics.enabled && cfg.heuristics.lns && !int_vars.is_empty())
-        .then_some(())
-        .and(root_res.as_ref())
-        .map(|root| heur::LnsInput {
-            reduced,
-            lp: &lp,
-            int_vars: &int_vars,
-            base_lb: &root_lb,
-            base_ub: &root_ub,
-            root_x: &root.x,
-            root_warm: Some(&root.statuses),
-            neighborhoods: heur::build_neighborhoods(&cut_ctx.gub_groups, &int_vars),
-            cfg,
-            deadline,
-        });
-    let outcome = run_search_with_lns(&ctx, roots, root_djb, nthreads, lns_in, &mut stats);
-
-    Ok(wrap_up(
-        outcome,
-        inc,
-        &ps,
-        cfg,
-        &cut_pool,
-        ckpt_rt.as_ref(),
-        root_cut_bound,
-        sign,
-        obj_offset,
-        start,
-        stats,
-    ))
-}
-
-/// Pads a warm-start vector produced against an LP with fewer cut rows:
-/// every appended cut row contributes one slack, and making those slacks
-/// basic keeps the basis square and dual-feasible (see
-/// [`LpData::append_rows`]).
-fn pad_warm(w: &[VStat], nn_now: usize) -> Vec<VStat> {
-    let mut v = Vec::with_capacity(nn_now);
-    v.extend_from_slice(w);
-    v.resize(nn_now, VStat::Basic);
-    v
-}
-
-/// The LP a node should be solved against when node cuts are enabled: a
-/// worker-local clone of the root LP extended with every cut the shared
-/// pool has applied so far. The pool's applied list is append-only and
-/// globally ordered, so the local copy catches up by appending the missing
-/// suffix — row indices never shift and older warm bases stay valid after
-/// [`pad_warm`].
-fn sync_cut_lp<'b>(
-    ctx: &'b SearchCtx<'_>,
-    local_lp: &'b mut Option<LpData>,
-    local_cuts: &mut usize,
-) -> &'b LpData {
-    // Lock-free fast path: the hint is monotone and published (under the
-    // pool lock) by whoever applies cuts, so the steady state — no cuts
-    // since this worker last caught up — never touches the pool mutex. A
-    // stale read only delays the catch-up by one node; the cuts are
-    // globally valid either way.
-    if ctx.cuts_applied_hint.load(AtomicOrdering::Acquire) > *local_cuts {
-        let pool = relock(ctx.cut_pool);
-        let total = pool.applied_len();
-        // `catch_up_rows` tolerates every relative position the append-only
-        // order allows — including a pool already ahead of a restored LP
-        // (the resume case) and a stale hint past the pool's length.
-        let rows = cuts::catch_up_rows(pool.applied(), *local_cuts);
-        drop(pool);
-        if !rows.is_empty() {
-            let lp = local_lp.get_or_insert_with(|| ctx.lp.clone());
-            lp.append_rows(&rows);
-            *local_cuts = total;
-        }
-    }
-    match local_lp {
-        Some(lp) => lp,
-        None => ctx.lp,
-    }
-}
-
-/// The original single-threaded best-bound-with-plunging loop; this is the
-/// exact `threads: 1` behavior. Accepts multiple open roots so the parallel
-/// search can hand over its surviving node pool after worker panics.
-///
-/// `root_info` carries the root reduced costs and root LP bound; when
-/// present, every incumbent improvement re-runs reduced-cost fixing against
-/// the base bounds all nodes are reconstructed from.
-fn search_sequential(
-    ctx: &SearchCtx<'_>,
-    roots: Vec<Node>,
-    root_info: Option<(&[f64], f64)>,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let cfg = ctx.cfg;
-    let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
-    for root in roots {
-        heap.push(HeapNode(root));
-    }
-    let mut pc = PseudoCosts::new(ctx.root_lb.len());
-    // Base bounds shared by every node; tightened further on incumbent
-    // improvements via reduced-cost fixing (globally valid because the
-    // fixing argument uses the root bound and the global incumbent).
-    let mut base_lb = ctx.root_lb.to_vec();
-    let mut base_ub = ctx.root_ub.to_vec();
-    let mut lb_buf = ctx.root_lb.to_vec();
-    let mut ub_buf = ctx.root_ub.to_vec();
-    let mut hit_limit = false;
-    let mut dropped_bound = f64::INFINITY;
-    let mut plunge_next: Option<Node> = None;
-    // Adaptive dive throttle: each dive that fails to improve the incumbent
-    // doubles the node period before the next one (capped), an improvement
-    // resets it — so dives stop eating wall clock once the tree has a good
-    // incumbent they cannot beat.
-    let mut dive_backoff = 1usize;
-    // Node-level cuts (opt-in): local LP copy synced to the shared pool's
-    // applied prefix before each node solve.
-    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
-    let mut local_lp: Option<LpData> = None;
-    let mut local_cuts = ctx.root_cuts;
-
-    'outer: loop {
-        // Global bound = min over open nodes (heap top + any plunge node).
-        let open_bound = match (&plunge_next, heap.peek()) {
-            (Some(p), Some(h)) => p.bound.min(h.0.bound),
-            (Some(p), None) => p.bound,
-            (None, Some(h)) => h.0.bound,
-            (None, None) => f64::INFINITY,
-        };
-        // Gap-based termination (the incumbent may have just improved via
-        // an LNS publication — the same check picks that up immediately).
-        let inc_obj = ctx.inc.bound();
-        if inc_obj.is_finite() {
-            let gap = inc_obj - open_bound;
-            if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
-                break;
-            }
-        }
-        // Snapshot at the node boundary: nothing is in flight here, so the
-        // heap, the plunge slot, and the incumbent are the complete search
-        // state.
-        if let Some(rt) = ctx.ckpt {
-            if rt.take_due() {
-                let t0 = Instant::now();
-                let open: Vec<FrameNode> = heap
-                    .iter()
-                    .map(|h| frame_node(&h.0))
-                    .chain(plunge_next.as_ref().map(frame_node))
-                    .collect();
-                let frame = snapshot_frame(ctx, rt, stats.nodes, &base_lb, &base_ub, open);
-                rt.offer(frame, t0.elapsed());
-            }
-        }
-        let mut node = match plunge_next.take() {
-            Some(nd) => nd,
-            None => match heap.pop() {
-                Some(HeapNode(nd)) => nd,
-                None => break,
-            },
-        };
-        // Prune against the freshest shared incumbent (∞ when none).
-        if node.bound >= ctx.inc.bound() - cfg.abs_gap {
-            continue;
-        }
-        // Limits (wall-clock, cancellation, injected expiry, stall abort,
-        // node count). The popped node goes back to the plunge slot before
-        // the break so the wind-down bound — and any final checkpoint
-        // frame — still covers it.
-        if ctx.should_stop(stats.nodes) {
-            hit_limit = true;
-            plunge_next = Some(node);
-            break;
-        }
-        if let Some(nl) = cfg.node_limit {
-            if stats.nodes >= nl {
-                hit_limit = true;
-                plunge_next = Some(node);
-                break;
-            }
-        }
-        stats.nodes += 1;
-        if let Some(rt) = ctx.ckpt {
-            rt.bump_progress();
-        }
-
-        // Reconstruct bounds from the (possibly rc-tightened) base bounds.
-        lb_buf.copy_from_slice(&base_lb);
-        ub_buf.copy_from_slice(&base_ub);
-        for &(j, lo, hi) in &node.changes {
-            lb_buf[j] = lb_buf[j].max(lo);
-            ub_buf[j] = ub_buf[j].min(hi);
-        }
-
-        stats.lp_solves += 1;
-        let node_lp = if node_cuts {
-            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
-        } else {
-            ctx.lp
-        };
-        let nn_now = node_lp.num_vars() + node_lp.num_rows();
-        let padded;
-        let warm: Option<&[VStat]> = match node.warm.as_deref() {
-            Some(w) if w.len() < nn_now => {
-                padded = pad_warm(w, nn_now);
-                Some(&padded)
-            }
-            Some(w) => Some(&w[..]),
-            None => None,
-        };
-        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
-            Ok(r) => r,
-            Err(_) => {
-                // Recovery ladder exhausted on this node: drop its subtree
-                // but remember its bound so the final status stays honest.
-                stats.dropped_nodes += 1;
-                dropped_bound = dropped_bound.min(node.bound);
-                continue;
-            }
-        };
-        stats.simplex_iters += r.iters;
-        stats.phase1_iters += r.phase1_iters;
-        stats.dual_iters += r.dual_iters;
-        if r.recoveries > 0 {
-            stats.lp_recoveries += 1;
-        }
-        match r.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => {
-                return SearchOutcome {
-                    open_bound: f64::NEG_INFINITY,
-                    hit_limit: false,
-                    unbounded: true,
-                    dropped_bound: f64::INFINITY,
-                }
-            }
-            LpStatus::Limit => {
-                hit_limit = true;
-                plunge_next = Some(node);
-                break 'outer;
-            }
-            LpStatus::Optimal => {}
-        }
-
-        if r.obj >= ctx.inc.bound() - cfg.abs_gap {
-            continue; // bound-dominated
-        }
-
-        match most_fractional(&r.x, &ctx.lp.c, ctx.int_vars, cfg.int_tol) {
-            None => {
-                // Integral: new incumbent.
-                let mut x = r.x.clone();
-                for &j in ctx.int_vars {
-                    x[j] = x[j].round();
-                }
-                let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
-                if ctx.inc.offer(obj, x) {
-                    if cfg.verbose {
-                        eprintln!(
-                            "[milp] node {:>6}: incumbent {:.6} (bound {:.6})",
-                            stats.nodes,
-                            ctx.user_obj(obj),
-                            ctx.user_obj(open_bound.min(r.obj))
-                        );
-                    }
-                    if let Some((dj, root_bound)) = root_info {
-                        stats.rc_fixed += fix_by_reduced_costs(
-                            &mut base_lb,
-                            &mut base_ub,
-                            dj,
-                            ctx.int_vars,
-                            root_bound,
-                            obj,
-                        )
-                        .len();
-                    }
-                }
-                continue;
-            }
-            Some((mf_var, mf_frac)) => {
-                // Node-level separation (opt-in): globally valid cover and
-                // clique cuts at this node's fractional point, applied to
-                // future node solves through the shared pool.
-                if node_cuts {
-                    let mut pool = relock(ctx.cut_pool);
-                    cuts::separate_node(
-                        ctx.cut_ctx,
-                        &r.x,
-                        ctx.root_lb,
-                        ctx.root_ub,
-                        &mut pool,
-                        cfg.cuts.max_cuts_per_round,
-                    );
-                    let _ = pool.select(&r.x, &cfg.cuts);
-                    ctx.cuts_applied_hint
-                        .store(pool.applied_len(), AtomicOrdering::Release);
-                }
-                // Choose branching variable.
-                let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
-                let xval = r.x[bvar];
-                let floor = xval.floor();
-                // Node-level reduced-cost fixing: this node's reduced costs
-                // bound the cost of moving any nonbasic integer off its
-                // bound, so against the incumbent the tightening is valid
-                // for the whole subtree — record it on the node so both
-                // children (and the dive below) inherit it. Fractional
-                // variables are basic (dj = 0), so the branch variable is
-                // never touched.
-                if cfg.reduced_cost_fixing {
-                    let inc_obj = ctx.inc.bound();
-                    if inc_obj.is_finite() {
-                        let fixed = fix_by_reduced_costs(
-                            &mut lb_buf,
-                            &mut ub_buf,
-                            &r.dj,
-                            ctx.int_vars,
-                            r.obj,
-                            inc_obj,
-                        );
-                        if !fixed.is_empty() {
-                            stats.rc_fixed += fixed.len();
-                            node.changes.extend_from_slice(&fixed);
-                        }
-                    }
-                }
-                let warm = Arc::new(r.statuses);
-                // Occasional in-tree diving heuristic; dive more eagerly
-                // (and with both strategies) while no incumbent exists, and
-                // back off exponentially while dives keep coming up empty.
-                let have_inc = ctx.inc.bound().is_finite();
-                let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
-                if cfg.heuristics.enabled && stats.nodes % dive_period == 1 && stats.nodes > 1 {
-                    let mut improved = false;
-                    let strategies: &[heur::DiveStrategy] = if have_inc {
-                        &[heur::DiveStrategy::NearestInteger]
-                    } else {
-                        &[
-                            heur::DiveStrategy::NearestInteger,
-                            heur::DiveStrategy::MostFractionalUp,
-                        ]
-                    };
-                    for &strategy in strategies {
-                        let Some(dd) = dive_window(ctx.deadline, 3.0) else {
-                            break;
-                        };
-                        if let Some((obj, x)) = heur::dive_with(
-                            strategy,
-                            ctx.reduced,
-                            node_lp,
-                            ctx.int_vars,
-                            &lb_buf,
-                            &ub_buf,
-                            cfg,
-                            Some(&warm),
-                            Some(dd),
-                        ) {
-                            if ctx.inc.offer(obj, x) {
-                                stats.heuristic_solutions += 1;
-                                improved = true;
-                                if let Some((dj, root_bound)) = root_info {
-                                    stats.rc_fixed += fix_by_reduced_costs(
-                                        &mut base_lb,
-                                        &mut base_ub,
-                                        dj,
-                                        ctx.int_vars,
-                                        root_bound,
-                                        obj,
-                                    )
-                                    .len();
-                                }
-                            }
-                        }
-                    }
-                    dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
-                }
-                let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
-                // Attribute this node's LP degradation to the parent's
-                // branch direction (online pseudo-cost proxy).
-                let parent_frac_gain = (r.obj - node.bound).max(0.0);
-                if let Some(&(pvar, plo, _phi)) = node.changes.last() {
-                    let went_up = plo.is_finite();
-                    pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
-                }
-                match cfg.node_selection {
-                    NodeSelection::BestBound => {
-                        heap.push(HeapNode(down_child));
-                        heap.push(HeapNode(up_child));
-                    }
-                    NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
-                        // plunge into the child nearer the LP value
-                        let frac = xval - floor;
-                        if frac < 0.5 {
-                            plunge_next = Some(down_child);
-                            heap.push(HeapNode(up_child));
-                        } else {
-                            plunge_next = Some(up_child);
-                            heap.push(HeapNode(down_child));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let open_bound = match (&plunge_next, heap.peek()) {
-        (Some(p), Some(h)) => p.bound.min(h.0.bound),
-        (Some(p), None) => p.bound,
-        (None, Some(h)) => h.0.bound,
-        (None, None) => f64::INFINITY,
-    };
-    // Limit wind-down: deposit a final frame covering every still-open node
-    // (the watchdog's exit drain persists it), so a deadline-expired or
-    // stall-aborted solve resumes from exactly where it stopped.
-    if hit_limit {
-        if let Some(rt) = ctx.ckpt {
-            let t0 = Instant::now();
-            let open: Vec<FrameNode> = heap
-                .iter()
-                .map(|h| frame_node(&h.0))
-                .chain(plunge_next.as_ref().map(frame_node))
-                .collect();
-            let frame = snapshot_frame(ctx, rt, stats.nodes, &base_lb, &base_ub, open);
-            rt.offer(frame, t0.elapsed());
-        }
-    }
-    SearchOutcome {
-        open_bound,
-        hit_limit,
-        unbounded: false,
-        dropped_bound,
     }
 }
 
@@ -1723,566 +1164,489 @@ fn make_children(
 
 const INF_BITS: u64 = f64::INFINITY.to_bits();
 
-/// State shared by the parallel search workers.
-struct ParShared {
+/// State shared by the search workers.
+struct Shared {
     /// Open nodes, best bound on top.
     heap: Mutex<BinaryHeap<HeapNode>>,
-    /// Workers currently processing a node (or a plunge chain). The tree is
-    /// exhausted exactly when the heap is empty and nobody is active.
-    active: AtomicUsize,
-    /// Per-worker bound of the node being processed (f64 bits; ∞ = idle).
-    /// The global open bound is min(heap top, these slots).
-    slots: Vec<AtomicU64>,
+    /// Per worker: the node it owns — the one being processed, or its next
+    /// plunge child. Every open node sits in the heap or in one of these
+    /// slots, so the tree is exhausted exactly when the heap is empty and
+    /// every slot is too. Lock order is heap → slot everywhere.
+    inflight: Vec<Mutex<Option<Node>>>,
+    /// Base bounds every node is rebuilt from: the root bounds after root
+    /// reduced-cost fixing, tightened further whenever a worker improves
+    /// the incumbent (globally valid: the fixing argument uses the root
+    /// bound and the global incumbent). Every frame records them.
+    base: Mutex<(Vec<f64>, Vec<f64>)>,
     /// All workers drain and exit (gap reached, limit hit, or unbounded).
     stop: AtomicBool,
     hit_limit: AtomicBool,
     unbounded: AtomicBool,
+    /// Nodes processed, resumed runs included.
     nodes: AtomicUsize,
-    lp_solves: AtomicUsize,
-    simplex_iters: AtomicUsize,
-    phase1_iters: AtomicUsize,
-    dual_iters: AtomicUsize,
-    rc_fixed: AtomicUsize,
-    heuristic_solutions: AtomicUsize,
-    /// A clone of the node each worker is currently processing, so a panic
-    /// can re-queue it instead of losing the subtree.
-    inflight: Vec<Mutex<Option<Node>>>,
-    /// Workers that panicked and were isolated.
-    worker_panics: AtomicUsize,
-    /// Nodes dropped after unrecoverable LP errors.
-    dropped_nodes: AtomicUsize,
-    /// Smallest bound among dropped nodes (f64 bits; ∞ = none).
-    dropped_bound: AtomicU64,
-    /// LP solves that needed at least one recovery rung.
-    lp_recoveries: AtomicUsize,
+    /// Smallest bound among nodes dropped after unrecoverable LP errors.
+    dropped_bound: Mutex<f64>,
 }
 
-impl ParShared {
-    /// Pushes an unprocessed node back (worker exiting mid-node).
-    fn park_node(&self, node: Node) {
-        relock(&self.heap).push(HeapNode(node));
-    }
-
-    /// Marks worker `id` idle after it finished (or parked) a node.
-    fn release(&self, id: usize) {
-        relock(&self.inflight[id]).take();
-        self.slots[id].store(INF_BITS, AtomicOrdering::SeqCst);
-        self.active.fetch_sub(1, AtomicOrdering::SeqCst);
-    }
-
-    /// Records the bound of a node dropped after an unrecoverable LP error.
-    fn record_dropped(&self, bound: f64) {
-        self.dropped_nodes.fetch_add(1, AtomicOrdering::SeqCst);
-        let mut cur = self.dropped_bound.load(AtomicOrdering::SeqCst);
-        while bound < f64::from_bits(cur) {
-            match self.dropped_bound.compare_exchange(
-                cur,
-                bound.to_bits(),
-                AtomicOrdering::SeqCst,
-                AtomicOrdering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
+impl Shared {
+    /// The smallest bound among open nodes (heap top and every owned node)
+    /// and whether any worker owns a node. `heap` is the locked heap, so
+    /// the scan sees every open node exactly where it is.
+    fn open_bound(&self, heap: &BinaryHeap<HeapNode>) -> (f64, bool) {
+        let mut bound = heap.peek().map_or(f64::INFINITY, |h| h.0.bound);
+        let mut owned = false;
+        for slot in &self.inflight {
+            if let Some(n) = relock(slot).as_ref() {
+                bound = bound.min(n.bound);
+                owned = true;
             }
         }
+        (bound, owned)
     }
 
-    /// Cleans up after worker `id` unwound from a panic: the in-flight node
-    /// (if any) goes back to the pool and the worker's active slot is
-    /// surrendered so surviving workers never wait on the dead one.
-    fn recover_after_panic(&self, id: usize) {
-        self.worker_panics.fetch_add(1, AtomicOrdering::SeqCst);
-        let taken = relock(&self.inflight[id]).take();
-        if let Some(node) = taken {
-            self.park_node(node);
+    /// Every open node — the locked heap, then the owned nodes in worker
+    /// order — as frame nodes.
+    fn open_nodes(&self, heap: &BinaryHeap<HeapNode>) -> Vec<FrameNode> {
+        let mut open: Vec<FrameNode> = heap.iter().map(|h| frame_node(&h.0)).collect();
+        for slot in &self.inflight {
+            open.extend(relock(slot).as_ref().map(frame_node));
         }
-        if self.slots[id].load(AtomicOrdering::SeqCst) != INF_BITS {
-            self.release(id);
+        open
+    }
+
+    /// Claims the next node for worker `id`: its own plunge child when it
+    /// has one, else the best open node, waiting while peers may still
+    /// produce children. Before every claim it stops the search once the
+    /// gap to the global open bound closes, and takes the checkpoint
+    /// snapshot when one is due (heap ∪ slots is the complete open set at
+    /// this boundary). Returns `None` when the search is over; a claimed
+    /// node stays in the worker's slot until [`Shared::finish`].
+    fn next_node(&self, ctx: &SearchCtx<'_>, id: usize) -> Option<Node> {
+        let cfg = ctx.cfg;
+        // Starvation backoff: on an oversubscribed host a tight fixed-period
+        // poll steals the core from whichever worker is producing children,
+        // so the wait doubles (capped) each empty round and resets on
+        // success.
+        let mut wait = Duration::from_micros(50);
+        loop {
+            if self.stop.load(AtomicOrdering::SeqCst) {
+                return None;
+            }
+            let mut heap = relock(&self.heap);
+            // Gap-based termination (the incumbent may have just improved
+            // via an LNS publication — the same check picks that up).
+            let (open_bound, owned) = self.open_bound(&heap);
+            let inc_obj = ctx.inc.bound();
+            if inc_obj.is_finite() {
+                let gap = inc_obj - open_bound;
+                if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
+                    self.stop.store(true, AtomicOrdering::SeqCst);
+                    return None;
+                }
+            }
+            let own = relock(&self.inflight[id]).clone();
+            if own.is_none() && heap.is_empty() {
+                if !owned {
+                    return None; // tree exhausted
+                }
+                // Peers are still expanding: wait for children.
+                drop(heap);
+                std::thread::sleep(wait);
+                wait = (wait * 2).min(Duration::from_millis(1));
+                continue;
+            }
+            let snapshot = ctx
+                .ckpt
+                .filter(|rt| rt.take_due())
+                .map(|rt| (rt, Instant::now(), self.open_nodes(&heap)));
+            let node = match own {
+                Some(nd) => nd,
+                None => {
+                    let Some(HeapNode(nd)) = heap.pop() else {
+                        unreachable!("the heap was checked non-empty under its lock")
+                    };
+                    // Claim under the lock so idle peers never observe an
+                    // empty heap with every slot empty mid-handoff.
+                    *relock(&self.inflight[id]) = Some(nd.clone());
+                    nd
+                }
+            };
+            drop(heap);
+            if let Some((rt, t0, open)) = snapshot {
+                let frame = self.snapshot_frame(ctx, rt, open);
+                rt.offer(frame, t0.elapsed());
+            }
+            return Some(node);
+        }
+    }
+
+    /// Assembles a complete [`SearchFrame`] from the runtime's static base
+    /// (including the root cuts) plus the open set collected by the caller
+    /// and the current base bounds.
+    fn snapshot_frame(
+        &self,
+        ctx: &SearchCtx<'_>,
+        rt: &CkptRuntime,
+        open_nodes: Vec<FrameNode>,
+    ) -> SearchFrame {
+        let mut frame = rt.base_frame();
+        frame.nodes_done = self.nodes.load(AtomicOrdering::SeqCst);
+        (frame.base_lb, frame.base_ub) = relock(&self.base).clone();
+        // Read the shared incumbent *after* the open set and the base
+        // bounds: every pruning decision and every fixing reflected in
+        // them used an incumbent at least as old as this one, so the frame
+        // never pairs a pruned-down tree with a weaker incumbent. LNS
+        // publications land here automatically.
+        frame.incumbent = ctx.inc.best();
+        frame.open_nodes = open_nodes;
+        frame
+    }
+
+    /// Releases worker `id`'s node: done with, nothing left open.
+    fn finish(&self, id: usize) {
+        relock(&self.inflight[id]).take();
+    }
+
+    /// Raises `flag` (a limit or unboundedness) and stops every worker.
+    fn halt(&self, flag: &AtomicBool) {
+        flag.store(true, AtomicOrdering::SeqCst);
+        self.stop.store(true, AtomicOrdering::SeqCst);
+    }
+
+    /// Rebuilds a node's bounds into `lb`/`ub`: the shared base bounds plus
+    /// the node's own changes.
+    fn node_bounds(&self, node: &Node, lb: &mut [f64], ub: &mut [f64]) {
+        {
+            let base = relock(&self.base);
+            lb.copy_from_slice(&base.0);
+            ub.copy_from_slice(&base.1);
+        }
+        for &(j, lo, hi) in &node.changes {
+            lb[j] = lb[j].max(lo);
+            ub[j] = ub[j].min(hi);
+        }
+    }
+
+    /// Re-runs root reduced-cost fixing on the base bounds against a new
+    /// incumbent objective; returns the number of bounds tightened.
+    fn refix(&self, ctx: &SearchCtx<'_>, inc_obj: f64) -> usize {
+        let Some((dj, root_bound)) = ctx.rc_root else {
+            return 0;
+        };
+        let mut base = relock(&self.base);
+        let (lb, ub) = &mut *base;
+        fix_by_reduced_costs(lb, ub, dj, &ctx.base.int_vars, root_bound, inc_obj).len()
+    }
+
+    /// Cleans up after worker `id` unwound from a panic: its node (if any)
+    /// goes back to the heap, under the heap lock so no peer ever sees it
+    /// in neither place, and no peer waits on the dead worker.
+    fn recover_after_panic(&self, id: usize) {
+        let mut heap = relock(&self.heap);
+        if let Some(node) = relock(&self.inflight[id]).take() {
+            heap.push(HeapNode(node));
         }
     }
 }
 
-/// Multi-threaded best-bound search over the shared node pool.
-fn search_parallel(
-    ctx: &SearchCtx<'_>,
-    nthreads: usize,
-    roots: Vec<Node>,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let shared = ParShared {
-        heap: Mutex::new(BinaryHeap::new()),
-        active: AtomicUsize::new(0),
-        slots: (0..nthreads).map(|_| AtomicU64::new(INF_BITS)).collect(),
+/// The tree search: worker 0 on the calling thread plus one scoped thread
+/// per extra [`Config::threads`], all running [`worker`] over one shared
+/// node pool. A panicking worker is isolated — its node goes back to the
+/// pool — and restarted once; the survivors keep the incumbent intact.
+fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOutcome {
+    let base = ctx.base;
+    let nthreads = if base.int_vars.is_empty() {
+        1
+    } else {
+        ctx.cfg.effective_threads()
+    };
+    // Roots are pushed one by one (not heapified) so the heap layout — and
+    // with it the order of equal-bound nodes — is a function of the push
+    // sequence alone. Worker 0 starts with the best root in hand, so the
+    // calling thread claims the first node while its peers spin up.
+    let mut heap = BinaryHeap::new();
+    for root in roots {
+        heap.push(HeapNode(root));
+    }
+    let first = heap.pop().map(|HeapNode(nd)| nd);
+    let shared = Shared {
+        heap: Mutex::new(heap),
+        inflight: std::iter::once(first)
+            .chain((1..nthreads).map(|_| None))
+            .map(Mutex::new)
+            .collect(),
+        base: Mutex::new((base.lb.clone(), base.ub.clone())),
         stop: AtomicBool::new(false),
         hit_limit: AtomicBool::new(false),
         unbounded: AtomicBool::new(false),
         nodes: AtomicUsize::new(stats.nodes),
-        lp_solves: AtomicUsize::new(0),
-        simplex_iters: AtomicUsize::new(0),
-        phase1_iters: AtomicUsize::new(0),
-        dual_iters: AtomicUsize::new(0),
-        rc_fixed: AtomicUsize::new(0),
-        heuristic_solutions: AtomicUsize::new(0),
-        inflight: (0..nthreads).map(|_| Mutex::new(None)).collect(),
-        worker_panics: AtomicUsize::new(0),
-        dropped_nodes: AtomicUsize::new(0),
-        dropped_bound: AtomicU64::new(INF_BITS),
-        lp_recoveries: AtomicUsize::new(0),
+        dropped_bound: Mutex::new(f64::INFINITY),
     };
-    {
-        let mut heap = relock(&shared.heap);
-        for root in roots {
-            heap.push(HeapNode(root));
+    let run = |id: usize| {
+        let mut tally = Stats::default();
+        // AssertUnwindSafe is justified because every shared structure is
+        // either atomic or repaired by relock(), and the tally only ever
+        // accumulates.
+        for _ in 0..2 {
+            if catch_unwind(AssertUnwindSafe(|| worker(ctx, &shared, id, &mut tally))).is_ok() {
+                break;
+            }
+            tally.worker_panics += 1;
+            shared.recover_after_panic(id);
         }
-    }
-
-    std::thread::scope(|s| {
-        for id in 0..nthreads {
-            let shared = &shared;
-            s.spawn(move || {
-                // Isolate panics: a poisoned worker surrenders its node and
-                // slot; the survivors keep searching with the incumbent
-                // intact. AssertUnwindSafe is justified because every shared
-                // structure is either atomic or repaired by relock().
-                if catch_unwind(AssertUnwindSafe(|| worker(ctx, shared, id))).is_err() {
-                    shared.recover_after_panic(id);
-                }
-            });
-        }
+        tally
+    };
+    let tallies: Vec<Stats> = std::thread::scope(|s| {
+        let run = &run;
+        let peers: Vec<_> = (1..nthreads).map(|id| s.spawn(move || run(id))).collect();
+        let mut tallies = vec![run(0)];
+        // Worker panics are caught inside the thread; a join error would be
+        // a panic in the recovery itself, counted like any other.
+        tallies.extend(peers.into_iter().map(|h| {
+            h.join().unwrap_or_else(|_| Stats {
+                worker_panics: 1,
+                ..Stats::default()
+            })
+        }));
+        tallies
     });
-
+    for t in &tallies {
+        stats.lp_solves += t.lp_solves;
+        stats.simplex_iters += t.simplex_iters;
+        stats.phase1_iters += t.phase1_iters;
+        stats.dual_iters += t.dual_iters;
+        stats.lp_recoveries += t.lp_recoveries;
+        stats.rc_fixed += t.rc_fixed;
+        stats.heuristic_solutions += t.heuristic_solutions;
+        stats.worker_panics += t.worker_panics;
+        stats.dropped_nodes += t.dropped_nodes;
+    }
     stats.nodes = shared.nodes.load(AtomicOrdering::SeqCst);
-    stats.lp_solves += shared.lp_solves.load(AtomicOrdering::SeqCst);
-    stats.simplex_iters += shared.simplex_iters.load(AtomicOrdering::SeqCst);
-    stats.phase1_iters += shared.phase1_iters.load(AtomicOrdering::SeqCst);
-    stats.dual_iters += shared.dual_iters.load(AtomicOrdering::SeqCst);
-    stats.rc_fixed += shared.rc_fixed.load(AtomicOrdering::SeqCst);
-    stats.heuristic_solutions += shared.heuristic_solutions.load(AtomicOrdering::SeqCst);
-    stats.worker_panics += shared.worker_panics.load(AtomicOrdering::SeqCst);
-    stats.dropped_nodes += shared.dropped_nodes.load(AtomicOrdering::SeqCst);
-    stats.lp_recoveries += shared.lp_recoveries.load(AtomicOrdering::SeqCst);
-    let stopped = shared.stop.load(AtomicOrdering::SeqCst);
-    let panics = shared.worker_panics.load(AtomicOrdering::SeqCst);
-    let dropped_bound = f64::from_bits(shared.dropped_bound.load(AtomicOrdering::SeqCst));
-    let heap = shared
-        .heap
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
 
-    // Limit wind-down: every worker parked its node before exiting, so the
-    // drained heap is the complete open set — deposit it as the final
-    // frame for the watchdog's exit drain.
-    if shared.hit_limit.load(AtomicOrdering::SeqCst) {
+    let heap = relock(&shared.heap);
+    let (open_bound, owned) = shared.open_bound(&heap);
+    // Open nodes left without a stop flag means every worker died (each
+    // panicked past its restart): the search did not finish, so it must
+    // not claim optimality, and a frame lets a resume pick it up.
+    let abandoned = !shared.stop.load(AtomicOrdering::SeqCst) && (owned || !heap.is_empty());
+    let hit_limit = shared.hit_limit.load(AtomicOrdering::SeqCst) || abandoned;
+    // Limit wind-down: deposit a final frame covering every still-open node
+    // (the watchdog's exit drain persists it), so a deadline-expired or
+    // stall-aborted solve resumes from exactly where it stopped.
+    if hit_limit {
         if let Some(rt) = ctx.ckpt {
             let t0 = Instant::now();
-            let open: Vec<FrameNode> = heap.iter().map(|h| frame_node(&h.0)).collect();
-            let frame = snapshot_frame(ctx, rt, stats.nodes, ctx.root_lb, ctx.root_ub, open);
+            let frame = shared.snapshot_frame(ctx, rt, shared.open_nodes(&heap));
             rt.offer(frame, t0.elapsed());
         }
     }
-
-    // Degrade to sequential: if panics killed every worker while open nodes
-    // remain (no stop flag, non-empty pool), finish the search single-
-    // threaded so the result is still exact.
-    if panics > 0 && !stopped && !heap.is_empty() {
-        if ctx.cfg.verbose {
-            eprintln!(
-                "[milp] {} worker(s) panicked with {} open nodes; continuing sequentially",
-                panics,
-                heap.len()
-            );
-        }
-        let roots: Vec<Node> = heap.into_iter().map(|h| h.0).collect();
-        // stats.nodes already carries the parallel phase's count; the
-        // sequential loop increments (and checks node_limit against) the
-        // cumulative total.
-        let mut outcome = search_sequential(ctx, roots, None, stats);
-        outcome.dropped_bound = outcome.dropped_bound.min(dropped_bound);
-        return outcome;
-    }
-
+    drop(heap);
+    let dropped_bound = *relock(&shared.dropped_bound);
     SearchOutcome {
-        open_bound: heap.peek().map_or(f64::INFINITY, |h| h.0.bound),
-        hit_limit: shared.hit_limit.load(AtomicOrdering::SeqCst),
+        open_bound,
+        hit_limit,
         unbounded: shared.unbounded.load(AtomicOrdering::SeqCst),
         dropped_bound,
     }
 }
 
-/// Pops the best open node, waiting while other workers may still produce
-/// children. Returns `None` when the search is over (stop flag, gap
-/// reached, or tree exhausted). On `Some`, the worker is marked active and
-/// its slot carries the node bound.
-fn pop_next(ctx: &SearchCtx<'_>, shared: &ParShared, id: usize) -> Option<Node> {
+/// The node loop, the one every thread count runs: claims nodes (its own
+/// plunge child first, else the best open node), solves their LP
+/// relaxations with a private simplex instance, publishes incumbents,
+/// fixes by reduced costs, dives, and branches. Work is charged to `tally`.
+fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
     let cfg = ctx.cfg;
-    // Starvation backoff: on an oversubscribed host a tight fixed-period
-    // poll steals the core from whichever worker is producing children, so
-    // the wait doubles (capped) each empty round and resets on success.
-    let mut wait = Duration::from_micros(50);
-    loop {
-        if shared.stop.load(AtomicOrdering::SeqCst) {
-            return None;
-        }
-        let popped = {
-            let mut heap = relock(&shared.heap);
-            // Gap-based termination against the global open bound. The slot
-            // scan stays inside the lock: claims store their slot under it,
-            // so every open node is visible either in the heap or a slot.
-            let heap_min = heap.peek().map_or(f64::INFINITY, |h| h.0.bound);
-            let slot_min = shared
-                .slots
-                .iter()
-                .map(|s| f64::from_bits(s.load(AtomicOrdering::SeqCst)))
-                .fold(f64::INFINITY, f64::min);
-            let open_bound = heap_min.min(slot_min);
-            let inc_obj = ctx.inc.bound();
-            if inc_obj.is_finite() {
-                let gap = inc_obj - open_bound;
-                if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
-                    shared.stop.store(true, AtomicOrdering::SeqCst);
-                    return None;
-                }
-            }
-            match heap.pop() {
-                Some(HeapNode(nd)) => {
-                    // Claim under the lock so idle peers never observe an
-                    // empty heap with zero active workers mid-handoff, and
-                    // so checkpoint snapshots — which read the inflight
-                    // slots while holding this same heap lock — always see
-                    // the node in the heap or in the slot, never in the gap
-                    // between. (Lock order is heap → inflight everywhere.)
-                    shared.active.fetch_add(1, AtomicOrdering::SeqCst);
-                    shared.slots[id].store(nd.bound.to_bits(), AtomicOrdering::SeqCst);
-                    *relock(&shared.inflight[id]) = Some(nd.clone());
-                    Some(nd)
-                }
-                None => {
-                    if shared.active.load(AtomicOrdering::SeqCst) == 0 {
-                        return None; // tree exhausted
-                    }
-                    None
-                }
-            }
-        };
-        if let Some(nd) = popped {
-            return Some(nd);
-        }
-        // Heap empty but peers are still expanding: wait for children.
-        std::thread::sleep(wait);
-        wait = (wait * 2).min(Duration::from_millis(1));
-    }
-}
-
-/// One parallel search worker: pops best-bound nodes, solves their LP
-/// relaxations with a private simplex instance, publishes incumbents, and
-/// plunges locally like the sequential loop.
-fn worker(ctx: &SearchCtx<'_>, shared: &ParShared, id: usize) {
-    let cfg = ctx.cfg;
-    let mut pc = PseudoCosts::new(ctx.root_lb.len());
-    let mut lb_buf = ctx.root_lb.to_vec();
-    let mut ub_buf = ctx.root_ub.to_vec();
-    let mut plunge_next: Option<Node> = None;
+    let base = ctx.base;
+    let int_vars = &base.int_vars[..];
+    let mut pc = PseudoCosts::new(base.lb.len());
+    let mut lb_buf = base.lb.clone();
+    let mut ub_buf = base.ub.clone();
+    // Adaptive dive throttle: each dive that fails to improve the incumbent
+    // doubles the node period before the next one (capped), an improvement
+    // resets it — so dives stop eating wall clock once the tree has a good
+    // incumbent they cannot beat.
     let mut dive_backoff = 1usize;
-    // Node-level cuts (opt-in): worker-local LP copy synced to the shared
-    // pool's append-only applied prefix before each node solve.
-    let node_cuts = cfg.cuts.enabled && cfg.cuts.node_cuts && !ctx.int_vars.is_empty();
-    let mut local_lp: Option<LpData> = None;
-    let mut local_cuts = ctx.root_cuts;
 
-    loop {
-        let mut node = match plunge_next.take() {
-            Some(nd) => {
-                if shared.stop.load(AtomicOrdering::SeqCst) {
-                    shared.park_node(nd);
-                    shared.release(id);
-                    break;
-                }
-                shared.slots[id].store(nd.bound.to_bits(), AtomicOrdering::SeqCst);
-                *relock(&shared.inflight[id]) = Some(nd.clone());
-                nd
-            }
-            None => match pop_next(ctx, shared, id) {
-                Some(nd) => nd,
-                None => break, // idle worker: nothing to release
-            },
-        };
-
+    while let Some(mut node) = shared.next_node(ctx, id) {
         // Injected fault: panic exactly here, with the node in flight, so
         // tests prove the recovery path re-queues it.
         if cfg.faults.as_ref().is_some_and(|f| f.should_panic_worker(id)) {
             panic!("injected panic in worker {id}");
         }
-
-        // Snapshot claim: this worker's node already sits in its inflight
-        // slot, so heap ∪ inflight covers every open node. The slots are
-        // read under the heap lock — claims store them inside `pop_next`'s
-        // critical section, and finish paths push children before clearing
-        // their slot — so a frame can duplicate a node (harmless: resumed
-        // work is re-done) but never lose one (which would be unsound).
-        if let Some(rt) = ctx.ckpt {
-            if rt.take_due() {
-                let t0 = Instant::now();
-                let open = {
-                    let heap = relock(&shared.heap);
-                    let mut open: Vec<FrameNode> =
-                        heap.iter().map(|h| frame_node(&h.0)).collect();
-                    for slot in &shared.inflight {
-                        if let Some(n) = relock(slot).as_ref() {
-                            open.push(frame_node(n));
-                        }
-                    }
-                    open
-                };
-                let frame = snapshot_frame(
-                    ctx,
-                    rt,
-                    shared.nodes.load(AtomicOrdering::SeqCst),
-                    ctx.root_lb,
-                    ctx.root_ub,
-                    open,
-                );
-                rt.offer(frame, t0.elapsed());
-            }
-        }
-
-        // Prune against the freshest incumbent.
+        // Prune against the freshest shared incumbent (∞ when none).
         if node.bound >= ctx.inc.bound() - cfg.abs_gap {
-            shared.release(id);
+            shared.finish(id);
             continue;
         }
-        // Limits (wall-clock, cancellation, injected expiry, node count).
-        if ctx.should_stop(shared.nodes.load(AtomicOrdering::SeqCst)) {
-            shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-            shared.stop.store(true, AtomicOrdering::SeqCst);
-            shared.park_node(node);
-            shared.release(id);
+        // Limits (wall-clock, cancellation, injected expiry, stall abort,
+        // node count). The node stays in flight, so the wind-down bound —
+        // and the final checkpoint frame — still cover it.
+        let done = shared.nodes.load(AtomicOrdering::SeqCst);
+        if ctx.should_stop(done) || cfg.node_limit.is_some_and(|nl| done >= nl) {
+            shared.halt(&shared.hit_limit);
             break;
-        }
-        if let Some(nl) = cfg.node_limit {
-            if shared.nodes.load(AtomicOrdering::SeqCst) >= nl {
-                shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.park_node(node);
-                shared.release(id);
-                break;
-            }
         }
         let node_idx = shared.nodes.fetch_add(1, AtomicOrdering::SeqCst) + 1;
         if let Some(rt) = ctx.ckpt {
             rt.bump_progress();
         }
 
-        // Reconstruct bounds.
-        lb_buf.copy_from_slice(ctx.root_lb);
-        ub_buf.copy_from_slice(ctx.root_ub);
-        for &(j, lo, hi) in &node.changes {
-            lb_buf[j] = lb_buf[j].max(lo);
-            ub_buf[j] = ub_buf[j].min(hi);
-        }
-
-        shared.lp_solves.fetch_add(1, AtomicOrdering::SeqCst);
-        let node_lp = if node_cuts {
-            sync_cut_lp(ctx, &mut local_lp, &mut local_cuts)
-        } else {
-            ctx.lp
-        };
-        let nn_now = node_lp.num_vars() + node_lp.num_rows();
-        let padded;
-        let warm: Option<&[VStat]> = match node.warm.as_deref() {
-            Some(w) if w.len() < nn_now => {
-                padded = pad_warm(w, nn_now);
-                Some(&padded)
-            }
-            Some(w) => Some(&w[..]),
-            None => None,
-        };
-        let r = match solve_lp(node_lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
+        shared.node_bounds(&node, &mut lb_buf, &mut ub_buf);
+        tally.lp_solves += 1;
+        let warm = node.warm.as_deref().map(Vec::as_slice);
+        let r = match solve_lp(&base.lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
             Ok(r) => r,
             Err(_) => {
-                // Recovery ladder exhausted: drop the subtree, keep its
-                // bound so the final status stays honest.
-                shared.record_dropped(node.bound);
-                shared.release(id);
+                // Recovery ladder exhausted on this node: drop its subtree
+                // but remember its bound so the final status stays honest.
+                tally.dropped_nodes += 1;
+                let mut dropped = relock(&shared.dropped_bound);
+                *dropped = dropped.min(node.bound);
+                drop(dropped);
+                shared.finish(id);
                 continue;
             }
         };
-        shared
-            .simplex_iters
-            .fetch_add(r.iters, AtomicOrdering::SeqCst);
-        shared
-            .phase1_iters
-            .fetch_add(r.phase1_iters, AtomicOrdering::SeqCst);
-        shared
-            .dual_iters
-            .fetch_add(r.dual_iters, AtomicOrdering::SeqCst);
-        if r.recoveries > 0 {
-            shared.lp_recoveries.fetch_add(1, AtomicOrdering::SeqCst);
-        }
+        charge_lp(tally, &r);
         match r.status {
             LpStatus::Infeasible => {
-                shared.release(id);
+                shared.finish(id);
                 continue;
             }
             LpStatus::Unbounded => {
-                shared.unbounded.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.release(id);
+                shared.halt(&shared.unbounded);
+                shared.finish(id);
                 break;
             }
             LpStatus::Limit => {
-                shared.hit_limit.store(true, AtomicOrdering::SeqCst);
-                shared.stop.store(true, AtomicOrdering::SeqCst);
-                shared.park_node(node);
-                shared.release(id);
+                shared.halt(&shared.hit_limit);
                 break;
             }
             LpStatus::Optimal => {}
         }
         if r.obj >= ctx.inc.bound() - cfg.abs_gap {
-            shared.release(id);
+            shared.finish(id);
             continue; // bound-dominated
         }
 
-        match most_fractional(&r.x, &ctx.lp.c, ctx.int_vars, cfg.int_tol) {
-            None => {
-                // Integral: offer as incumbent.
-                let mut x = r.x.clone();
-                for &j in ctx.int_vars {
-                    x[j] = x[j].round();
-                }
-                let obj = ctx.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
-                if ctx.inc.offer(obj, x) && cfg.verbose {
+        let Some((mf_var, mf_frac)) = most_fractional(&r.x, &base.lp.c, int_vars, cfg.int_tol)
+        else {
+            // Integral: new incumbent.
+            let mut x = r.x;
+            for &j in int_vars {
+                x[j] = x[j].round();
+            }
+            let obj = base.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
+            if ctx.inc.offer(obj, x) {
+                if cfg.verbose {
                     eprintln!(
                         "[milp] node {:>6} (worker {}): incumbent {:.6}",
                         node_idx,
                         id,
-                        ctx.user_obj(obj)
+                        base.user_obj(obj)
                     );
                 }
-                shared.release(id);
-                continue;
+                tally.rc_fixed += shared.refix(ctx, obj);
             }
-            Some((mf_var, mf_frac)) => {
-                // Node-level separation (opt-in), as in the sequential loop.
-                if node_cuts {
-                    let mut pool = relock(ctx.cut_pool);
-                    cuts::separate_node(
-                        ctx.cut_ctx,
-                        &r.x,
-                        ctx.root_lb,
-                        ctx.root_ub,
-                        &mut pool,
-                        cfg.cuts.max_cuts_per_round,
-                    );
-                    let _ = pool.select(&r.x, &cfg.cuts);
-                    ctx.cuts_applied_hint
-                        .store(pool.applied_len(), AtomicOrdering::Release);
-                }
-                let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, ctx.int_vars, mf_var, mf_frac);
-                let xval = r.x[bvar];
-                let floor = xval.floor();
-                // Node-level reduced-cost fixing against a snapshot of the
-                // shared incumbent; a stale (worse) bound only under-fixes,
-                // so the tightening stays valid under races.
-                if cfg.reduced_cost_fixing {
-                    let inc = ctx.inc.bound();
-                    if inc.is_finite() {
-                        let fixed = fix_by_reduced_costs(
-                            &mut lb_buf,
-                            &mut ub_buf,
-                            &r.dj,
-                            ctx.int_vars,
-                            r.obj,
-                            inc,
-                        );
-                        if !fixed.is_empty() {
-                            shared.rc_fixed.fetch_add(fixed.len(), AtomicOrdering::SeqCst);
-                            node.changes.extend_from_slice(&fixed);
-                        }
+            shared.finish(id);
+            continue;
+        };
+        let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, int_vars, mf_var, mf_frac);
+        let xval = r.x[bvar];
+        let floor = xval.floor();
+        // Node-level reduced-cost fixing: this node's reduced costs bound
+        // the cost of moving any nonbasic integer off its bound, so against
+        // the incumbent the tightening is valid for the whole subtree —
+        // record it on the node so both children (and the dive below)
+        // inherit it. Fractional variables are basic (dj = 0), so the
+        // branch variable is never touched. A stale (worse) incumbent read
+        // only under-fixes, so the tightening stays valid under races.
+        if cfg.reduced_cost_fixing {
+            let inc_obj = ctx.inc.bound();
+            if inc_obj.is_finite() {
+                let fixed = fix_by_reduced_costs(
+                    &mut lb_buf,
+                    &mut ub_buf,
+                    &r.dj,
+                    int_vars,
+                    r.obj,
+                    inc_obj,
+                );
+                tally.rc_fixed += fixed.len();
+                node.changes.extend_from_slice(&fixed);
+            }
+        }
+        let warm = Arc::new(r.statuses);
+        // Occasional in-tree diving heuristic; dive more eagerly (and with
+        // both strategies) while no incumbent exists, and back off
+        // exponentially while dives keep coming up empty.
+        let have_inc = ctx.inc.bound().is_finite();
+        let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
+        if cfg.heuristics.enabled && node_idx % dive_period == 1 && node_idx > 1 {
+            let mut improved = false;
+            let strategies: &[heur::DiveStrategy] = if have_inc {
+                &[heur::DiveStrategy::NearestInteger]
+            } else {
+                &[
+                    heur::DiveStrategy::NearestInteger,
+                    heur::DiveStrategy::MostFractionalUp,
+                ]
+            };
+            for &strategy in strategies {
+                let Some(dd) = dive_window(ctx.deadline, 3.0) else {
+                    break;
+                };
+                if let Some((obj, x)) = heur::dive_with(
+                    strategy,
+                    &base.ps.reduced,
+                    &base.lp,
+                    int_vars,
+                    &lb_buf,
+                    &ub_buf,
+                    cfg,
+                    Some(&warm),
+                    Some(dd),
+                ) {
+                    if ctx.inc.offer(obj, x) {
+                        tally.heuristic_solutions += 1;
+                        improved = true;
+                        tally.rc_fixed += shared.refix(ctx, obj);
                     }
                 }
-                let warm = Arc::new(r.statuses);
-                let have_inc = ctx.inc.bound().is_finite();
-                // Same adaptive throttle as the sequential search, tracked
-                // per worker: empty dives double the period, a success
-                // resets it.
-                let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
-                if cfg.heuristics.enabled && node_idx % dive_period == 1 && node_idx > 1 {
-                    let mut improved = false;
-                    let strategies: &[heur::DiveStrategy] = if have_inc {
-                        &[heur::DiveStrategy::NearestInteger]
-                    } else {
-                        &[
-                            heur::DiveStrategy::NearestInteger,
-                            heur::DiveStrategy::MostFractionalUp,
-                        ]
-                    };
-                    for &strategy in strategies {
-                        let Some(dd) = dive_window(ctx.deadline, 3.0) else {
-                            break;
-                        };
-                        if let Some((obj, x)) = heur::dive_with(
-                            strategy,
-                            ctx.reduced,
-                            node_lp,
-                            ctx.int_vars,
-                            &lb_buf,
-                            &ub_buf,
-                            cfg,
-                            Some(&warm),
-                            Some(dd),
-                        ) {
-                            if ctx.inc.offer(obj, x) {
-                                shared
-                                    .heuristic_solutions
-                                    .fetch_add(1, AtomicOrdering::SeqCst);
-                                improved = true;
-                            }
-                        }
-                    }
-                    dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
-                }
-                let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
-                let parent_frac_gain = (r.obj - node.bound).max(0.0);
-                if let Some(&(pvar, plo, _phi)) = node.changes.last() {
-                    let went_up = plo.is_finite();
-                    pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
-                }
-                match cfg.node_selection {
-                    NodeSelection::BestBound => {
-                        let mut heap = relock(&shared.heap);
-                        heap.push(HeapNode(down_child));
-                        heap.push(HeapNode(up_child));
-                        drop(heap);
-                        shared.release(id);
-                    }
-                    NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
-                        // plunge into the child nearer the LP value; the
-                        // sibling goes to the shared pool for any worker
-                        let frac = xval - floor;
-                        let (keep, push) = if frac < 0.5 {
-                            (down_child, up_child)
-                        } else {
-                            (up_child, down_child)
-                        };
-                        relock(&shared.heap).push(HeapNode(push));
-                        plunge_next = Some(keep);
-                        // stays active; the slot is refreshed at loop top
-                    }
-                }
+            }
+            dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
+        }
+        let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
+        // Attribute this node's LP degradation to the parent's branch
+        // direction (online pseudo-cost proxy).
+        let parent_frac_gain = (r.obj - node.bound).max(0.0);
+        if let Some(&(pvar, plo, _phi)) = node.changes.last() {
+            let went_up = plo.is_finite();
+            pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
+        }
+        match cfg.node_selection {
+            NodeSelection::BestBound => {
+                let mut heap = relock(&shared.heap);
+                heap.push(HeapNode(down_child));
+                heap.push(HeapNode(up_child));
+                drop(heap);
+                shared.finish(id);
+            }
+            NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
+                // Plunge into the child nearer the LP value; the sibling
+                // goes to the shared pool for any worker. It is queued
+                // before the plunge child replaces the finished node in
+                // this worker's slot, so no snapshot misses either child.
+                let (keep, other) = if xval - floor < 0.5 {
+                    (down_child, up_child)
+                } else {
+                    (up_child, down_child)
+                };
+                relock(&shared.heap).push(HeapNode(other));
+                *relock(&shared.inflight[id]) = Some(keep);
             }
         }
     }
-}
-
-/// Builds a no-op [`Presolved`] for when presolve is disabled.
-fn identity_presolved(problem: &Problem) -> Presolved {
-    // Delegate to the presolver with zero rounds by constructing directly.
-    // A clean way without exposing internals: run presolve on a clone is not
-    // a no-op, so we build the identity mapping by hand via public behavior:
-    // `presolve` with zero reductions isn't available, so replicate the
-    // structure with an exact copy.
-    Presolved::identity(problem)
 }
 
 #[cfg(test)]

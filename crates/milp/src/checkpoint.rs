@@ -316,10 +316,12 @@ pub struct SearchFrame {
     pub base_ub: Vec<f64>,
     /// Accepted pricing rounds, in order.
     pub batches: Vec<FrameBatch>,
-    /// The append-only cut pool's applied list, in global order.
+    /// The applied cuts, in application order. Resume bakes all of them
+    /// into the base LP.
     pub cuts: Vec<Cut>,
-    /// How many of `cuts` were applied at the root (baked into every node's
-    /// LP); the rest are caught up through `sync_cut_lp` on demand.
+    /// How many of `cuts` were applied at the root: all of them in the
+    /// frames this build writes. Frames from builds with node-level
+    /// separation carry globally valid cover/clique cuts past this prefix.
     pub root_cuts: usize,
     /// Every open node (heap plus in-flight) at the snapshot.
     pub open_nodes: Vec<FrameNode>,
@@ -620,15 +622,16 @@ pub fn load_frame(path: &Path) -> Result<SearchFrame, FrameError> {
 // ---------------------------------------------------------------------------
 
 /// The static part of every frame written during one solve, assembled once
-/// after root processing.
+/// after root processing. The base bounds are not static (workers tighten
+/// them on incumbent improvements), so the search fills them in per frame.
 #[derive(Debug, Default)]
 pub(crate) struct FrameBase {
     pub(crate) fingerprint: u64,
     pub(crate) root_bound: f64,
-    pub(crate) base_lb: Vec<f64>,
-    pub(crate) base_ub: Vec<f64>,
     pub(crate) batches: Vec<FrameBatch>,
     pub(crate) user_data: Vec<u8>,
+    /// The root cuts, baked into the LP every node solves.
+    pub(crate) cuts: Vec<Cut>,
 }
 
 /// Shared state between the search threads and the watchdog thread:
@@ -678,17 +681,17 @@ impl CkptRuntime {
     }
 
     /// Starts a [`SearchFrame`] from the solve's static base: fingerprint,
-    /// root bound, base bounds, pricing batches, and the column-source
-    /// payload. The caller fills in the dynamic parts (incumbent, cuts,
+    /// root bound, pricing batches, the column-source payload, and the
+    /// cuts. The caller fills in the dynamic parts (incumbent, base bounds,
     /// open nodes) at the snapshot point.
     pub(crate) fn base_frame(&self) -> SearchFrame {
         SearchFrame {
             fingerprint: self.base.fingerprint,
             root_bound: self.base.root_bound,
-            base_lb: self.base.base_lb.clone(),
-            base_ub: self.base.base_ub.clone(),
             batches: self.base.batches.clone(),
             user_data: self.base.user_data.clone(),
+            cuts: self.base.cuts.clone(),
+            root_cuts: self.base.cuts.len(),
             ..Default::default()
         }
     }

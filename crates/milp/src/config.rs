@@ -57,9 +57,8 @@ pub enum NodeSelection {
 /// Cutting-plane configuration: per-separator toggles, round limits, and
 /// the numerical filters of the cut pool.
 ///
-/// Cuts are separated in rounds at the root (and, when [`Self::node_cuts`]
-/// is on, at branch-and-bound nodes), appended to the LP, and reoptimized
-/// with the dual simplex. Every cut is a valid inequality for the integer
+/// Cuts are separated in rounds at the root, appended to the LP every node
+/// solves, and reoptimized with the dual simplex. Every cut is a valid inequality for the integer
 /// hull, so any combination of toggles leaves the optimum unchanged — the
 /// knobs only trade separation effort against LP tightness.
 ///
@@ -91,10 +90,6 @@ pub struct CutConfig {
     /// Maximum |cosine| between two cuts applied in the same round; filters
     /// near-parallel rows that would degrade the basis conditioning.
     pub max_parallelism: f64,
-    /// Separate (globally valid cover/clique) cuts at branch-and-bound
-    /// nodes too, sharing one pool across workers. Off by default: the root
-    /// rounds capture most of the benefit at a fraction of the cost.
-    pub node_cuts: bool,
     /// Maximum number of cuts held in the pool (pending + applied).
     pub max_pool: usize,
     /// Pending cuts not selected for this many rounds are evicted.
@@ -112,7 +107,6 @@ impl Default for CutConfig {
             max_cuts_per_round: 50,
             min_efficacy: 1e-4,
             max_parallelism: 0.999,
-            node_cuts: false,
             max_pool: 2000,
             max_age: 3,
         }
@@ -361,8 +355,8 @@ pub struct Config {
     /// Entering-variable pricing rule for the primal simplex.
     pub pricing: PricingRule,
     /// Fix nonbasic integer variables whose reduced cost exceeds the
-    /// primal–dual gap (at the root and, in the sequential search, on
-    /// incumbent improvements).
+    /// primal–dual gap: at the root, at every node (for its subtree), and
+    /// on the shared base bounds whenever a worker improves the incumbent.
     pub reduced_cost_fixing: bool,
     /// Run the presolver before solving.
     pub presolve: bool,
@@ -373,11 +367,12 @@ pub struct Config {
     pub verbose: bool,
     /// Random seed for tie-breaking perturbations.
     pub seed: u64,
-    /// Number of branch-and-bound worker threads. `0` (the default) uses
-    /// [`std::thread::available_parallelism`]; `1` runs the original
-    /// single-threaded search. The optimal objective is the same at any
-    /// thread count (within the gap tolerances); node counts and timings
-    /// vary with scheduling.
+    /// Number of branch-and-bound workers. `0` (the default) uses
+    /// [`std::thread::available_parallelism`]; `1` runs the one worker on
+    /// the calling thread. Every count runs the same node loop, and the
+    /// optimal objective is the same at any thread count (within the gap
+    /// tolerances); above one worker, node counts and timings vary with
+    /// scheduling.
     pub threads: usize,
     /// Cooperative cancellation token. When set, the solve winds down at the
     /// next checkpoint after [`CancelToken::cancel`] and returns the best
@@ -643,7 +638,6 @@ mod tests {
         let d = Config::default();
         assert!(d.cuts.enabled && d.cuts.gomory && d.cuts.cover && d.cuts.clique);
         assert!(d.cuts.max_rounds >= 1);
-        assert!(!d.cuts.node_cuts, "node cuts are opt-in");
         let off = Config::default().with_cuts(CutConfig::off());
         assert!(!off.cuts.enabled);
         assert!(!off.cuts.gomory && !off.cuts.cover && !off.cuts.clique);

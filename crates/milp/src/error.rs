@@ -11,7 +11,6 @@
 //! deterministically.
 
 use crate::lu::LuError;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -38,7 +37,7 @@ pub enum SolveError {
         /// Iteration count at which the stall was declared.
         iters: usize,
     },
-    /// A parallel search worker panicked and was isolated.
+    /// A search worker panicked and was isolated.
     WorkerPanic {
         /// Worker id that panicked.
         worker: usize,
@@ -129,8 +128,8 @@ impl CancelToken {
 struct FaultState {
     /// LU factorizations performed so far (1-based ordinals).
     factorizations: AtomicU64,
-    /// Worker ids whose injected panic has already fired.
-    panicked: Mutex<HashSet<usize>>,
+    /// Worker ids whose injected panic has already fired, once per firing.
+    panicked: Mutex<Vec<usize>>,
     /// Whether the one-shot near-parallel-cut injection has fired.
     parallel_cut_fired: AtomicBool,
     /// Root cut-round reoptimizations attempted so far (1-based ordinals).
@@ -171,7 +170,7 @@ pub struct FaultInjection {
     /// Per-1024 probability of failing any factorization (seeded hash of
     /// the ordinal, so still fully deterministic).
     lu_singular_per_1024: u16,
-    /// Worker ids that panic on the first node they pop.
+    /// Worker ids that panic on the next node they claim, once per listing.
     panic_workers: Vec<usize>,
     /// Inject one near-parallel duplicate of an applied cutting plane,
     /// bypassing the pool's parallelism filter, to exercise the recovery
@@ -238,7 +237,9 @@ impl FaultInjection {
         self
     }
 
-    /// Makes parallel worker `id` panic when it first pops a node.
+    /// Makes search worker `id` panic on the next node it claims. A worker
+    /// is restarted once after a panic; list the same id twice to kill it
+    /// for good.
     pub fn panic_worker(mut self, id: usize) -> Self {
         self.panic_workers.push(id);
         self
@@ -319,12 +320,16 @@ impl FaultInjection {
             && (splitmix64(self.seed ^ ord) % 1024) < u64::from(self.lu_singular_per_1024)
     }
 
-    /// Hook: whether worker `id` should panic now (fires once per id).
+    /// Hook: whether worker `id` should panic now (fires once per listing
+    /// of `id`).
     pub(crate) fn should_panic_worker(&self, id: usize) -> bool {
-        if !self.panic_workers.contains(&id) {
-            return false;
+        let listed = self.panic_workers.iter().filter(|&&w| w == id).count();
+        let mut fired = relock(&self.state.panicked);
+        let done = fired.iter().filter(|&&w| w == id).count();
+        if done < listed {
+            fired.push(id);
         }
-        relock(&self.state.panicked).insert(id)
+        done < listed
     }
 
     /// Hook: whether the LNS engine should panic now (fires once).
@@ -420,6 +425,11 @@ mod tests {
         assert!(!f.should_panic_worker(0));
         assert!(f.should_panic_worker(3));
         assert!(!f.should_panic_worker(3)); // already fired
+        // Listed twice: fires again after the restart, then never.
+        let g = FaultInjection::seeded(1).panic_worker(2).panic_worker(2);
+        assert!(g.should_panic_worker(2));
+        assert!(g.should_panic_worker(2));
+        assert!(!g.should_panic_worker(2));
     }
 
     #[test]

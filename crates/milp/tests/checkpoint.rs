@@ -233,11 +233,11 @@ fn missing_frame_is_an_io_error() {
     assert!(matches!(err, FrameError::Io(_)));
 }
 
-/// Satellite 6 regression: a killed cuts-on solve leaves a frame whose cut
-/// pool is ahead of any worker's local LP; the resume (parallel, so workers
-/// must catch up through `sync_cut_lp`) reproduces the clean optimum.
+/// A killed cuts-on solve leaves a frame whose cut list is the root cuts;
+/// a two-worker resume bakes them all into its LP and reproduces the clean
+/// optimum.
 #[test]
-fn resume_with_cut_pool_ahead_of_workers() {
+fn resume_with_root_cuts_two_threads() {
     let p = hard_knapsack(22);
     let base = Config::default().with_heuristics(false);
     let clean = Solver::new(base.clone()).solve(&p);
@@ -256,7 +256,8 @@ fn resume_with_cut_pool_ahead_of_workers() {
         return;
     }
     let frame = milp::load_frame(&path).expect("frame loads");
-    assert!(frame.cuts.len() >= frame.root_cuts);
+    assert!(!frame.cuts.is_empty(), "cover cuts apply on this knapsack");
+    assert_eq!(frame.root_cuts, frame.cuts.len(), "every cut is a root cut");
 
     let resumed = Solver::new(base.with_threads(2)).resume(&p, &path).expect("frame exists");
     cleanup(&path);

@@ -210,24 +210,4 @@ proptest! {
             }
         }
     }
-
-    /// Node-level separation (shared pool, lazily synced worker LPs) must
-    /// also be optimum-preserving, sequentially and in parallel.
-    #[test]
-    fn node_cuts_preserve_the_optimum((obj, wts, cap) in instance(), threads in 1usize..=3) {
-        let p = build(&obj, &wts, cap);
-        let base = Solver::new(Config::default().with_cuts(CutConfig::off())).solve(&p);
-        let node = CutConfig { node_cuts: true, ..CutConfig::default() };
-        let sol = Solver::new(
-            Config::default().with_cuts(node).with_threads(threads)
-        ).solve(&p);
-        prop_assert_eq!(base.status(), sol.status());
-        if base.status().has_solution() {
-            prop_assert!(
-                (base.objective() - sol.objective()).abs() < 1e-6,
-                "node cuts: {} vs {}", base.objective(), sol.objective()
-            );
-            prop_assert!(p.check_feasible(sol.values(), 1e-6).is_none());
-        }
-    }
 }

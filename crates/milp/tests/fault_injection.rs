@@ -96,31 +96,39 @@ fn worker_panic_preserves_incumbent_and_optimum() {
     let clean = solve_with(&p, no_cuts());
     assert_eq!(clean.status(), Status::Optimal);
 
-    let faults = FaultInjection::seeded(7).panic_worker(0);
-    let sol = solve_with(&p, no_cuts().with_threads(4).with_faults(faults));
-    assert_eq!(sol.status(), Status::Optimal);
-    assert!(sol.status().has_solution());
-    assert!(
-        (sol.objective() - clean.objective()).abs() < 1e-6,
-        "after panic {} vs fault-free {}",
-        sol.objective(),
-        clean.objective()
-    );
-    assert!(
-        sol.stats().worker_panics >= 1,
-        "the injected panic must have fired and been isolated"
-    );
-    assert!(p.check_feasible(sol.values(), 1e-6).is_none());
+    // One worker runs the same loop as four, so a panic must be isolated,
+    // its node re-queued, and the worker restarted at either count.
+    for threads in [1usize, 4] {
+        let faults = FaultInjection::seeded(7).panic_worker(0);
+        let sol = solve_with(&p, no_cuts().with_threads(threads).with_faults(faults));
+        assert_eq!(sol.status(), Status::Optimal, "threads = {threads}");
+        assert!(sol.status().has_solution());
+        assert!(
+            (sol.objective() - clean.objective()).abs() < 1e-6,
+            "threads {}: after panic {} vs fault-free {}",
+            threads,
+            sol.objective(),
+            clean.objective()
+        );
+        assert!(
+            sol.stats().worker_panics >= 1,
+            "threads {threads}: the injected panic must have fired and been isolated"
+        );
+        assert!(p.check_feasible(sol.values(), 1e-6).is_none());
+    }
 }
 
 #[test]
-fn all_workers_panicking_degrades_to_sequential() {
+fn every_worker_panicking_once_restarts_and_finishes() {
     let p = hard_knapsack(16);
     let clean = solve_with(&p, no_cuts());
     assert_eq!(clean.status(), Status::Optimal);
 
-    // Every worker dies on its first node; the open pool survives and the
-    // search must finish single-threaded with the exact optimum.
+    // Every worker dies on the first node it claims; each re-queues its
+    // node and restarts once, and the search must still finish with the
+    // exact optimum. Worker 0 always claims the first node, so at least
+    // its panic fires; a restarted worker may finish the tree before a
+    // peer ever claims a node, so the other two are up to scheduling.
     let faults = FaultInjection::seeded(3)
         .panic_worker(0)
         .panic_worker(1)
@@ -129,12 +137,53 @@ fn all_workers_panicking_degrades_to_sequential() {
     assert_eq!(sol.status(), Status::Optimal);
     assert!(
         (sol.objective() - clean.objective()).abs() < 1e-6,
-        "sequential fallback {} vs fault-free {}",
+        "after restarts {} vs fault-free {}",
         sol.objective(),
         clean.objective()
     );
-    assert_eq!(sol.stats().worker_panics, 3);
+    assert!((1..=3).contains(&sol.stats().worker_panics));
     assert!(p.check_feasible(sol.values(), 1e-6).is_none());
+}
+
+#[test]
+fn all_workers_dying_leaves_a_resumable_limit() {
+    let p = hard_knapsack(16);
+    let plain = || no_cuts().with_heuristics(false);
+    let clean = solve_with(&p, plain());
+    assert_eq!(clean.status(), Status::Optimal);
+
+    // Both workers panic on every node they claim until their one restart
+    // is spent: no node is ever processed, and with no worker left the
+    // search must report a limit (never a false optimum or infeasibility)
+    // and leave a frame that resumes to the exact optimum.
+    let path = std::env::temp_dir().join(format!("milp_dying_{}", std::process::id()));
+    let faults = FaultInjection::seeded(9)
+        .panic_worker(0)
+        .panic_worker(0)
+        .panic_worker(1)
+        .panic_worker(1);
+    let ck = milp::CheckpointConfig::new(path.clone());
+    let sol = solve_with(
+        &p,
+        plain().with_threads(2).with_checkpoint(ck).with_faults(faults),
+    );
+    assert_eq!(sol.status(), Status::LimitNoSolution);
+    assert_eq!(sol.stats().worker_panics, 4);
+    assert_eq!(sol.stats().nodes, 0);
+    assert!(sol.stats().checkpoints_written >= 1);
+
+    let resumed = Solver::new(plain()).resume(&p, &path);
+    for suffix in ["", ".prev", ".tmp"] {
+        let _ = std::fs::remove_file(format!("{}{}", path.display(), suffix));
+    }
+    let resumed = resumed.expect("the wind-down frame loads");
+    assert_eq!(resumed.status(), Status::Optimal);
+    assert!(
+        (resumed.objective() - clean.objective()).abs() < 1e-6,
+        "resumed {} vs fault-free {}",
+        resumed.objective(),
+        clean.objective()
+    );
 }
 
 #[test]

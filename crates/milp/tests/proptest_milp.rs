@@ -147,7 +147,8 @@ proptest! {
     /// With the engine in sync mode (run to completion before the tree
     /// search), the *entire* LNS trace — not just the final objective — is
     /// a pure function of the seed and the problem: thread count must not
-    /// move a single entry.
+    /// move a single entry. With one worker the whole solve repeats,
+    /// node and pivot counts included.
     #[test]
     fn lns_sync_trace_is_deterministic_across_thread_counts(inst in binary_instance()) {
         let (p, _) = build(&inst);
@@ -158,6 +159,13 @@ proptest! {
             Solver::new(cfg).solve(&p)
         };
         let base = solve(1);
+        // One worker repeats its trajectory exactly, work counts included.
+        let again = solve(1);
+        prop_assert_eq!(again.status(), base.status());
+        prop_assert_eq!(again.stats().nodes, base.stats().nodes);
+        prop_assert_eq!(again.stats().simplex_iters, base.stats().simplex_iters);
+        prop_assert_eq!(again.stats().dual_iters, base.stats().dual_iters);
+        prop_assert_eq!(again.stats().rc_fixed, base.stats().rc_fixed);
         for threads in [2usize, 4] {
             let sol = solve(threads);
             prop_assert_eq!(sol.status(), base.status());
