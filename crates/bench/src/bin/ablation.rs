@@ -49,12 +49,6 @@ fn main() {
             "presolve off",
             Box::new(|o: &mut ExploreOptions| o.solver.presolve = false),
         ),
-        (
-            "most-fractional branching",
-            Box::new(|o: &mut ExploreOptions| {
-                o.solver.branching = milp::Branching::MostFractional
-            }),
-        ),
     ];
     for (name, tweak) in variants {
         let w = data_collection_workload(total, end, "cost");

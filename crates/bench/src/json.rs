@@ -359,7 +359,7 @@ pub struct ScaleRecord {
     pub zones: usize,
     /// Inter-zone backhaul links coordinated by the master loop.
     pub boundary_links: usize,
-    /// Gateway price-update iterations until assignments stabilized.
+    /// Gateway choice rounds (`ScaleReport::price_iters`, always 1).
     pub price_iters: usize,
     /// Wall-clock seconds of the full decomposed solve (partition +
     /// zones + backbone + stitch + verify).

@@ -16,9 +16,9 @@
 //!    cross-building pair is off-template (`INFINITY`).
 //! 2. [`partition_city`] clusters buildings into zones with deterministic
 //!    k-means over building centers ([`netgraph::cluster::kmeans`]).
-//! 3. [`solve_decomposed`] picks one gateway rooftop per zone with a
-//!    Lagrangian price loop (zone proxy cost + backhaul price, prices
-//!    updated from backbone solve cost shares), solves the zone MILPs in
+//! 3. [`solve_decomposed`] picks one gateway rooftop per zone, once, by
+//!    zone proxy cost plus backhaul hop count to the sink, solves the
+//!    backbone over the chosen gateways, solves the zone MILPs in
 //!    parallel under sliced budgets ([`milp::Config::budget_slice`]),
 //!    stitches zone routes onto backbone routes, repairs component
 //!    choices at the seams, and re-verifies the stitched design against
@@ -457,8 +457,6 @@ pub struct ScaleOptions {
     pub kstar: usize,
     /// Wall-clock budget for the whole decomposed solve.
     pub budget: Duration,
-    /// Cap on gateway price-update iterations.
-    pub max_price_iters: usize,
     /// Base solver seed; each zone solve gets a deterministic offset.
     pub seed: u64,
     /// Outer worker threads for parallel zone solves (`0` = auto).
@@ -471,7 +469,6 @@ impl Default for ScaleOptions {
             buildings_per_zone: 2,
             kstar: 4,
             budget: Duration::from_secs(60),
-            max_price_iters: 5,
             seed: 0x5ca1e,
             threads: 0,
         }
@@ -538,7 +535,8 @@ pub struct ScaleReport {
     pub num_zones: usize,
     /// Cross-zone candidate links in the partition.
     pub boundary_links: usize,
-    /// Gateway price-update iterations until convergence (or the cap).
+    /// Gateway choice rounds. Always 1: each zone's gateway is chosen once,
+    /// before the backbone solve.
     pub price_iters: usize,
     /// Final solver status per zone, in zone order.
     pub zone_statuses: Vec<Status>,
@@ -624,8 +622,8 @@ fn hops_to(
     distances_from(&g, NodeId(target))
 }
 
-/// Spatially decomposed solve: gateway pricing, parallel zone MILPs,
-/// backbone coordination, stitching, seam repair, full re-verification.
+/// Spatially decomposed solve: one-shot gateway choice, backbone solve,
+/// parallel zone MILPs, stitching, seam repair, full re-verification.
 ///
 /// # Errors
 ///
@@ -647,27 +645,21 @@ pub fn solve_decomposed(
         .unwrap_or(1.0)
         .max(1.0);
 
-    // --- gateway pricing -------------------------------------------------
-    // λ[g]: price of handing traffic to rooftop g, initialized from the
-    // backhaul hop count to the sink (each hop costs about one relay).
+    // --- one-shot gateway choice -----------------------------------------
+    // Each zone hands its traffic to the rooftop with the lowest price: the
+    // worst sensor hop distance to it inside the zone, plus its backhaul hop
+    // count to the sink, each hop costing about one relay. Ties go to the
+    // lowest node index.
     let bh_hops = hops_to(
         n,
         city.template.links(),
         |i, j| city.elevated[i] && (city.elevated[j] || j == city.sink),
         city.sink,
     );
-    let mut lambda = vec![0.0f64; n];
-    for &g in &city.backhaul {
-        let h = if bh_hops[g].is_finite() { bh_hops[g] } else { 4.0 };
-        lambda[g] = h * cheapest_relay;
-    }
-    // Per-zone proxy cost of each candidate gateway: the worst sensor hop
-    // distance to it inside the zone, in relay-cost units. INFINITY marks
-    // gateways some sensor cannot reach.
-    let mut proxies: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nz);
+    let mut assignment: Vec<usize> = Vec::with_capacity(nz);
     for (z, zone_nodes) in part.zones.iter().enumerate() {
         if z == sink_zone {
-            proxies.push(Vec::new());
+            assignment.push(city.sink);
             continue;
         }
         let sensors: Vec<usize> = zone_nodes
@@ -675,13 +667,9 @@ pub fn solve_decomposed(
             .copied()
             .filter(|&i| city.template.nodes()[i].role == NodeRole::Sensor)
             .collect();
-        let cands: Vec<usize> = zone_nodes
-            .iter()
-            .copied()
-            .filter(|&i| city.elevated[i])
-            .collect();
-        let mut zp = Vec::with_capacity(cands.len());
-        for &g in &cands {
+        let mut best = usize::MAX;
+        let mut best_p = f64::INFINITY;
+        for &g in zone_nodes.iter().filter(|&&i| city.elevated[i]) {
             let d = hops_to(
                 n,
                 city.template.links(),
@@ -692,70 +680,24 @@ pub fn solve_decomposed(
                 .iter()
                 .map(|&s| d[s])
                 .fold(0.0f64, |acc, x| acc.max(x));
-            zp.push((g, worst * cheapest_relay));
+            let h = if bh_hops[g].is_finite() {
+                bh_hops[g]
+            } else {
+                4.0
+            };
+            let p = worst * cheapest_relay + h * cheapest_relay;
+            if p < best_p {
+                best_p = p;
+                best = g;
+            }
         }
-        if !zp.iter().any(|&(_, p)| p.is_finite()) {
+        if best == usize::MAX {
             return Err(ScaleError::NoGateway { zone: z });
         }
-        proxies.push(zp);
+        assignment.push(best);
     }
-
-    let mut assignment: Vec<usize> = vec![usize::MAX; nz];
-    let mut price_iters = 0usize;
-    let mut backbone: Option<(NetworkDesign, Vec<usize>)> = None;
-    for _ in 0..opts.max_price_iters.max(1) {
-        let mut next = vec![usize::MAX; nz];
-        for z in 0..nz {
-            if z == sink_zone {
-                next[z] = city.sink;
-                continue;
-            }
-            // lowest priced candidate; ties toward the lowest node index
-            let mut best = usize::MAX;
-            let mut best_p = f64::INFINITY;
-            for &(g, p) in &proxies[z] {
-                let total = p + lambda[g];
-                if total < best_p {
-                    best_p = total;
-                    best = g;
-                }
-            }
-            next[z] = best;
-        }
-        if next == assignment {
-            break; // prices no longer move the assignment
-        }
-        assignment = next;
-        price_iters += 1;
-        let remaining = opts.budget.saturating_sub(t0.elapsed());
-        let (bb, bb_nodes) = solve_backbone(city, &assignment, sink_zone, remaining, opts)?;
-        // φ[g]: backbone component cost attributable to gateway g — its
-        // route's node costs split evenly among the routes sharing them.
-        let mut uses: HashMap<usize, usize> = HashMap::new();
-        for r in &bb.routes {
-            for &u in &r.nodes {
-                if bb_nodes[u] != city.sink {
-                    *uses.entry(u).or_insert(0) += 1;
-                }
-            }
-        }
-        for r in &bb.routes {
-            let g = bb_nodes[r.nodes[0]];
-            let mut phi = 0.0;
-            for &u in &r.nodes {
-                if bb_nodes[u] == city.sink {
-                    continue;
-                }
-                if let Some(comp) = bb.component_of(u) {
-                    let cost = city.library.get(comp).map(|c| c.cost).unwrap_or(0.0);
-                    phi += cost / uses.get(&u).copied().unwrap_or(1).max(1) as f64;
-                }
-            }
-            lambda[g] = 0.5 * lambda[g] + 0.5 * phi;
-        }
-        backbone = Some((bb, bb_nodes));
-    }
-    let (bb_design, bb_nodes) = backbone.ok_or(ScaleError::Backbone { status: None })?;
+    let remaining = opts.budget.saturating_sub(t0.elapsed());
+    let (bb_design, bb_nodes) = solve_backbone(city, &assignment, sink_zone, remaining, opts)?;
 
     // --- parallel zone solves -------------------------------------------
     let zlib = zone_library(&city.library);
@@ -856,7 +798,7 @@ pub fn solve_decomposed(
         violations,
         num_zones: nz,
         boundary_links: part.boundary.len(),
-        price_iters,
+        price_iters: 1,
         zone_statuses,
         gateways: assignment,
         wall: t0.elapsed(),

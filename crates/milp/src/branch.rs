@@ -4,8 +4,8 @@
 //! and explores a tree of bound-tightened LP relaxations. Nodes carry their
 //! bound *deltas* from the root plus a shared warm-start basis, so node
 //! storage stays small. Node selection is best-bound with depth-first
-//! plunging by default; branching uses pseudo-costs with a most-fractional
-//! fallback.
+//! plunging; branching uses pseudo-costs with a most-fractional fallback
+//! before a variable's costs are initialized.
 //!
 //! # One search kernel
 //!
@@ -31,7 +31,7 @@
 //! (`search_and_wrap_up`).
 
 use crate::checkpoint::{self, CkptRuntime, FrameBase, FrameError, FrameNode, SearchFrame};
-use crate::config::{Branching, Config, NodeSelection};
+use crate::config::Config;
 use crate::cuts;
 use crate::error::{relock, SolveError};
 use crate::heur;
@@ -917,7 +917,7 @@ fn search_and_wrap_up(
     // candidate disjunctions, device-placement rows); integer variables
     // outside every group are chunked so the whole space stays reachable.
     let lns_in = root
-        .filter(|_| cfg.heuristics.enabled && cfg.heuristics.lns && has_ints)
+        .filter(|_| cfg.heuristics.enabled && has_ints)
         .map(|root| heur::LnsInput {
             reduced: &base.ps.reduced,
             lp: &base.lp,
@@ -1098,7 +1098,8 @@ fn frame_node(n: &Node) -> FrameNode {
     }
 }
 
-/// Picks the branching variable per the configured rule.
+/// Picks the branching variable: the best pseudo-cost score, scoring a
+/// variable whose costs are not initialized yet by its fractionality.
 fn choose_branch(
     cfg: &Config,
     pc: &PseudoCosts,
@@ -1107,28 +1108,23 @@ fn choose_branch(
     mf_var: usize,
     mf_frac: f64,
 ) -> (usize, f64) {
-    match cfg.branching {
-        Branching::MostFractional => (mf_var, mf_frac),
-        Branching::PseudoCost => {
-            let mut best = (mf_var, mf_frac, -1.0f64);
-            for &j in int_vars {
-                let f = x[j] - x[j].floor();
-                if f <= cfg.int_tol || f >= 1.0 - cfg.int_tol {
-                    continue;
-                }
-                let s = if pc.initialized(j) {
-                    pc.score(j, f)
-                } else {
-                    // uninitialized: prefer most fractional
-                    0.25 - (f - 0.5) * (f - 0.5)
-                };
-                if s > best.2 {
-                    best = (j, f, s);
-                }
-            }
-            (best.0, best.1)
+    let mut best = (mf_var, mf_frac, -1.0f64);
+    for &j in int_vars {
+        let f = x[j] - x[j].floor();
+        if f <= cfg.int_tol || f >= 1.0 - cfg.int_tol {
+            continue;
+        }
+        let s = if pc.initialized(j) {
+            pc.score(j, f)
+        } else {
+            // uninitialized: prefer most fractional
+            0.25 - (f - 0.5) * (f - 0.5)
+        };
+        if s > best.2 {
+            best = (j, f, s);
         }
     }
+    (best.0, best.1)
 }
 
 /// Builds the two children of a branch on `bvar` at `floor`.
@@ -1624,28 +1620,17 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             let went_up = plo.is_finite();
             pc.record(pvar, went_up, parent_frac_gain.max(1e-9));
         }
-        match cfg.node_selection {
-            NodeSelection::BestBound => {
-                let mut heap = relock(&shared.heap);
-                heap.push(HeapNode(down_child));
-                heap.push(HeapNode(up_child));
-                drop(heap);
-                shared.finish(id);
-            }
-            NodeSelection::BestBoundPlunge | NodeSelection::DepthFirst => {
-                // Plunge into the child nearer the LP value; the sibling
-                // goes to the shared pool for any worker. It is queued
-                // before the plunge child replaces the finished node in
-                // this worker's slot, so no snapshot misses either child.
-                let (keep, other) = if xval - floor < 0.5 {
-                    (down_child, up_child)
-                } else {
-                    (up_child, down_child)
-                };
-                relock(&shared.heap).push(HeapNode(other));
-                *relock(&shared.inflight[id]) = Some(keep);
-            }
-        }
+        // Plunge into the child nearer the LP value; the sibling goes to
+        // the shared pool for any worker. It is queued before the plunge
+        // child replaces the finished node in this worker's slot, so no
+        // snapshot misses either child.
+        let (keep, other) = if xval - floor < 0.5 {
+            (down_child, up_child)
+        } else {
+            (up_child, down_child)
+        };
+        relock(&shared.heap).push(HeapNode(other));
+        *relock(&shared.inflight[id]) = Some(keep);
     }
 }
 
@@ -1866,16 +1851,5 @@ mod tests {
             s.status(),
             Status::LimitFeasible | Status::LimitNoSolution | Status::Optimal
         ));
-    }
-
-    #[test]
-    fn parallel_pure_best_bound_selection() {
-        let p = hard_knapsack(14);
-        let mut c = cfg().with_threads(3);
-        c.node_selection = NodeSelection::BestBound;
-        let s = solve_milp(&p, &c, Instant::now());
-        let seq = solve_milp(&p, &cfg(), Instant::now());
-        assert_eq!(s.status(), Status::Optimal);
-        assert!((s.objective() - seq.objective()).abs() < 1e-6);
     }
 }

@@ -1,66 +1,17 @@
-//! Solver configuration: tolerances, limits, and strategy switches.
+//! Solver configuration: tolerances, limits, and subsystem switches.
 
 use crate::error::{CancelToken, FaultInjection};
 use std::time::Duration;
 
-/// Branching variable selection strategy for the branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Branching {
-    /// Branch on the integer variable whose LP value is closest to 0.5 away
-    /// from an integer (classic most-fractional rule).
-    MostFractional,
-    /// Pseudo-cost branching with most-fractional fallback before costs are
-    /// initialized (default).
-    #[default]
-    PseudoCost,
-}
-
-/// LP reoptimization strategy for warm-started node solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReoptMode {
-    /// Dual simplex when the warm basis is dual-feasible (the common case
-    /// after a branching bound change), primal otherwise (default).
-    #[default]
-    Auto,
-    /// Always try the dual simplex first on warm-started solves.
-    Dual,
-    /// Never use the dual simplex; re-solve with primal phase 1 + 2.
-    Primal,
-}
-
-/// Simplex pricing rule for entering-variable selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PricingRule {
-    /// Devex reference-weight pricing (default): approximates steepest-edge
-    /// step quality and sharply cuts iteration counts on degenerate routing
-    /// LPs. Bland's rule still takes over as the anti-cycling fallback.
-    #[default]
-    Devex,
-    /// Classic Dantzig most-negative-reduced-cost pricing.
-    Dantzig,
-}
-
-/// Node selection strategy for the branch-and-bound search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodeSelection {
-    /// Pure best-bound (best-first) search.
-    BestBound,
-    /// Best-bound with depth-first plunging after each node (default): the
-    /// solver dives into one child immediately, which finds incumbents early
-    /// while the queue keeps the global bound.
-    #[default]
-    BestBoundPlunge,
-    /// Pure depth-first search.
-    DepthFirst,
-}
-
-/// Cutting-plane configuration: per-separator toggles, round limits, and
-/// the numerical filters of the cut pool.
+/// Cutting-plane configuration: a master switch and one toggle per
+/// separator.
 ///
 /// Cuts are separated in rounds at the root, appended to the LP every node
-/// solves, and reoptimized with the dual simplex. Every cut is a valid inequality for the integer
-/// hull, so any combination of toggles leaves the optimum unchanged — the
-/// knobs only trade separation effort against LP tightness.
+/// solves, and reoptimized with the dual simplex. Every cut is a valid
+/// inequality for the integer hull, so any combination of toggles leaves
+/// the optimum unchanged — the toggles only trade separation effort against
+/// LP tightness. The round limit and the pool's filters are fixed in
+/// [`crate::cuts`].
 ///
 /// # Examples
 ///
@@ -80,20 +31,6 @@ pub struct CutConfig {
     /// Clique/GUB cuts from one-candidate-per-route disjunctions and
     /// pairwise binary conflicts.
     pub clique: bool,
-    /// Maximum separation rounds at the root.
-    pub max_rounds: usize,
-    /// Maximum cuts applied per round (most violated first).
-    pub max_cuts_per_round: usize,
-    /// Minimum efficacy (violation / coefficient 2-norm) for a cut to be
-    /// applied.
-    pub min_efficacy: f64,
-    /// Maximum |cosine| between two cuts applied in the same round; filters
-    /// near-parallel rows that would degrade the basis conditioning.
-    pub max_parallelism: f64,
-    /// Maximum number of cuts held in the pool (pending + applied).
-    pub max_pool: usize,
-    /// Pending cuts not selected for this many rounds are evicted.
-    pub max_age: usize,
 }
 
 impl Default for CutConfig {
@@ -103,12 +40,6 @@ impl Default for CutConfig {
             gomory: true,
             cover: true,
             clique: true,
-            max_rounds: 4,
-            max_cuts_per_round: 50,
-            min_efficacy: 1e-4,
-            max_parallelism: 0.999,
-            max_pool: 2000,
-            max_age: 3,
         }
     }
 }
@@ -121,7 +52,6 @@ impl CutConfig {
             gomory: false,
             cover: false,
             clique: false,
-            ..Default::default()
         }
     }
 }
@@ -200,33 +130,21 @@ impl ColGenConfig {
 /// The engine is deterministic given [`Config::seed`]: it never *reads* the
 /// shared incumbent, so its improvement sequence does not depend on thread
 /// scheduling — only how far it gets before the exact search finishes does.
+/// Its work budgets (repair nodes, iterations, stall streak, tabu tenure)
+/// are fixed in [`crate::heur`].
 ///
 /// # Examples
 ///
 /// ```
 /// use milp::{Config, HeurConfig};
 /// let cfg = Config::default().with_heur(HeurConfig::off());
-/// assert!(!cfg.heuristics.enabled && !cfg.heuristics.lns);
+/// assert!(!cfg.heuristics.enabled);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HeurConfig {
-    /// Master switch for the rounding/diving passes at the root and the
-    /// in-tree dives.
+    /// Master switch for the rounding/diving passes at the root, the
+    /// in-tree dives, and the LNS + tabu engine.
     pub enabled: bool,
-    /// Run the LNS + tabu primal engine alongside the tree search.
-    pub lns: bool,
-    /// Node budget for each sub-MILP repair solve.
-    pub lns_node_budget: usize,
-    /// Maximum destroy/repair iterations before the engine retires.
-    pub lns_max_iters: usize,
-    /// Consecutive non-improving iterations before the engine escalates the
-    /// destroy size (1 → 2 → 4 → … neighborhoods freed at once); once the
-    /// escalation ladder is exhausted and another such streak passes, the
-    /// engine retires instead of burning CPU the exact search could use.
-    pub lns_stall: usize,
-    /// Tabu tenure: a destroyed neighborhood is not re-destroyed for this
-    /// many iterations unless it just improved the incumbent (aspiration).
-    pub tabu_tenure: usize,
     /// Run the engine inline (to completion, before the tree search starts)
     /// instead of on its own thread. Slower wall-clock but the published
     /// incumbent trace is bit-identical at any thread count — used by the
@@ -238,11 +156,6 @@ impl Default for HeurConfig {
     fn default() -> Self {
         HeurConfig {
             enabled: true,
-            lns: true,
-            lns_node_budget: 150,
-            lns_max_iters: 400,
-            lns_stall: 12,
-            tabu_tenure: 3,
             sync: false,
         }
     }
@@ -254,15 +167,6 @@ impl HeurConfig {
     pub fn off() -> Self {
         HeurConfig {
             enabled: false,
-            lns: false,
-            ..Default::default()
-        }
-    }
-
-    /// Rounding/diving only — the pre-LNS behaviour of the solver.
-    pub fn dives_only() -> Self {
-        HeurConfig {
-            lns: false,
             ..Default::default()
         }
     }
@@ -341,19 +245,6 @@ pub struct Config {
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes (`None` = unlimited).
     pub node_limit: Option<usize>,
-    /// Maximum simplex iterations per LP solve (`None` = unlimited).
-    pub iter_limit: Option<usize>,
-    /// Refactorize the basis after this many eta updates.
-    pub refactor_interval: usize,
-    /// Branching rule.
-    pub branching: Branching,
-    /// Node selection rule.
-    pub node_selection: NodeSelection,
-    /// Warm-start reoptimization strategy ([`ReoptMode::Auto`] tries the
-    /// dual simplex whenever the inherited basis is dual-feasible).
-    pub reopt: ReoptMode,
-    /// Entering-variable pricing rule for the primal simplex.
-    pub pricing: PricingRule,
     /// Fix nonbasic integer variables whose reduced cost exceeds the
     /// primal–dual gap: at the root, at every node (for its subtree), and
     /// on the shared base bounds whenever a worker improves the incumbent.
@@ -412,12 +303,6 @@ impl Default for Config {
             abs_gap: 1e-9,
             time_limit: None,
             node_limit: None,
-            iter_limit: None,
-            refactor_interval: 64,
-            branching: Branching::default(),
-            node_selection: NodeSelection::default(),
-            reopt: ReoptMode::default(),
-            pricing: PricingRule::default(),
             reduced_cost_fixing: true,
             presolve: true,
             heuristics: HeurConfig::default(),
@@ -490,18 +375,6 @@ impl Config {
     /// Sets the number of search worker threads (`0` = auto-detect).
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Sets the warm-start reoptimization strategy.
-    pub fn with_reopt(mut self, mode: ReoptMode) -> Self {
-        self.reopt = mode;
-        self
-    }
-
-    /// Sets the simplex pricing rule.
-    pub fn with_pricing(mut self, rule: PricingRule) -> Self {
-        self.pricing = rule;
         self
     }
 
@@ -601,43 +474,30 @@ mod tests {
         assert_eq!(cfg.node_limit, Some(10));
         assert_eq!(cfg.rel_gap, 0.01);
         assert!(!cfg.presolve);
-        assert!(!cfg.heuristics.enabled && !cfg.heuristics.lns);
+        assert!(!cfg.heuristics.enabled);
         assert!(cfg.verbose);
     }
 
     #[test]
     fn heur_config_defaults_and_off() {
         let d = Config::default();
-        assert!(d.heuristics.enabled && d.heuristics.lns);
-        assert!(d.heuristics.lns_node_budget >= 1 && d.heuristics.lns_max_iters >= 1);
+        assert!(d.heuristics.enabled);
         assert!(!d.heuristics.sync, "sync engine is a test-only mode");
         let off = Config::default().with_heur(HeurConfig::off());
-        assert!(!off.heuristics.enabled && !off.heuristics.lns);
-        let dives = Config::default().with_heur(HeurConfig::dives_only());
-        assert!(dives.heuristics.enabled && !dives.heuristics.lns);
+        assert!(!off.heuristics.enabled);
     }
 
     #[test]
     fn reopt_and_pricing_builders() {
-        let cfg = Config::new()
-            .with_reopt(ReoptMode::Primal)
-            .with_pricing(PricingRule::Dantzig)
-            .with_reduced_cost_fixing(false);
-        assert_eq!(cfg.reopt, ReoptMode::Primal);
-        assert_eq!(cfg.pricing, PricingRule::Dantzig);
+        let cfg = Config::new().with_reduced_cost_fixing(false);
         assert!(!cfg.reduced_cost_fixing);
-        // defaults: dual reoptimization + Devex + fixing on
-        let d = Config::default();
-        assert_eq!(d.reopt, ReoptMode::Auto);
-        assert_eq!(d.pricing, PricingRule::Devex);
-        assert!(d.reduced_cost_fixing);
+        assert!(Config::default().reduced_cost_fixing);
     }
 
     #[test]
     fn cut_config_defaults_and_off() {
         let d = Config::default();
         assert!(d.cuts.enabled && d.cuts.gomory && d.cuts.cover && d.cuts.clique);
-        assert!(d.cuts.max_rounds >= 1);
         let off = Config::default().with_cuts(CutConfig::off());
         assert!(!off.cuts.enabled);
         assert!(!off.cuts.gomory && !off.cuts.cover && !off.cuts.clique);

@@ -395,6 +395,20 @@ pub fn enabled_separators(cfg: &CutConfig) -> Vec<Box<dyn Separator>> {
     v
 }
 
+/// Maximum cuts applied per round (most efficacious first); also the
+/// per-separator budget of a round.
+const MAX_CUTS_PER_ROUND: usize = 50;
+/// Minimum efficacy (violation / coefficient 2-norm) for a cut to be
+/// applied.
+const MIN_EFFICACY: f64 = 1e-4;
+/// Maximum |cosine| between two cuts applied in the same round; filters
+/// near-parallel rows that would degrade the basis conditioning.
+const MAX_PARALLELISM: f64 = 0.999;
+/// Maximum number of cuts held in the pool (pending + applied).
+const MAX_POOL: usize = 2000;
+/// Pending cuts not selected for this many rounds are evicted.
+const MAX_AGE: usize = 3;
+
 #[derive(Debug, Clone)]
 struct PoolEntry {
     cut: Cut,
@@ -410,7 +424,7 @@ struct PoolEntry {
 /// pairwise-parallelism filters — onto the **append-only applied list**
 /// (later cuts only ever append rows, so an earlier basis stays
 /// index-consistent). Pending cuts not selected age by one per round and
-/// are evicted past `max_age`.
+/// are evicted past `MAX_AGE` rounds.
 #[derive(Debug, Default)]
 pub struct CutPool {
     pending: Vec<PoolEntry>,
@@ -442,10 +456,10 @@ impl CutPool {
         true
     }
 
-    /// Selects up to `cfg.max_cuts_per_round` pending cuts violated at `x`,
+    /// Selects up to `MAX_CUTS_PER_ROUND` pending cuts violated at `x`,
     /// moves them to the applied list, ages the rest, and returns clones of
     /// the newly applied cuts (in applied order).
-    pub fn select(&mut self, x: &[f64], cfg: &CutConfig) -> Vec<Cut> {
+    pub fn select(&mut self, x: &[f64]) -> Vec<Cut> {
         self.rounds += 1;
         // Score pending cuts: (index, violation, efficacy).
         let mut scored: Vec<(usize, f64, f64)> = self
@@ -459,19 +473,19 @@ impl CutPool {
                     return None;
                 }
                 let eff = viol / norm;
-                (eff >= cfg.min_efficacy).then_some((i, viol, eff))
+                (eff >= MIN_EFFICACY).then_some((i, viol, eff))
             })
             .collect();
         scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
         let mut picked_idx: Vec<usize> = Vec::new();
         for &(i, _, _) in &scored {
-            if picked_idx.len() >= cfg.max_cuts_per_round {
+            if picked_idx.len() >= MAX_CUTS_PER_ROUND {
                 break;
             }
             let cand = &self.pending[i].cut;
             let parallel = picked_idx
                 .iter()
-                .any(|&k| self.pending[k].cut.cosine(cand).abs() > cfg.max_parallelism);
+                .any(|&k| self.pending[k].cut.cosine(cand).abs() > MAX_PARALLELISM);
             if !parallel {
                 picked_idx.push(i);
             }
@@ -486,9 +500,9 @@ impl CutPool {
         for e in &mut self.pending {
             e.age += 1;
         }
-        self.pending.retain(|e| e.age <= cfg.max_age);
+        self.pending.retain(|e| e.age <= MAX_AGE);
         // Hard cap on pool size: keep the youngest pending entries.
-        let budget = cfg.max_pool.saturating_sub(self.applied.len());
+        let budget = MAX_POOL.saturating_sub(self.applied.len());
         if self.pending.len() > budget {
             self.pending.sort_by_key(|e| e.age);
             self.pending.truncate(budget);
@@ -538,6 +552,9 @@ pub struct RootCutOutcome {
     pub applied: usize,
 }
 
+/// Maximum separation rounds at the root.
+const MAX_ROUNDS: usize = 4;
+
 /// Runs round-based separation at the root: separate, filter through the
 /// pool, append the survivors, and dual-reoptimize from the old basis
 /// padded with one basic slack per new row. `lp` and `root` are updated in
@@ -564,17 +581,8 @@ pub fn run_root_cuts(
     if separators.is_empty() {
         return out;
     }
-    // Reoptimize with the dual simplex even though the padded basis is
-    // "cold" from ReoptMode::Auto's perspective (it was never optimal for
-    // the extended LP) — it *is* dual-feasible by construction. An explicit
-    // Primal override is honored (that mode guarantees zero dual pivots).
-    let reopt_cfg = if cfg.reopt == crate::config::ReoptMode::Primal {
-        cfg.clone()
-    } else {
-        cfg.clone().with_reopt(crate::config::ReoptMode::Dual)
-    };
     let mut injected = false;
-    for _ in 0..ccfg.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         if deadline.is_some_and(|d| Instant::now() >= d) || cfg.is_cancelled() {
             break;
         }
@@ -585,7 +593,7 @@ pub fn run_root_cuts(
             x: &root.x,
             statuses: Some(&root.statuses),
             cfg,
-            max_cuts: ccfg.max_cuts_per_round,
+            max_cuts: MAX_CUTS_PER_ROUND,
         };
         let mut found = Vec::new();
         for s in &separators {
@@ -611,7 +619,7 @@ pub fn run_root_cuts(
             pool.rounds += 1;
             break;
         }
-        let mut selected = pool.select(&root.x, ccfg);
+        let mut selected = pool.select(&root.x);
         // Fault injection: plant one near-parallel duplicate of an applied
         // cut, bypassing the parallelism filter, to prove the recovery
         // ladder absorbs the near-singular basis it produces.
@@ -644,7 +652,9 @@ pub fn run_root_cuts(
         let mut warm = Vec::with_capacity(warm_len + selected.len());
         warm.extend_from_slice(&root.statuses);
         warm.extend(std::iter::repeat_n(VStat::Basic, selected.len()));
-        let reopt = solve_lp(lp, var_lb, var_ub, &reopt_cfg, Some(&warm), deadline);
+        // The padded basis installs as a warm basis and is dual-feasible by
+        // construction, so the solve reoptimizes with the dual simplex.
+        let reopt = solve_lp(lp, var_lb, var_ub, cfg, Some(&warm), deadline);
         // Fault injection: treat this round's reoptimization as failed so
         // the rollback arm below runs under test control.
         let forced_failure = cfg
@@ -783,13 +793,12 @@ mod tests {
         assert_eq!(pool.pending_len(), 1);
 
         // Not violated at an integral point: the entry ages out.
-        let cfg = CutConfig {
-            max_age: 1,
-            ..CutConfig::default()
-        };
-        assert!(pool.select(&[0.0, 0.0], &cfg).is_empty());
-        assert!(pool.select(&[0.0, 0.0], &cfg).is_empty());
-        assert_eq!(pool.pending_len(), 0, "aged out after max_age rounds");
+        for _ in 0..MAX_AGE {
+            assert!(pool.select(&[0.0, 0.0]).is_empty());
+        }
+        assert_eq!(pool.pending_len(), 1, "kept for MAX_AGE rounds");
+        assert!(pool.select(&[0.0, 0.0]).is_empty());
+        assert_eq!(pool.pending_len(), 0, "aged out past MAX_AGE rounds");
     }
 
     #[test]
@@ -818,8 +827,7 @@ mod tests {
             &lb,
             &ub,
         );
-        let cfg = CutConfig::default();
-        let sel = pool.select(&[0.9, 0.9], &cfg);
+        let sel = pool.select(&[0.9, 0.9]);
         assert_eq!(sel.len(), 1, "parallel twin filtered");
         assert_eq!(pool.applied_len(), 1);
     }

@@ -235,6 +235,17 @@ pub(crate) fn build_neighborhoods(gub_groups: &[Vec<usize>], int_vars: &[usize])
     out
 }
 
+/// Maximum destroy/repair iterations before the engine retires.
+const LNS_MAX_ITERS: usize = 400;
+/// Consecutive non-improving iterations before the engine escalates the
+/// destroy size (1 → 2 → 4 → … neighborhoods freed at once); once the
+/// escalation ladder is exhausted and another such streak passes, the
+/// engine retires instead of burning CPU the exact search could use.
+const LNS_STALL: usize = 12;
+/// Tabu tenure: a destroyed neighborhood is not re-destroyed for this many
+/// iterations unless it just improved the incumbent (aspiration).
+const TABU_TENURE: usize = 3;
+
 /// The LNS + tabu destroy/repair loop.
 ///
 /// Seeding: while the engine holds no solution of its own, a RENS pass
@@ -258,7 +269,6 @@ pub(crate) fn run_lns(
     stop: Option<&AtomicBool>,
 ) -> LnsOutcome {
     let cfg = inp.cfg;
-    let hc = &cfg.heuristics;
     let mut out = LnsOutcome::default();
     if inp.neighborhoods.is_empty() {
         return out;
@@ -279,7 +289,7 @@ pub(crate) fn run_lns(
     // the ladder the engine gives up seeding and exits.
     const RENS_LADDER: [f64; 3] = [0.1, 0.25, 0.45];
     let mut rens_rung = 0usize;
-    // Adaptive destroy: after `lns_stall` consecutive failures the engine
+    // Adaptive destroy: after `LNS_STALL` consecutive failures the engine
     // frees twice as many neighborhoods per iteration (larger jumps escape
     // the single-group local optimum); an improvement resets to 1. Once the
     // widest destroy also stalls, the engine retires — every further
@@ -288,7 +298,7 @@ pub(crate) fn run_lns(
     let mut destroy = 1usize;
     let mut fails = 0usize;
 
-    for iter in 0..hc.lns_max_iters {
+    for iter in 0..LNS_MAX_ITERS {
         // Checked ahead of the stop conditions so the injected fault fires
         // deterministically even when the exact search wins the race and
         // stops the engine before its first destroy/repair.
@@ -356,7 +366,7 @@ pub(crate) fn run_lns(
             }
         }
 
-        let found = repair_bnb(inp, &lb, &ub, cutoff, hc.lns_node_budget, stop);
+        let found = repair_bnb(inp, &lb, &ub, cutoff, stop);
         let improved = found.is_some();
         if let Some((obj, x)) = found {
             out.trace.push(obj);
@@ -366,7 +376,7 @@ pub(crate) fn run_lns(
             }
         }
         if let Some(picked) = freed_k {
-            let until = iter + 1 + if improved { 0 } else { hc.tabu_tenure };
+            let until = iter + 1 + if improved { 0 } else { TABU_TENURE };
             for k in picked {
                 tabu_until[k] = until;
             }
@@ -375,7 +385,7 @@ pub(crate) fn run_lns(
                 destroy = 1;
             } else {
                 fails += 1;
-                if fails >= hc.lns_stall.max(1) {
+                if fails >= LNS_STALL {
                     if destroy >= max_destroy {
                         break; // escalation exhausted: retire
                     }
@@ -395,6 +405,9 @@ struct RepairNode {
     warm: Option<Vec<VStat>>,
 }
 
+/// Node budget of each sub-MILP repair solve.
+const REPAIR_NODE_BUDGET: usize = 150;
+
 /// Node-budgeted DFS mini branch-and-bound over the restricted bounds:
 /// plunges into the child nearer the LP value, prunes on `cutoff`
 /// (strict-improvement threshold), and verifies every integral point
@@ -405,7 +418,6 @@ fn repair_bnb(
     lb0: &[f64],
     ub0: &[f64],
     mut cutoff: f64,
-    node_budget: usize,
     stop: Option<&AtomicBool>,
 ) -> Option<(f64, Vec<f64>)> {
     let cfg = inp.cfg;
@@ -418,7 +430,7 @@ fn repair_bnb(
     let mut ub = ub0.to_vec();
     let mut nodes = 0usize;
     while let Some(node) = stack.pop() {
-        if nodes >= node_budget
+        if nodes >= REPAIR_NODE_BUDGET
             || stop.is_some_and(|s| s.load(Ordering::SeqCst))
             || cfg.is_cancelled()
             || inp.deadline.is_some_and(|d| Instant::now() >= d)

@@ -64,10 +64,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use checkpoint::{load_frame, structure_fingerprint, FrameError, SearchFrame};
-pub use config::{
-    Branching, CheckpointConfig, ColGenConfig, Config, CutConfig, HeurConfig, NodeSelection,
-    PricingRule, ReoptMode,
-};
+pub use config::{CheckpointConfig, ColGenConfig, Config, CutConfig, HeurConfig};
 pub use pricing::{ColumnSource, NewColumn, NewRow, PriceInput, PricedBatch};
 pub use error::{CancelToken, FaultInjection, SolveError};
 pub use problem::{Problem, Row, RowId, Sense, Var, VarId, VarType};

@@ -12,8 +12,8 @@
 //! every row. The initial basis is the (always nonsingular) slack basis;
 //! Phase 1 minimizes the sum of bound violations of basic variables using the
 //! standard composite cost vector, and Phase 2 runs the classic revised
-//! simplex with Devex pricing (Dantzig optional), a bound-flip-aware ratio
-//! test, and Bland's rule as an anti-cycling fallback.
+//! simplex with Devex pricing, a bound-flip-aware ratio test, and Bland's
+//! rule as an anti-cycling fallback.
 //!
 //! When a warm-start basis is supplied and only variable bounds changed
 //! since it was optimal (the branch-and-bound child-node case), the basis
@@ -32,7 +32,7 @@
 //! with seeded cost perturbations. Only when all rungs fail does
 //! [`solve_lp`] return a [`SolveError`].
 
-use crate::config::{Config, PricingRule, ReoptMode};
+use crate::config::Config;
 use crate::error::SolveError;
 use crate::lu::{Factorization, LuError};
 use crate::sparse::CscMatrix;
@@ -60,7 +60,7 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below (in minimization form).
     Unbounded,
-    /// Iteration or time limit reached before convergence.
+    /// Deadline or cancellation reached before convergence.
     Limit,
 }
 
@@ -146,7 +146,7 @@ impl LpData {
     /// status vector stays index-consistent when padded with one
     /// [`VStat::Basic`] entry per appended row — appending a cut whose slack
     /// enters the basis keeps the old basis dual-feasible, which is what
-    /// lets [`crate::ReoptMode::Dual`] reoptimize in a few pivots.
+    /// lets the dual simplex reoptimize in a few pivots.
     pub fn append_rows(&mut self, rows: &[SparseRow]) {
         if rows.is_empty() {
             return;
@@ -273,6 +273,9 @@ pub fn extract_tableau_rows(
     Some(rows)
 }
 
+/// Refactorize the basis after this many eta updates.
+const REFACTOR_INTERVAL: usize = 64;
+
 struct Engine<'a> {
     lp: &'a LpData,
     /// Bounds over structural + slack variables.
@@ -330,7 +333,7 @@ enum DualRun {
     Feasible,
     /// Dual unbounded: the primal LP is infeasible.
     Infeasible,
-    /// Deadline / iteration limit reached.
+    /// Deadline or cancellation reached.
     Limit,
     /// The dual method cannot (or should not) continue from this basis;
     /// the caller falls back to the primal Phase 1 path.
@@ -585,7 +588,6 @@ impl<'a> Engine<'a> {
         self.fact.btran(&mut cb); // now y in row space
         let y = cb;
         let otol = self.cfg.opt_tol;
-        let devex = self.cfg.pricing == PricingRule::Devex && !bland;
         if !phase1 {
             // Fresh capture per pass: entries not reached (early Bland
             // return) stay zero, which is always safe for fixing.
@@ -620,7 +622,7 @@ impl<'a> Engine<'a> {
                 if bland {
                     return Pricing::Entering { j, dir };
                 }
-                let score = if devex { d * d / self.devex[j] } else { d.abs() };
+                let score = d * d / self.devex[j];
                 if best.is_none_or(|(_, _, s)| score > s) {
                     best = Some((j, dir, score));
                 }
@@ -796,11 +798,6 @@ impl<'a> Engine<'a> {
         let mut since_recompute = 0usize;
         let mut singular_retries = 0usize;
         loop {
-            if let Some(limit) = self.cfg.iter_limit {
-                if self.iters >= limit {
-                    return Ok(DualRun::Limit);
-                }
-            }
             if self.iters.is_multiple_of(64) && self.out_of_time() {
                 return Ok(DualRun::Limit);
             }
@@ -1005,7 +1002,7 @@ impl<'a> Engine<'a> {
             self.basis[leave_pos] = j_enter;
             self.pos[j_enter] = leave_pos;
             self.status[j_enter] = VStat::Basic;
-            if self.fact.eta_count() >= self.cfg.refactor_interval
+            if self.fact.eta_count() >= REFACTOR_INTERVAL
                 || self.fact.update(leave_pos, &w).is_err()
             {
                 if !self.refactorize() {
@@ -1061,11 +1058,6 @@ impl<'a> Engine<'a> {
         let mut colbuf: Vec<(usize, f64)> = Vec::new();
         let mut since_recompute = 0usize;
         loop {
-            if let Some(limit) = self.cfg.iter_limit {
-                if self.iters >= limit {
-                    return Ok(LpStatus::Limit);
-                }
-            }
             if self.iters.is_multiple_of(64) && self.out_of_time() {
                 return Ok(LpStatus::Limit);
             }
@@ -1128,7 +1120,7 @@ impl<'a> Engine<'a> {
                         self.degenerate_run = 0;
                     }
                     self.apply_step(j, dir, t, &w);
-                    if !bland && self.cfg.pricing == PricingRule::Devex {
+                    if !bland {
                         self.update_devex(j, leave_pos, &w);
                     }
                     let leaving = self.basis[leave_pos];
@@ -1142,7 +1134,7 @@ impl<'a> Engine<'a> {
                     self.basis[leave_pos] = j;
                     self.pos[j] = leave_pos;
                     self.status[j] = VStat::Basic;
-                    if self.fact.eta_count() >= self.cfg.refactor_interval
+                    if self.fact.eta_count() >= REFACTOR_INTERVAL
                         || self.fact.update(leave_pos, &w).is_err()
                     {
                         if !self.refactorize() {
@@ -1262,16 +1254,12 @@ fn solve_lp_attempt(
     let infeas_tol = cfg.feas_tol * (1.0 + eng.m as f64);
     let mut need_phase1 = eng.infeasibility() > infeas_tol;
     // Dual reoptimization: a warm basis that was optimal before a bound
-    // change is still dual-feasible, so the dual simplex restores primal
-    // feasibility in a few pivots instead of a full primal Phase 1. Only
-    // attempted on the clean rung (no Bland forcing, no perturbation); any
-    // trouble falls back to the primal path below.
-    let try_dual = match cfg.reopt {
-        ReoptMode::Primal => false,
-        ReoptMode::Auto => used_warm,
-        ReoptMode::Dual => true,
-    };
-    if need_phase1 && try_dual && !force_bland && perturb_seed.is_none() && eng.dual_feasible() {
+    // change (or before rows were appended with basic slacks) is still
+    // dual-feasible, so the dual simplex restores primal feasibility in a
+    // few pivots instead of a full primal Phase 1. Only attempted when the
+    // warm basis installed, and only on the clean rung (no Bland forcing,
+    // no perturbation); any trouble falls back to the primal path below.
+    if need_phase1 && used_warm && !force_bland && perturb_seed.is_none() && eng.dual_feasible() {
         match eng.iterate_dual()? {
             DualRun::Feasible => need_phase1 = false,
             DualRun::Infeasible => return Ok(eng.result(LpStatus::Infeasible)),

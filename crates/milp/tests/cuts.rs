@@ -180,7 +180,6 @@ fn combo(bits: u32) -> CutConfig {
         gomory: bits & 1 != 0,
         cover: bits & 2 != 0,
         clique: bits & 4 != 0,
-        ..CutConfig::default()
     }
 }
 

@@ -2,14 +2,15 @@
 //!
 //! Warm-started solves after bound changes in *both* directions
 //! (tightening, as in branching, and relaxation, as in backtracking) must
-//! agree with cold primal solves — on raw LPs through [`solve_lp`] and on
-//! full MILPs through the solver facade. The random-knapsack generator and
-//! rounding discipline match `fault_injection.rs` so the instances line up
-//! across suites.
+//! agree with cold solves (no warm basis, so primal Phase 1 + 2) on raw
+//! LPs through [`solve_lp`]; full MILP solves through the solver facade
+//! must reach the optimum found by brute-force enumeration. The
+//! random-knapsack generator and rounding discipline match
+//! `fault_injection.rs` so the instances line up across suites.
 
 use milp::simplex::{solve_lp, LpData, LpStatus};
 use milp::sparse::TripletBuilder;
-use milp::{Config, PricingRule, Problem, ReoptMode, Row, Sense, Solver, Var, VarId};
+use milp::{Config, Problem, Row, Sense, Solver, Status, Var, VarId};
 use proptest::prelude::*;
 
 const INF: f64 = f64::INFINITY;
@@ -30,24 +31,41 @@ fn small_lp() -> LpData {
     }
 }
 
+/// Best objective of the 0/1 knapsack `max obj·x  s.t.  wts·x <= cap`, by
+/// enumerating every subset.
+fn enumerate_knapsack(obj: &[f64], wts: &[f64], cap: f64) -> f64 {
+    let n = obj.len();
+    let mut best = 0.0f64;
+    for mask in 0u32..(1 << n) {
+        let (mut w, mut v) = (0.0, 0.0);
+        for j in (0..n).filter(|&j| mask & (1 << j) != 0) {
+            w += wts[j];
+            v += obj[j];
+        }
+        if w <= cap + 1e-9 {
+            best = best.max(v);
+        }
+    }
+    best
+}
+
 #[test]
 fn warm_start_after_bound_tightening_agrees_with_cold() {
     let lp = small_lp();
-    let dual = Config::default().with_reopt(ReoptMode::Dual);
-    let primal = Config::default().with_reopt(ReoptMode::Primal);
-    let r0 = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &dual, None, None).unwrap();
+    let cfg = Config::default();
+    let r0 = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &cfg, None, None).unwrap();
     assert_eq!(r0.status, LpStatus::Optimal);
     // Tighten x <= 1 (the branching case): warm dual vs cold primal.
     let warm = solve_lp(
         &lp,
         &[0.0; 3],
         &[1.0, 4.0, 4.0],
-        &dual,
+        &cfg,
         Some(&r0.statuses),
         None,
     )
     .unwrap();
-    let cold = solve_lp(&lp, &[0.0; 3], &[1.0, 4.0, 4.0], &primal, None, None).unwrap();
+    let cold = solve_lp(&lp, &[0.0; 3], &[1.0, 4.0, 4.0], &cfg, None, None).unwrap();
     assert_eq!(warm.status, LpStatus::Optimal);
     assert_eq!(cold.status, LpStatus::Optimal);
     assert!(
@@ -61,24 +79,15 @@ fn warm_start_after_bound_tightening_agrees_with_cold() {
 #[test]
 fn warm_start_after_bound_relaxation_agrees_with_cold() {
     let lp = small_lp();
-    let dual = Config::default().with_reopt(ReoptMode::Dual);
-    let primal = Config::default().with_reopt(ReoptMode::Primal);
+    let cfg = Config::default();
     // Start tight: every variable capped at 1.
-    let tight = solve_lp(&lp, &[0.0; 3], &[1.0; 3], &dual, None, None).unwrap();
+    let tight = solve_lp(&lp, &[0.0; 3], &[1.0; 3], &cfg, None, None).unwrap();
     assert_eq!(tight.status, LpStatus::Optimal);
     // Relax the caps back to 4: nonbasic-at-upper variables jump to the new
     // bound, which can push basics out of range — the warm solve must still
     // land on the cold optimum.
-    let warm = solve_lp(
-        &lp,
-        &[0.0; 3],
-        &[4.0; 3],
-        &dual,
-        Some(&tight.statuses),
-        None,
-    )
-    .unwrap();
-    let cold = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &primal, None, None).unwrap();
+    let warm = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &cfg, Some(&tight.statuses), None).unwrap();
+    let cold = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &cfg, None, None).unwrap();
     assert_eq!(warm.status, LpStatus::Optimal);
     assert!(
         (warm.obj - cold.obj).abs() < 1e-7,
@@ -91,32 +100,32 @@ fn warm_start_after_bound_relaxation_agrees_with_cold() {
         &lp,
         &[2.0, 0.0, 0.0],
         &[4.0; 3],
-        &dual,
+        &cfg,
         Some(&cold.statuses),
         None,
     )
     .unwrap();
-    let back = solve_lp(
-        &lp,
-        &[0.0; 3],
-        &[4.0; 3],
-        &dual,
-        Some(&up.statuses),
-        None,
-    )
-    .unwrap();
+    let back = solve_lp(&lp, &[0.0; 3], &[4.0; 3], &cfg, Some(&up.statuses), None).unwrap();
     assert_eq!(back.status, LpStatus::Optimal);
     assert!((back.obj - cold.obj).abs() < 1e-7);
 }
 
-/// A knapsack hard enough to branch for real (same shape as the
-/// fault-injection suite's `hard_knapsack`).
+/// The data of a knapsack hard enough to branch for real (same shape as
+/// the fault-injection suite's `hard_knapsack`): objective, weights,
+/// capacity.
+fn hard_knapsack_data(n: usize) -> (Vec<f64>, Vec<f64>, f64) {
+    let obj = (0..n).map(|i| 1.0 + ((i * 31) % 11) as f64 / 3.0).collect();
+    let wts = (0..n).map(|i| 1.0 + ((i * 17) % 7) as f64 / 2.0).collect();
+    (obj, wts, (2 * n) as f64 * 0.6)
+}
+
 fn hard_knapsack(n: usize) -> Problem {
+    let (obj, wts, cap) = hard_knapsack_data(n);
     let mut p = Problem::new(Sense::Maximize);
-    let mut row = Row::new().le((2 * n) as f64 * 0.6);
-    for i in 0..n {
-        let v = p.add_var(Var::binary().obj(1.0 + ((i * 31) % 11) as f64 / 3.0));
-        row = row.coef(v, 1.0 + ((i * 17) % 7) as f64 / 2.0);
+    let mut row = Row::new().le(cap);
+    for (&c, &w) in obj.iter().zip(&wts) {
+        let v = p.add_var(Var::binary().obj(c));
+        row = row.coef(v, w);
     }
     p.add_row(row);
     p
@@ -125,24 +134,24 @@ fn hard_knapsack(n: usize) -> Problem {
 #[test]
 fn dual_reoptimizer_runs_in_branch_and_bound() {
     let p = hard_knapsack(18);
-    let auto = Solver::new(Config::default().with_heuristics(false)).solve(&p);
-    let primal = Solver::new(
-        Config::default()
-            .with_heuristics(false)
-            .with_reopt(ReoptMode::Primal),
-    )
-    .solve(&p);
-    assert_eq!(auto.status(), primal.status());
-    assert!((auto.objective() - primal.objective()).abs() < 1e-6);
-    // Child nodes inherit a dual-feasible parent basis, so the default
-    // (Auto) mode must actually exercise the dual path...
+    let s = Solver::new(Config::default().with_heuristics(false)).solve(&p);
+    assert_eq!(s.status(), Status::Optimal);
+    let (obj, wts, cap) = hard_knapsack_data(18);
+    let best = enumerate_knapsack(&obj, &wts, cap);
+    assert!((best - 34.666667).abs() < 1e-6, "enumerated optimum {best}");
     assert!(
-        auto.stats().dual_iters > 0,
-        "expected dual pivots in the tree search, stats: {:?}",
-        auto.stats()
+        (s.objective() - best).abs() < 1e-6,
+        "solver {} vs enumerated {}",
+        s.objective(),
+        best
     );
-    // ...and the primal-only mode must never report any.
-    assert_eq!(primal.stats().dual_iters, 0);
+    // Child nodes inherit a dual-feasible parent basis, so the search must
+    // actually exercise the dual path.
+    assert!(
+        s.stats().dual_iters > 0,
+        "expected dual pivots in the tree search, stats: {:?}",
+        s.stats()
+    );
 }
 
 mod agreement {
@@ -157,15 +166,20 @@ mod agreement {
         })
     }
 
+    /// Rounds to a multiple of 1/8 (exact in binary floating point).
+    fn eighths(v: f64) -> f64 {
+        (v * 8.0).round() / 8.0
+    }
+
     fn build_milp(obj: &[f64], wts: &[f64], cap: f64) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
         let vars: Vec<VarId> = obj
             .iter()
-            .map(|&c| p.add_var(Var::binary().obj((c * 8.0).round() / 8.0)))
+            .map(|&c| p.add_var(Var::binary().obj(eighths(c))))
             .collect();
         let mut row = Row::new().le(cap);
         for (v, &w) in vars.iter().zip(wts) {
-            row = row.coef(*v, (w * 8.0).round() / 8.0);
+            row = row.coef(*v, eighths(w));
         }
         p.add_row(row);
         p
@@ -176,11 +190,11 @@ mod agreement {
         let n = obj.len();
         let mut b = TripletBuilder::new(1, n);
         for (j, &w) in wts.iter().enumerate() {
-            b.push(0, j, (w * 8.0).round() / 8.0);
+            b.push(0, j, eighths(w));
         }
         LpData {
             a: b.build(),
-            c: obj.iter().map(|&c| -((c * 8.0).round() / 8.0)).collect(),
+            c: obj.iter().map(|&c| -eighths(c)).collect(),
             row_lb: vec![-INF],
             row_ub: vec![cap],
         }
@@ -190,7 +204,7 @@ mod agreement {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Branch-style child solves (down: ub -> 0, up: lb -> 1) via warm
-        /// dual reoptimization must agree with cold primal solves.
+        /// dual reoptimization must agree with cold solves (no warm basis).
         #[test]
         fn dual_warm_children_agree_with_cold_primal(
             (obj, wts, cap) in instance(),
@@ -201,15 +215,14 @@ mod agreement {
             let j = branch_var % n;
             let lo = vec![0.0; n];
             let hi = vec![1.0; n];
-            let dual = Config::default().with_reopt(ReoptMode::Dual);
-            let primal = Config::default().with_reopt(ReoptMode::Primal);
-            let root = solve_lp(&lp, &lo, &hi, &dual, None, None).unwrap();
+            let cfg = Config::default();
+            let root = solve_lp(&lp, &lo, &hi, &cfg, None, None).unwrap();
             prop_assert_eq!(root.status, LpStatus::Optimal);
 
             let mut hi_down = hi.clone();
             hi_down[j] = 0.0;
-            let warm = solve_lp(&lp, &lo, &hi_down, &dual, Some(&root.statuses), None).unwrap();
-            let cold = solve_lp(&lp, &lo, &hi_down, &primal, None, None).unwrap();
+            let warm = solve_lp(&lp, &lo, &hi_down, &cfg, Some(&root.statuses), None).unwrap();
+            let cold = solve_lp(&lp, &lo, &hi_down, &cfg, None, None).unwrap();
             prop_assert_eq!(warm.status, cold.status);
             if warm.status == LpStatus::Optimal {
                 prop_assert!((warm.obj - cold.obj).abs() < 1e-6,
@@ -218,8 +231,8 @@ mod agreement {
 
             let mut lo_up = lo.clone();
             lo_up[j] = 1.0;
-            let warm = solve_lp(&lp, &lo_up, &hi, &dual, Some(&root.statuses), None).unwrap();
-            let cold = solve_lp(&lp, &lo_up, &hi, &primal, None, None).unwrap();
+            let warm = solve_lp(&lp, &lo_up, &hi, &cfg, Some(&root.statuses), None).unwrap();
+            let cold = solve_lp(&lp, &lo_up, &hi, &cfg, None, None).unwrap();
             prop_assert_eq!(warm.status, cold.status);
             if warm.status == LpStatus::Optimal {
                 prop_assert!((warm.obj - cold.obj).abs() < 1e-6,
@@ -227,26 +240,21 @@ mod agreement {
             }
         }
 
-        /// The MILP optimum is invariant under every reoptimization /
-        /// pricing / fixing switch combination.
+        /// The default solve and the solve without reduced-cost fixing
+        /// both reach the optimum found by enumerating every subset.
         #[test]
         fn milp_optimum_invariant_under_solver_knobs((obj, wts, cap) in instance()) {
             let p = build_milp(&obj, &wts, cap);
-            let base = Solver::new(Config::default()).solve(&p);
-            for cfg in [
-                Config::default().with_reopt(ReoptMode::Dual),
-                Config::default().with_reopt(ReoptMode::Primal),
-                Config::default().with_pricing(PricingRule::Dantzig),
-                Config::default().with_reduced_cost_fixing(false),
-            ] {
+            let obj8: Vec<f64> = obj.iter().map(|&c| eighths(c)).collect();
+            let wts8: Vec<f64> = wts.iter().map(|&w| eighths(w)).collect();
+            let best = enumerate_knapsack(&obj8, &wts8, cap);
+            for cfg in [Config::default(), Config::default().with_reduced_cost_fixing(false)] {
                 let s = Solver::new(cfg).solve(&p);
-                prop_assert_eq!(base.status(), s.status());
-                if base.status().has_solution() {
-                    prop_assert!(
-                        (base.objective() - s.objective()).abs() < 1e-6,
-                        "default {} vs variant {}", base.objective(), s.objective()
-                    );
-                }
+                prop_assert_eq!(s.status(), Status::Optimal);
+                prop_assert!(
+                    (s.objective() - best).abs() < 1e-6,
+                    "solver {} vs enumerated {}", s.objective(), best
+                );
             }
         }
     }

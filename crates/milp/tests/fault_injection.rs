@@ -66,8 +66,9 @@ fn lu_singularity_recovers_to_fault_free_optimum() {
 
 #[test]
 fn lu_singularity_during_dual_reopt_recovers() {
-    // Force the dual reoptimizer (not just Auto) so injected factorization
-    // failures hit its fallback path; the result must match fault-free.
+    // Injected factorization failures land while warm bases are being
+    // dual-reoptimized (cut rounds, child nodes) and hit its fallback
+    // path; the result must match fault-free.
     let p = hard_knapsack(18);
     let clean = solve_with(&p, Config::default());
     assert_eq!(clean.status(), Status::Optimal);
@@ -76,10 +77,7 @@ fn lu_singularity_during_dual_reopt_recovers() {
         .lu_singular_on(3)
         .lu_singular_on(5)
         .lu_singular_on(9);
-    let cfg = Config::default()
-        .with_reopt(milp::ReoptMode::Dual)
-        .with_faults(faults);
-    let sol = solve_with(&p, cfg);
+    let sol = solve_with(&p, Config::default().with_faults(faults));
     assert_eq!(sol.status(), Status::Optimal);
     assert!(
         (sol.objective() - clean.objective()).abs() < 1e-6,
@@ -88,6 +86,16 @@ fn lu_singularity_during_dual_reopt_recovers() {
         clean.objective()
     );
     assert!(p.check_feasible(sol.values(), 1e-6).is_none());
+    let (c, f) = (clean.stats(), sol.stats());
+    assert!(
+        f.dual_iters > 0,
+        "the faulted solve must still reoptimize with the dual simplex: {f:?}"
+    );
+    assert_ne!(
+        (f.simplex_iters, f.dual_iters),
+        (c.simplex_iters, c.dual_iters),
+        "the injected faults must have changed the pivot trajectory"
+    );
 }
 
 #[test]
