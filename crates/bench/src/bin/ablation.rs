@@ -65,7 +65,7 @@ fn main() {
                         .map(|d| format!("{:.0}", d.total_cost))
                         .unwrap_or_else(|| "-".into()),
                     time_cell(&out, tl),
-                    out.stats.bb_nodes.to_string(),
+                    out.stats.solver.nodes.to_string(),
                     format!("{}", out.status),
                 ]);
             }

@@ -88,9 +88,9 @@ fn main() {
         out.design
             .as_ref()
             .map_or("null".to_string(), |d| format!("{:.6}", d.objective)),
-        out.stats.resumed,
+        out.stats.solver.resumed,
         verified,
-        out.stats.checkpoints_written,
+        out.stats.solver.checkpoints_written,
     );
     if verified == "FAIL" {
         std::process::exit(1);

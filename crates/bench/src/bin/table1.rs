@@ -68,7 +68,7 @@ fn main() {
                         label,
                         out.stats.num_vars,
                         out.stats.num_cons,
-                        out.stats.bb_nodes,
+                        out.stats.solver.nodes,
                         out.status
                     );
                 }

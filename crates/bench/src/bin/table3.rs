@@ -27,15 +27,21 @@
 //! solving is attempted only on the first row (`T3_FULL_TL`, default 300 s;
 //! the paper needed 8233 s on CPLEX, so expect `TO`).
 //!
+//! After writing its JSON, table3 checks the [50/20] records it produced
+//! (`check_gates`) and exits non-zero when one fails: the row must
+//! deliver a design, and each ablation pair must show its subsystem doing
+//! its job without degrading the solve status.
+//!
 //! Environment knobs: `T3_TL` (approx solve limit per row, default 240),
 //! `T3_FULL_TL`, `T3_ROWS` (max rows, default 6; `SCALE=paper` runs all
 //! 10 rows at the paper's sizes), `T3_SKIP_FULL=1` (skip the slow
-//! full-encoding solve on row 1 — used by the tier-1 perf smoke),
+//! full-encoding solve on row 1, which the gates do not read),
 //! `T3_CUTS=0` (skip the cuts-on/cuts-off ablation on the [50/20] row),
 //! `T3_PRICING=0` (skip the pricing-on/pricing-off ablation on the same
-//! row), `T3_HEUR=0` (skip the heur_on/heur_off anytime ablation),
-//! `T3_HEUR_TL` (solve limit for that ablation, default `T3_TL` — the
-//! tier-1 heuristic smoke sets 10 s),
+//! row), `T3_CKPT=0` (skip the checkpoint ablation), `T3_HEUR=0` (skip the
+//! heur_on/heur_off anytime ablation), `T3_HEUR_TL` (solve limit for that
+//! ablation, default `T3_TL`; a short limit such as 10 s checks that the
+//! engine hands back a design when the proof cannot finish),
 //! `T3_FORCE_SCALING=1` (run scaling rungs even past the host's core
 //! count — by default oversubscribed thread counts are skipped because
 //! they measure time-slicing, not parallel speedup).
@@ -68,8 +74,6 @@ fn record(
     (total, end): (usize, usize),
     opts: &ExploreOptions,
     out: &ExploreOutcome,
-    encode_s: f64,
-    cons: usize,
 ) -> SolverRecord {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let eff = opts.solver.effective_threads();
@@ -79,29 +83,121 @@ fn record(
         end,
         threads: opts.solver.threads,
         effective_threads: eff,
+        oversubscribed: eff > host,
         wall_s: out.stats.solve_time.as_secs_f64(),
-        nodes: out.stats.bb_nodes,
         status: format!("{:?}", out.status),
         objective: out.design.as_ref().map(|d| d.objective),
-        encode_s,
-        cons,
-        pivots: out.stats.simplex_iters,
-        phase1_pivots: out.stats.phase1_iters,
-        cuts_applied: out.stats.cuts_applied,
-        cut_rounds: out.stats.cut_rounds,
-        root_gap: out.stats.root_gap,
-        cols_priced: out.stats.cols_priced,
-        pricing_rounds: out.stats.pricing_rounds,
-        pricing_s: out.stats.pricing_time.as_secs_f64(),
-        oversubscribed: eff > host,
-        checkpoint_s: out.stats.checkpoint_time.as_secs_f64(),
-        checkpoints_written: out.stats.checkpoints_written,
-        resumed: out.stats.resumed,
-        time_to_first_incumbent_s: out.stats.time_to_first_incumbent.map(|d| d.as_secs_f64()),
-        time_to_within_1pct_s: out.stats.time_to_within_1pct.map(|d| d.as_secs_f64()),
-        lns_iters: out.stats.lns_iters,
-        lns_published: out.stats.lns_published,
+        encode_s: out.stats.encode_time.as_secs_f64(),
+        cons: out.stats.num_cons,
+        stats: out.stats.solver.clone(),
     }
+}
+
+/// How one [50/20] gate judged table3's records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Pass,
+    /// Passes, but the numbers deserve a look.
+    Warn,
+    Fail,
+}
+
+/// One gate's verdict and the line that explains it.
+#[derive(Debug)]
+struct Gate {
+    name: &'static str,
+    verdict: Verdict,
+    detail: String,
+}
+
+/// The [50/20] gates over table3's records. The row must deliver a design
+/// (warning when it is not proven optimal). Cuts must be applied, pricing
+/// must price columns and deliver a design, checkpointing must write
+/// frames, and the heuristic engine must deliver a design, none of them
+/// ending in a worse status than its off twin (a proof beats an incumbent
+/// beats nothing). When both pricing sides are Optimal the priced
+/// objective must match or beat the plain one within 1e-4 relative; an
+/// open pricing proof and a checkpoint wall-time overhead above 5 % only
+/// warn. A gate is checked only when table3 ran its records (`T3_CUTS=0`
+/// and the like skip a pair).
+fn check_gates(records: &[SolverRecord]) -> Vec<Gate> {
+    use Verdict::{Fail, Warn};
+    let find = |kind: &str| {
+        records
+            .iter()
+            .find(|r| r.kind == kind && (r.total, r.end) == (50, 20))
+    };
+    let rank = |r: &SolverRecord| match r.status.as_str() {
+        "Optimal" => 2,
+        "LimitFeasible" => 1,
+        _ => 0,
+    };
+    let show = |r: &SolverRecord| {
+        let obj = r.objective.map_or("none".to_string(), |o| o.to_string());
+        format!("{} {} obj {obj} in {:.1} s", r.kind, r.status, r.wall_s)
+    };
+    let mut gates = Vec::new();
+    // The first check that holds decides the gate; none holding passes it.
+    let mut judge = |name, checks: &[(bool, Verdict, &str)], on, off: Option<&SolverRecord>| {
+        let (verdict, why) = checks
+            .iter()
+            .find(|c| c.0)
+            .map_or((Verdict::Pass, String::new()), |c| {
+                (c.1, format!("{}: ", c.2))
+            });
+        let vs = off.map_or(String::new(), |off| format!(" vs {}", show(off)));
+        gates.push(Gate {
+            name,
+            verdict,
+            detail: format!("{why}{}{vs}", show(on)),
+        });
+    };
+    if let Some(row) = find("row") {
+        let no_design = rank(row) == 0 || row.objective.is_none();
+        let checks = [
+            (no_design, Fail, "no feasible design"),
+            (rank(row) < 2, Warn, "feasible but not Optimal"),
+        ];
+        judge("perf", &checks, row, None);
+    }
+    if let (Some(on), Some(off)) = (find("cuts_on"), find("cuts_off")) {
+        let checks = [
+            (on.stats.cuts_applied == 0, Fail, "no cuts applied"),
+            (rank(on) < rank(off), Fail, "status degraded"),
+        ];
+        judge("cuts", &checks, on, Some(off));
+    }
+    if let (Some(on), Some(off)) = (find("pricing_on"), find("pricing_off")) {
+        let a = on.objective.unwrap_or(f64::NAN);
+        let b = off.objective.unwrap_or(f64::NAN);
+        let both_optimal = rank(on) == 2 && rank(off) == 2;
+        let worse_optimum = both_optimal && a > b + 1e-4 * (1.0 + b.abs());
+        let open_proof = !both_optimal && rank(on) < rank(off);
+        let checks = [
+            (on.stats.cols_priced == 0, Fail, "no columns priced"),
+            (on.objective.is_none(), Fail, "no priced design"),
+            (worse_optimum, Fail, "priced optimum is worse"),
+            (open_proof, Warn, "pricing proof still open"),
+        ];
+        judge("pricing", &checks, on, Some(off));
+    }
+    if let (Some(on), Some(off)) = (find("ckpt_on"), find("ckpt_off")) {
+        let overhead = on.wall_s > off.wall_s * 1.05;
+        let checks = [
+            (on.stats.checkpoints_written == 0, Fail, "no frames"),
+            (rank(on) < rank(off), Fail, "status degraded"),
+            (overhead, Warn, "wall-time overhead above 5 %"),
+        ];
+        judge("checkpoint", &checks, on, Some(off));
+    }
+    if let (Some(on), Some(off)) = (find("heur_on"), find("heur_off")) {
+        let checks = [
+            (on.objective.is_none(), Fail, "no feasible design"),
+            (rank(on) < rank(off), Fail, "status degraded"),
+        ];
+        judge("heuristic", &checks, on, Some(off));
+    }
+    gates
 }
 
 fn main() {
@@ -159,14 +255,11 @@ fn main() {
         opts.solver.rel_gap = 0.005;
         let out = explore(&w.template, &w.library, &w.requirements, &opts).expect("explores");
         let approx_time = time_cell(&out, tl);
-        records.push(record(
-            "row",
-            (total, end),
-            &opts,
-            &out,
-            encode_time.as_secs_f64(),
-            approx_stats.num_cons,
-        ));
+        records.push(SolverRecord {
+            encode_s: encode_time.as_secs_f64(),
+            cons: approx_stats.num_cons,
+            ..record("row", (total, end), &opts, &out)
+        });
 
         // --- full encoding: measured when small enough, estimated beyond ---
         let (full_cons, approximate_marker) = if total <= full_build_max_nodes {
@@ -207,7 +300,7 @@ fn main() {
             approx_stats.num_cons,
             encode_time,
             out.stats.solve_time,
-            out.stats.bb_nodes,
+            out.stats.solver.nodes,
             full_cons
         );
     }
@@ -218,8 +311,8 @@ fn main() {
 
     // --- Cutting-plane ablation on the [50 / 20] row ---
     // Same workload solved with root separation on (the default) and off;
-    // the smoke check in tier1.sh asserts cuts tighten the root bound
-    // without costing wall time. `T3_CUTS=0` skips the ablation.
+    // `check_gates` asserts cuts are applied without degrading the status.
+    // `T3_CUTS=0` skips the ablation.
     if env_usize("T3_CUTS", 1) != 0 {
         let (total, end) = (50, 20);
         let w = data_collection_workload(total, end, "cost");
@@ -230,24 +323,18 @@ fn main() {
             opts.solver.rel_gap = 0.005;
             opts.solver.cuts.enabled = enabled;
             let out = explore(&w.template, &w.library, &w.requirements, &opts).expect("explores");
+            let s = &out.stats.solver;
             println!(
                 "  {:<8}: {:>7.2} s, {:>6} nodes, {:>5} pivots/1k, root gap {:.4}, {} cuts in {} rounds",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.bb_nodes,
-                out.stats.simplex_iters / 1000,
-                out.stats.root_gap,
-                out.stats.cuts_applied,
-                out.stats.cut_rounds,
+                s.nodes,
+                s.simplex_iters / 1000,
+                s.root_gap,
+                s.cuts_applied,
+                s.cut_rounds,
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -273,22 +360,16 @@ fn main() {
             }
             let out = explore(&w.template, &w.library, &w.requirements, &opts).expect("explores");
             walls.push(out.stats.solve_time.as_secs_f64());
+            let s = &out.stats.solver;
             println!(
                 "  {:<8}: {:>7.2} s, {:>6} nodes, {} frames written, {:.4} s checkpointing",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.bb_nodes,
-                out.stats.checkpoints_written,
-                out.stats.checkpoint_time.as_secs_f64(),
+                s.nodes,
+                s.checkpoints_written,
+                s.checkpoint_time.as_secs_f64(),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
         if let [off, on] = walls[..] {
             println!(
@@ -306,8 +387,9 @@ fn main() {
     // --- Branch-and-price ablation on the [50 / 20] row ---
     // `pricing_off` is the plain K* = 10 encoding; `pricing_on` seeds the
     // restricted master with only K = 2 Yen candidates and prices the rest
-    // at the root against the LP duals. tier1.sh asserts both reach the
-    // same objective and pricing contributes at least one column.
+    // at the root against the LP duals. `check_gates` asserts pricing
+    // contributes at least one column and delivers a design that matches
+    // or beats the plain one when both are proven optimal.
     // `T3_PRICING=0` skips the ablation.
     if env_usize("T3_PRICING", 1) != 0 {
         let (total, end) = (50, 20);
@@ -330,25 +412,19 @@ fn main() {
                     viol
                 );
             }
+            let s = &out.stats.solver;
             println!(
                 "  {:<11}: {:>7.2} s ({} cons), {:>6} nodes, {} cols priced in {} rounds ({:.2} s), obj {:?}",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
                 out.stats.num_cons,
-                out.stats.bb_nodes,
-                out.stats.cols_priced,
-                out.stats.pricing_rounds,
-                out.stats.pricing_time.as_secs_f64(),
+                s.nodes,
+                s.cols_priced,
+                s.pricing_rounds,
+                s.pricing_time.as_secs_f64(),
                 out.design.as_ref().map(|d| d.objective),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -357,7 +433,8 @@ fn main() {
     // headline metric is time_to_within_1pct_s (how fast the incumbent
     // lands within 1% of the final objective), which the engine is meant
     // to cut by >= 3x while leaving the final objective untouched.
-    // tier1.sh asserts heur_on never degrades the final status.
+    // `check_gates` asserts heur_on delivers a design and never degrades
+    // the final status.
     // `T3_HEUR=0` skips the ablation.
     if env_usize("T3_HEUR", 1) != 0 {
         let (total, end) = (50, 20);
@@ -382,24 +459,18 @@ fn main() {
                     viol
                 );
             }
+            let s = &out.stats.solver;
             println!(
                 "  {:<8}: {:>7.2} s total, 1st incumbent {:?}, within 1% {:?}, {} LNS iters ({} published), obj {:?}",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
-                out.stats.time_to_first_incumbent,
-                out.stats.time_to_within_1pct,
-                out.stats.lns_iters,
-                out.stats.lns_published,
+                s.time_to_first_incumbent,
+                s.time_to_within_1pct,
+                s.lns_iters,
+                s.lns_published,
                 out.design.as_ref().map(|d| d.objective),
             );
-            records.push(record(
-                kind,
-                (total, end),
-                &opts,
-                &out,
-                out.stats.encode_time.as_secs_f64(),
-                out.stats.num_cons,
-            ));
+            records.push(record(kind, (total, end), &opts, &out));
         }
     }
 
@@ -443,16 +514,9 @@ fn main() {
                     .unwrap_or_else(|| "-".to_string());
                 println!(
                     "  threads {:>2}: {:>8.2} s, {:>8} nodes, speedup vs 1: {}",
-                    t, wall, out.stats.bb_nodes, speedup
+                    t, wall, out.stats.solver.nodes, speedup
                 );
-                records.push(record(
-                    "scaling",
-                    (total, end),
-                    &opts,
-                    &out,
-                    out.stats.encode_time.as_secs_f64(),
-                    out.stats.num_cons,
-                ));
+                records.push(record("scaling", (total, end), &opts, &out));
             }
         }
     }
@@ -463,5 +527,157 @@ fn main() {
     match write_solver_json(&json_path, "table3", &records) {
         Ok(()) => println!("\nWrote {}", json_path.display()),
         Err(e) => eprintln!("failed to write {}: {}", json_path.display(), e),
+    }
+
+    let mut failed = false;
+    for g in check_gates(&records) {
+        match g.verdict {
+            Verdict::Pass => println!("table3: {} gate OK ({})", g.name, g.detail),
+            Verdict::Warn => eprintln!("table3: {} gate WARNING — {}", g.name, g.detail),
+            Verdict::Fail => {
+                failed = true;
+                eprintln!("table3: {} gate FAILED — {}", g.name, g.detail);
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Verdict::{Fail, Pass, Warn};
+    use super::*;
+
+    /// Every [50/20] record table3 writes, each Optimal at 392 with the counters
+    /// the gates read nonzero.
+    fn passing() -> Vec<SolverRecord> {
+        let kinds = ["row", "cuts_off", "cuts_on", "ckpt_off", "ckpt_on"];
+        let more = ["pricing_off", "pricing_on", "heur_off", "heur_on"];
+        let record = |kind| SolverRecord {
+            kind,
+            total: 50,
+            end: 20,
+            threads: 1,
+            effective_threads: 1,
+            oversubscribed: false,
+            wall_s: 10.0,
+            status: "Optimal".to_string(),
+            objective: Some(392.0),
+            encode_s: 0.01,
+            cons: 2685,
+            stats: milp::Stats {
+                cuts_applied: 176,
+                cols_priced: 40,
+                checkpoints_written: 12,
+                ..Default::default()
+            },
+        };
+        kinds.into_iter().chain(more).map(record).collect()
+    }
+
+    /// The verdict of `gate` once `edit` has changed the `kind` record of
+    /// an all-passing run.
+    fn verdict_after(kind: &str, edit: impl Fn(&mut SolverRecord), gate: &str) -> Verdict {
+        let mut records = passing();
+        records.iter_mut().filter(|r| r.kind == kind).for_each(edit);
+        let gates = check_gates(&records);
+        gates
+            .into_iter()
+            .find(|g| g.name == gate)
+            .expect("gate checked")
+            .verdict
+    }
+
+    fn no_design(r: &mut SolverRecord) {
+        r.status = "LimitNoSolution".to_string();
+        r.objective = None;
+    }
+
+    fn limit_feasible(r: &mut SolverRecord) {
+        r.status = "LimitFeasible".to_string();
+    }
+
+    #[test]
+    fn every_gate_passes() {
+        let gates = check_gates(&passing());
+        let names: Vec<_> = gates.iter().map(|g| g.name).collect();
+        let all = ["perf", "cuts", "pricing", "checkpoint", "heuristic"];
+        assert_eq!(names, all);
+        assert!(gates.iter().all(|g| g.verdict == Pass), "{gates:?}");
+        // A priced design may beat the plain one; a skipped pair is not
+        // checked at all.
+        let better = |r: &mut SolverRecord| r.objective = Some(372.0);
+        assert_eq!(verdict_after("pricing_on", better, "pricing"), Pass);
+        let mut records = passing();
+        records.retain(|r| !r.kind.starts_with("cuts"));
+        assert!(check_gates(&records).iter().all(|g| g.name != "cuts"));
+    }
+
+    #[test]
+    fn row_without_a_design_fails() {
+        assert_eq!(verdict_after("row", no_design, "perf"), Fail);
+        assert_eq!(verdict_after("row", limit_feasible, "perf"), Warn);
+    }
+
+    #[test]
+    fn zero_cuts_applied_fails() {
+        let no_cuts = |r: &mut SolverRecord| r.stats.cuts_applied = 0;
+        assert_eq!(verdict_after("cuts_on", no_cuts, "cuts"), Fail);
+    }
+
+    #[test]
+    fn cuts_on_worse_status_fails() {
+        assert_eq!(verdict_after("cuts_on", limit_feasible, "cuts"), Fail);
+    }
+
+    #[test]
+    fn zero_columns_priced_fails() {
+        let no_cols = |r: &mut SolverRecord| r.stats.cols_priced = 0;
+        assert_eq!(verdict_after("pricing_on", no_cols, "pricing"), Fail);
+    }
+
+    #[test]
+    fn no_priced_design_fails() {
+        assert_eq!(verdict_after("pricing_on", no_design, "pricing"), Fail);
+    }
+
+    #[test]
+    fn worse_priced_optimum_fails() {
+        // The tolerance at 392 is 1e-4 * 393 = 0.0393.
+        let worse = |r: &mut SolverRecord| r.objective = Some(392.05);
+        assert_eq!(verdict_after("pricing_on", worse, "pricing"), Fail);
+        let within = |r: &mut SolverRecord| r.objective = Some(392.03);
+        assert_eq!(verdict_after("pricing_on", within, "pricing"), Pass);
+    }
+
+    #[test]
+    fn open_pricing_proof_only_warns() {
+        assert_eq!(verdict_after("pricing_on", limit_feasible, "pricing"), Warn);
+    }
+
+    #[test]
+    fn zero_checkpoint_frames_fails() {
+        let no_frames = |r: &mut SolverRecord| r.stats.checkpoints_written = 0;
+        assert_eq!(verdict_after("ckpt_on", no_frames, "checkpoint"), Fail);
+        // Overhead past 5 % only warns.
+        let slow = |r: &mut SolverRecord| r.wall_s = 10.6;
+        assert_eq!(verdict_after("ckpt_on", slow, "checkpoint"), Warn);
+    }
+
+    #[test]
+    fn ckpt_on_worse_status_fails() {
+        assert_eq!(verdict_after("ckpt_on", limit_feasible, "checkpoint"), Fail);
+    }
+
+    #[test]
+    fn heur_on_without_a_design_fails() {
+        assert_eq!(verdict_after("heur_on", no_design, "heuristic"), Fail);
+    }
+
+    #[test]
+    fn heur_on_worse_status_fails() {
+        assert_eq!(verdict_after("heur_on", limit_feasible, "heuristic"), Fail);
     }
 }

@@ -70,7 +70,7 @@ fn main() {
                         k,
                         out.design.as_ref().map(|d| d.total_cost),
                         out.status,
-                        out.stats.bb_nodes
+                        out.stats.solver.nodes
                     );
                 }
                 Err(e) => {

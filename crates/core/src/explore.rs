@@ -151,55 +151,13 @@ pub struct ExploreStats {
     pub encode_time: Duration,
     /// Time spent in the solver.
     pub solve_time: Duration,
-    /// Branch-and-bound nodes.
-    pub bb_nodes: usize,
-    /// Total simplex iterations.
-    pub simplex_iters: usize,
-    /// Simplex iterations spent in primal Phase 1; dual-reoptimized warm
-    /// starts keep this low relative to `simplex_iters`.
-    pub phase1_iters: usize,
-    /// Simplex iterations spent in the dual-simplex reoptimizer.
-    pub dual_iters: usize,
-    /// Integer bounds tightened by reduced-cost fixing.
-    pub rc_fixed: usize,
-    /// Cutting planes generated by the separators (before filtering).
-    pub cuts_generated: usize,
-    /// Cutting planes actually appended to the LP relaxation.
-    pub cuts_applied: usize,
-    /// Separation rounds run at the root.
-    pub cut_rounds: usize,
-    /// Relative gap between the integer optimum and the root LP bound
-    /// after cut rounds (0 when the root relaxation was already integral).
-    pub root_gap: f64,
     /// Relative MIP gap of the returned solution (0 when proven optimal,
     /// `f64::INFINITY` when no incumbent exists).
     pub gap: f64,
-    /// Path columns priced into the LP by root column generation.
-    pub cols_priced: usize,
-    /// Solve-price-reoptimize rounds run at the root.
-    pub pricing_rounds: usize,
-    /// Time spent inside the pricing loop (oracle + reoptimization).
-    pub pricing_time: Duration,
-    /// Time spent assembling and persisting checkpoint frames (charged
-    /// against the solver deadline).
-    pub checkpoint_time: Duration,
-    /// Checkpoint frames durably written.
-    pub checkpoints_written: usize,
-    /// Whether this run continued from a checkpoint frame rather than
-    /// starting cold.
-    pub resumed: bool,
-    /// Stalled-search detections by the watchdog thread.
-    pub stalls_detected: usize,
-    /// Wall-clock time to the first feasible incumbent (any source:
-    /// warm seed, heuristic, or node LP); `None` when none was found.
-    pub time_to_first_incumbent: Option<Duration>,
-    /// Wall-clock time until the incumbent first came within 1% of the
-    /// final objective — the anytime headline metric.
-    pub time_to_within_1pct: Option<Duration>,
-    /// Destroy/repair iterations run by the LNS + tabu primal engine.
-    pub lns_iters: usize,
-    /// LNS improvements accepted by the shared incumbent.
-    pub lns_published: usize,
+    /// The solver's record of its work (nodes, pivots, cuts, pricing,
+    /// checkpoints, anytime metrics), as [`milp::Solution::stats`] returned
+    /// it; all zero when the run never reached the solver.
+    pub solver: milp::Stats,
 }
 
 /// The result of one exploration run.
@@ -287,26 +245,7 @@ pub fn explore(
         p.materialize(&mut enc, sol.stats().cols_priced);
     }
     stats.solve_time = t1.elapsed();
-    stats.bb_nodes = sol.stats().nodes;
-    stats.simplex_iters = sol.stats().simplex_iters;
-    stats.phase1_iters = sol.stats().phase1_iters;
-    stats.dual_iters = sol.stats().dual_iters;
-    stats.rc_fixed = sol.stats().rc_fixed;
-    stats.cuts_generated = sol.stats().cuts_generated;
-    stats.cuts_applied = sol.stats().cuts_applied;
-    stats.cut_rounds = sol.stats().cut_rounds;
-    stats.root_gap = sol.stats().root_gap;
-    stats.cols_priced = sol.stats().cols_priced;
-    stats.pricing_rounds = sol.stats().pricing_rounds;
-    stats.pricing_time = sol.stats().pricing_time;
-    stats.checkpoint_time = sol.stats().checkpoint_time;
-    stats.checkpoints_written = sol.stats().checkpoints_written;
-    stats.resumed = sol.stats().resumed;
-    stats.stalls_detected = sol.stats().stalls_detected;
-    stats.time_to_first_incumbent = sol.stats().time_to_first_incumbent;
-    stats.time_to_within_1pct = sol.stats().time_to_within_1pct;
-    stats.lns_iters = sol.stats().lns_iters;
-    stats.lns_published = sol.stats().lns_published;
+    stats.solver = sol.stats().clone();
     stats.gap = sol.gap();
     let design = if sol.has_solution() {
         Some(extract_design(&enc, &sol, template, library, req))
@@ -661,6 +600,26 @@ mod tests {
         assert!(verify_design(&d, &t, &lib, &req).is_empty());
         assert!(out.stats.num_cons > 0);
         assert!(out.stats.solve_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn explore_stats_carry_the_solver_record() {
+        // One worker with the synchronous LNS engine repeats a solve
+        // exactly, so the exploration's record must equal a direct solve's.
+        let t = template(6);
+        let lib = catalog::zigbee_reference();
+        let req = Requirements::from_spec_text(SPEC).unwrap();
+        let mut opts = ExploreOptions::approx(5).with_threads(1);
+        opts.solver.heuristics.sync = true;
+        let out = explore(&t, &lib, &req, &opts).unwrap();
+        let enc = encode_with_lq(&t, &lib, &req, opts.mode, opts.lq_encoding).unwrap();
+        let direct = enc.model.solve(&opts.solver);
+        let work = |s: &milp::Stats| {
+            let counts = [s.simplex_iters, s.dual_iters, s.lp_solves, s.cuts_applied];
+            (s.nodes, counts, s.rc_fixed, s.lns_iters)
+        };
+        assert_eq!(work(&out.stats.solver), work(direct.stats()));
+        assert!(out.stats.solver.lp_solves > 0);
     }
 
     #[test]

@@ -871,6 +871,6 @@ mod tests {
         // materialized candidates behave exactly like Yen seeds.
         let d = priced.design.as_ref().unwrap();
         assert!(verify_design(d, &t, &lib, &req).is_empty());
-        assert!(priced.stats.pricing_rounds >= 1);
+        assert!(priced.stats.solver.pricing_rounds >= 1);
     }
 }

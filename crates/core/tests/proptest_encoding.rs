@@ -118,7 +118,7 @@ proptest! {
         // outside the Yen list, so the priced optimum can undercut K* = 8.
         prop_assert!(pd.objective <= wd.objective + 1e-6,
             "priced objective {} worse than K*=8 objective {} ({} cols priced)",
-            pd.objective, wd.objective, priced.stats.cols_priced);
+            pd.objective, wd.objective, priced.stats.solver.cols_priced);
         let violations = verify_design(&pd, &t, &lib, &req);
         prop_assert!(violations.is_empty(), "priced design violates: {:?}", violations);
     }

@@ -236,20 +236,9 @@ impl BaseLp {
         deadline: Option<Instant>,
         stats: &mut Stats,
     ) -> Result<LpResult, SolveError> {
-        stats.lp_solves += 1;
-        let r = solve_lp(&self.lp, &self.lb, &self.ub, cfg, None, deadline)?;
-        charge_lp(stats, &r);
-        Ok(r)
-    }
-}
-
-/// Adds one LP solve's pivots, and its recovery if it needed one.
-fn charge_lp(stats: &mut Stats, r: &LpResult) {
-    stats.simplex_iters += r.iters;
-    stats.phase1_iters += r.phase1_iters;
-    stats.dual_iters += r.dual_iters;
-    if r.recoveries > 0 {
-        stats.lp_recoveries += 1;
+        let r = solve_lp(&self.lp, &self.lb, &self.ub, cfg, None, deadline);
+        stats.charge_lp(&r);
+        r
     }
 }
 
@@ -565,7 +554,6 @@ pub fn solve_milp_with(
     let cut_ctx = cuts::CutContext::from_problem(&base.ps.reduced);
     let mut cut_pool = cuts::CutPool::new();
     if cfg.cuts.enabled && !base.int_vars.is_empty() {
-        let pre = (root.iters, root.phase1_iters, root.dual_iters, root.recoveries);
         cuts::run_root_cuts(
             &mut base.lp,
             &base.lb,
@@ -575,14 +563,8 @@ pub fn solve_milp_with(
             &mut root,
             &mut cut_pool,
             deadline,
+            &mut stats,
         );
-        stats.simplex_iters += root.iters - pre.0;
-        stats.phase1_iters += root.phase1_iters - pre.1;
-        stats.dual_iters += root.dual_iters - pre.2;
-        if root.recoveries > pre.3 {
-            stats.lp_recoveries += 1;
-        }
-        stats.lp_solves += cut_pool.rounds;
     }
     stats.cuts_generated = cut_pool.generated;
     stats.cuts_applied = cut_pool.applied_len();
@@ -709,15 +691,18 @@ pub fn resume_milp_with(
                 "frame carries priced columns but column generation is off",
             ));
         }
-        if !pricing::replay_batches(
-            &mut base.ps,
-            &mut base.lp,
-            &mut base.lb,
-            &mut base.ub,
-            &mut base.int_vars,
-            &frame.batches,
-            base.sign,
-        ) {
+        let fits = frame.batches.iter().all(|batch| {
+            pricing::apply_batch(
+                &mut base.ps,
+                &mut base.lp,
+                &mut base.lb,
+                &mut base.ub,
+                &mut base.int_vars,
+                batch,
+                base.sign,
+            )
+        });
+        if !fits {
             return Err(FrameError::Mismatch("pricing batches do not fit the base LP"));
         }
         stats.cols_priced = frame.batches.iter().map(|b| b.cols.len()).sum();
@@ -1488,9 +1473,10 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
         }
 
         shared.node_bounds(&node, &mut lb_buf, &mut ub_buf);
-        tally.lp_solves += 1;
         let warm = node.warm.as_deref().map(Vec::as_slice);
-        let r = match solve_lp(&base.lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline) {
+        let r = solve_lp(&base.lp, &lb_buf, &ub_buf, cfg, warm, ctx.deadline);
+        tally.charge_lp(&r);
+        let r = match r {
             Ok(r) => r,
             Err(_) => {
                 // Recovery ladder exhausted on this node: drop its subtree
@@ -1503,7 +1489,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
                 continue;
             }
         };
-        charge_lp(tally, &r);
         match r.status {
             LpStatus::Infeasible => {
                 shared.finish(id);
@@ -1534,14 +1519,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             }
             let obj = base.lp.c.iter().zip(&x).map(|(cc, v)| cc * v).sum::<f64>();
             if ctx.inc.offer(obj, x) {
-                if cfg.verbose {
-                    eprintln!(
-                        "[milp] node {:>6} (worker {}): incumbent {:.6}",
-                        node_idx,
-                        id,
-                        base.user_obj(obj)
-                    );
-                }
                 tally.rc_fixed += shared.refix(ctx, obj);
             }
             shared.finish(id);

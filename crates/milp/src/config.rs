@@ -254,8 +254,6 @@ pub struct Config {
     /// Primal-heuristic settings: root rounding/diving, in-tree dives, and
     /// the anytime LNS + tabu engine (all on by default).
     pub heuristics: HeurConfig,
-    /// Print progress lines to stderr.
-    pub verbose: bool,
     /// Random seed for tie-breaking perturbations.
     pub seed: u64,
     /// Number of branch-and-bound workers. `0` (the default) uses
@@ -306,7 +304,6 @@ impl Default for Config {
             reduced_cost_fixing: true,
             presolve: true,
             heuristics: HeurConfig::default(),
-            verbose: false,
             seed: 0x5eed,
             threads: 0,
             cancel: None,
@@ -363,12 +360,6 @@ impl Config {
     /// Sets the primal-heuristic configuration.
     pub fn with_heur(mut self, heur: HeurConfig) -> Self {
         self.heuristics = heur;
-        self
-    }
-
-    /// Enables or disables progress output.
-    pub fn with_verbose(mut self, on: bool) -> Self {
-        self.verbose = on;
         self
     }
 
@@ -468,14 +459,12 @@ mod tests {
             .with_node_limit(10)
             .with_rel_gap(0.01)
             .with_presolve(false)
-            .with_heuristics(false)
-            .with_verbose(true);
+            .with_heuristics(false);
         assert_eq!(cfg.time_limit, Some(Duration::from_millis(500)));
         assert_eq!(cfg.node_limit, Some(10));
         assert_eq!(cfg.rel_gap, 0.01);
         assert!(!cfg.presolve);
         assert!(!cfg.heuristics.enabled);
-        assert!(cfg.verbose);
     }
 
     #[test]

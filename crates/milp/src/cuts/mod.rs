@@ -24,6 +24,7 @@ pub mod gomory;
 use crate::config::{Config, CutConfig};
 use crate::problem::{Problem, VarType};
 use crate::simplex::{solve_lp, LpData, LpResult, SparseRow, VStat};
+use crate::solution::Stats;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -541,17 +542,6 @@ pub fn cuts_to_rows(cuts: &[Cut]) -> Vec<SparseRow> {
         .collect()
 }
 
-/// Outcome of the root separation loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RootCutOutcome {
-    /// Separation rounds run.
-    pub rounds: usize,
-    /// Cuts offered by separators.
-    pub generated: usize,
-    /// Cuts appended to the LP.
-    pub applied: usize,
-}
-
 /// Maximum separation rounds at the root.
 const MAX_ROUNDS: usize = 4;
 
@@ -560,7 +550,8 @@ const MAX_ROUNDS: usize = 4;
 /// padded with one basic slack per new row. `lp` and `root` are updated in
 /// place; on any non-optimal reoptimization the round is rolled back and
 /// the loop stops, so the caller always continues from a consistent
-/// (LP, result) pair.
+/// (LP, result) pair. Every reoptimization, kept or rolled back, is
+/// charged to `stats`; the round and cut counts stay in `pool`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_root_cuts(
     lp: &mut LpData,
@@ -571,15 +562,15 @@ pub fn run_root_cuts(
     root: &mut LpResult,
     pool: &mut CutPool,
     deadline: Option<Instant>,
-) -> RootCutOutcome {
-    let mut out = RootCutOutcome::default();
+    stats: &mut Stats,
+) {
     let ccfg = &cfg.cuts;
     if !ccfg.enabled || root.status != crate::simplex::LpStatus::Optimal {
-        return out;
+        return;
     }
     let separators = enabled_separators(ccfg);
     if separators.is_empty() {
-        return out;
+        return;
     }
     let mut injected = false;
     for _ in 0..MAX_ROUNDS {
@@ -602,7 +593,6 @@ pub fn run_root_cuts(
         for c in found {
             pool.offer(c, var_lb, var_ub);
         }
-        out.rounds += 1;
         // Mid-round cancellation point: a cancel that lands while the
         // separators run must abort here, before selection marks anything
         // applied and before the (expensive) append + reoptimize — not at
@@ -655,6 +645,7 @@ pub fn run_root_cuts(
         // The padded basis installs as a warm basis and is dual-feasible by
         // construction, so the solve reoptimizes with the dual simplex.
         let reopt = solve_lp(lp, var_lb, var_ub, cfg, Some(&warm), deadline);
+        stats.charge_lp(&reopt);
         // Fault injection: treat this round's reoptimization as failed so
         // the rollback arm below runs under test control.
         let forced_failure = cfg
@@ -662,18 +653,7 @@ pub fn run_root_cuts(
             .as_ref()
             .is_some_and(|f| f.take_cut_reopt_failure());
         match reopt {
-            Ok(r) if r.status == crate::simplex::LpStatus::Optimal && !forced_failure => {
-                out.applied += selected.len();
-                root.iters += r.iters;
-                root.phase1_iters += r.phase1_iters;
-                root.dual_iters += r.dual_iters;
-                root.recoveries += r.recoveries;
-                root.obj = r.obj;
-                root.x = r.x;
-                root.statuses = r.statuses;
-                root.dj = r.dj;
-                root.status = r.status;
-            }
+            Ok(r) if r.status == crate::simplex::LpStatus::Optimal && !forced_failure => *root = r,
             _ => {
                 // Cuts are valid inequalities, so a non-optimal outcome here
                 // is numerical (or a limit): drop the round and stop.
@@ -682,8 +662,6 @@ pub fn run_root_cuts(
             }
         }
     }
-    out.generated = pool.generated;
-    out
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 //! set, and it forces an identity presolve so the row indices the source
 //! sees are exactly the caller's encode-time indices.
 
+use crate::checkpoint::FrameBatch;
 use crate::config::Config;
 use crate::presolve::Presolved;
 use crate::problem::{Row, RowId, Var, VarId};
@@ -175,7 +176,7 @@ pub(crate) fn run_root_pricing(
     deadline: Option<Instant>,
     sign: f64,
     stats: &mut Stats,
-    accepted: &mut Vec<crate::checkpoint::FrameBatch>,
+    accepted: &mut Vec<FrameBatch>,
 ) {
     let t0 = Instant::now();
     let mut stalled = 0usize;
@@ -211,92 +212,25 @@ pub(crate) fn run_root_pricing(
             break; // no improving column: optimal over the full set
         }
         let n0 = lp.num_vars();
-        let k = batch.cols.len().min(cfg.colgen.max_cols_per_round);
-        let cols = &batch.cols[..k];
+        let PricedBatch { mut cols, rows } = batch;
+        let k = cols.len().min(cfg.colgen.max_cols_per_round);
+        cols.truncate(k);
+        let batch = FrameBatch { cols, rows };
 
         // Snapshot for rollback; mirrors run_root_cuts' per-round backup.
         let lp_backup = lp.clone();
-        let reduced_backup = ps.reduced.clone();
-
-        // Grow the reduced problem first: variables, then their entries in
-        // existing rows, then side rows (which may reference the new vars).
-        let mut new_lb = Vec::with_capacity(k);
-        for col in cols {
-            let mut builder = if col.integer {
-                if col.lb >= 0.0 && col.ub <= 1.0 {
-                    Var::binary()
-                } else {
-                    Var::integer()
-                }
-            } else {
-                Var::cont()
-            }
-            .bounds(col.lb, col.ub)
-            .obj(col.obj);
-            if let Some(name) = &col.name {
-                builder = builder.name(name.clone());
-            }
-            let vid = ps.reduced.add_var(builder);
-            debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
-            for &(r, v) in &col.entries {
-                ps.reduced.add_row_coef(RowId(r), vid, v);
-            }
-            new_lb.push(col.lb);
-        }
-        let mut ok = true;
-        for row in &batch.rows {
-            let mut builder = Row::new().range(row.lb, row.ub);
-            for &(j, v) in &row.coefs {
-                if j >= n0 + k {
-                    ok = false;
-                    break;
-                }
-                builder = builder.coef(VarId(j), v);
-            }
-            if !ok {
-                break;
-            }
-            if let Some(name) = &row.name {
-                builder = builder.name(name.clone());
-            }
-            let rid = ps.reduced.add_row(builder);
-            if row.gub {
-                ps.reduced.mark_gub(rid);
-            }
-        }
-        if !ok {
-            ps.reduced = reduced_backup;
+        let ps_backup = ps.clone();
+        if !apply_batch(ps, lp, root_lb, root_ub, int_vars, &batch, sign) {
             break; // malformed batch: keep the restricted optimum
-        }
-
-        // Grow the computational LP the same way: columns first (so row
-        // coefficients over the new variables are in range), then rows.
-        let sparse_cols: Vec<SparseCol> = cols
-            .iter()
-            .map(|c| (c.entries.clone(), sign * c.obj))
-            .collect();
-        lp.append_cols(&sparse_cols);
-        let sparse_rows: Vec<SparseRow> = batch
-            .rows
-            .iter()
-            .map(|r| (r.coefs.clone(), r.lb, r.ub))
-            .collect();
-        lp.append_rows(&sparse_rows);
-        for col in cols {
-            root_lb.push(col.lb);
-            root_ub.push(col.ub);
-            if col.integer {
-                int_vars.push(root_lb.len() - 1);
-            }
         }
 
         // Warm reoptimize from the spliced basis: new columns at their
         // resting bound keep every old row satisfied, new row slacks enter
         // basic, so the primal simplex restarts feasible in Phase 2.
-        let spliced = splice_statuses(&root.statuses, n0, &new_lb, batch.rows.len());
-        stats.lp_solves += 1;
+        let spliced = splice_statuses(&root.statuses, n0, &root_lb[n0..], batch.rows.len());
         let prev_obj = root.obj;
         let reopt = solve_lp(lp, root_lb, root_ub, cfg, Some(&spliced), deadline);
+        stats.charge_lp(&reopt);
         // Fault injection: treat this round's reoptimization as failed so
         // the splice rollback below runs under test control.
         let forced_failure = cfg
@@ -305,19 +239,9 @@ pub(crate) fn run_root_pricing(
             .is_some_and(|f| f.take_pricing_reopt_failure());
         match reopt {
             Ok(r) if r.status == LpStatus::Optimal && !forced_failure => {
-                stats.simplex_iters += r.iters;
-                stats.phase1_iters += r.phase1_iters;
-                stats.dual_iters += r.dual_iters;
-                if r.recoveries > 0 {
-                    stats.lp_recoveries += 1;
-                }
                 *root = r;
-                ps.register_appended_vars(k);
                 stats.cols_priced += k;
-                accepted.push(crate::checkpoint::FrameBatch {
-                    cols: cols.to_vec(),
-                    rows: batch.rows.clone(),
-                });
+                accepted.push(batch);
                 let tol = cfg.colgen.rc_tol * (1.0 + prev_obj.abs());
                 if prev_obj - root.obj <= tol {
                     stalled += 1;
@@ -333,7 +257,7 @@ pub(crate) fn run_root_pricing(
                 // impossible infeasible/unbounded flip): roll the round
                 // back and stop pricing — the pre-round optimum stands.
                 *lp = lp_backup;
-                ps.reduced = reduced_backup;
+                *ps = ps_backup;
                 root_lb.truncate(n0);
                 root_ub.truncate(n0);
                 int_vars.retain(|&j| j < n0);
@@ -346,86 +270,80 @@ pub(crate) fn run_root_pricing(
     stats.pricing_time += t0.elapsed();
 }
 
-/// Replays accepted pricing rounds from a checkpoint frame onto a freshly
-/// re-encoded problem, growing `ps.reduced`, the computational LP, and the
-/// bound/integrality vectors exactly as [`run_root_pricing`]'s accept path
-/// did — batch by batch, so side-row variable indices resolve the same way.
-/// No LP is solved; the resumed search cold-solves its nodes. Returns
-/// `false` when a batch is malformed (a frame written by different code),
-/// leaving the caller to reject the resume.
-pub(crate) fn replay_batches(
+/// Grows `ps` (its reduced problem and postsolve map), the computational
+/// LP, the bound vectors and `int_vars` by one batch of priced columns and
+/// their side rows, the same way for a live pricing round and for a batch
+/// replayed from a checkpoint frame. Columns go first, so a side row can
+/// address the batch's `i`-th column as `num_vars + i`. No LP is solved.
+/// Returns `false`, having changed nothing, when a column entry names a row
+/// the LP lacks or a side row names a column past the batch.
+pub(crate) fn apply_batch(
     ps: &mut Presolved,
     lp: &mut LpData,
     root_lb: &mut Vec<f64>,
     root_ub: &mut Vec<f64>,
     int_vars: &mut Vec<usize>,
-    batches: &[crate::checkpoint::FrameBatch],
+    batch: &FrameBatch,
     sign: f64,
 ) -> bool {
-    for batch in batches {
-        let n0 = lp.num_vars();
-        let k = batch.cols.len();
-        for col in &batch.cols {
-            let mut builder = if col.integer {
-                if col.lb >= 0.0 && col.ub <= 1.0 {
-                    Var::binary()
-                } else {
-                    Var::integer()
-                }
-            } else {
-                Var::cont()
-            }
-            .bounds(col.lb, col.ub)
-            .obj(col.obj);
-            if let Some(name) = &col.name {
-                builder = builder.name(name.clone());
-            }
-            let vid = ps.reduced.add_var(builder);
-            debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
-            for &(r, v) in &col.entries {
-                if r >= lp.num_rows() {
-                    return false;
-                }
-                ps.reduced.add_row_coef(RowId(r), vid, v);
-            }
-        }
-        for row in &batch.rows {
-            let mut builder = Row::new().range(row.lb, row.ub);
-            for &(j, v) in &row.coefs {
-                if j >= n0 + k {
-                    return false;
-                }
-                builder = builder.coef(VarId(j), v);
-            }
-            if let Some(name) = &row.name {
-                builder = builder.name(name.clone());
-            }
-            let rid = ps.reduced.add_row(builder);
-            if row.gub {
-                ps.reduced.mark_gub(rid);
-            }
-        }
-        let sparse_cols: Vec<SparseCol> = batch
-            .cols
-            .iter()
-            .map(|c| (c.entries.clone(), sign * c.obj))
-            .collect();
-        lp.append_cols(&sparse_cols);
-        let sparse_rows: Vec<SparseRow> = batch
-            .rows
-            .iter()
-            .map(|r| (r.coefs.clone(), r.lb, r.ub))
-            .collect();
-        lp.append_rows(&sparse_rows);
-        for col in &batch.cols {
-            root_lb.push(col.lb);
-            root_ub.push(col.ub);
-            if col.integer {
-                int_vars.push(root_lb.len() - 1);
-            }
-        }
-        ps.register_appended_vars(k);
+    let (m0, n1) = (lp.num_rows(), lp.num_vars() + batch.cols.len());
+    let bad_entry = |c: &NewColumn| c.entries.iter().any(|&(r, _)| r >= m0);
+    let bad_coef = |r: &NewRow| r.coefs.iter().any(|&(j, _)| j >= n1);
+    if batch.cols.iter().any(bad_entry) || batch.rows.iter().any(bad_coef) {
+        return false;
     }
+    for col in &batch.cols {
+        let mut builder = if col.integer {
+            if col.lb >= 0.0 && col.ub <= 1.0 {
+                Var::binary()
+            } else {
+                Var::integer()
+            }
+        } else {
+            Var::cont()
+        }
+        .bounds(col.lb, col.ub)
+        .obj(col.obj);
+        if let Some(name) = &col.name {
+            builder = builder.name(name.clone());
+        }
+        let vid = ps.reduced.add_var(builder);
+        debug_assert_eq!(vid.index(), ps.reduced.num_vars() - 1);
+        for &(r, v) in &col.entries {
+            ps.reduced.add_row_coef(RowId(r), vid, v);
+        }
+        root_lb.push(col.lb);
+        root_ub.push(col.ub);
+        if col.integer {
+            int_vars.push(root_lb.len() - 1);
+        }
+    }
+    for row in &batch.rows {
+        let builder = Row::new()
+            .range(row.lb, row.ub)
+            .coefs(row.coefs.iter().map(|&(j, v)| (VarId(j), v)));
+        let builder = match &row.name {
+            Some(name) => builder.name(name.clone()),
+            None => builder,
+        };
+        let rid = ps.reduced.add_row(builder);
+        if row.gub {
+            ps.reduced.mark_gub(rid);
+        }
+    }
+    ps.register_appended_vars(batch.cols.len());
+    let sparse_cols: Vec<SparseCol> = batch
+        .cols
+        .iter()
+        .map(|c| (c.entries.clone(), sign * c.obj))
+        .collect();
+    lp.append_cols(&sparse_cols);
+    let sparse_rows: Vec<SparseRow> = batch
+        .rows
+        .iter()
+        .map(|r| (r.coefs.clone(), r.lb, r.ub))
+        .collect();
+    lp.append_rows(&sparse_rows);
     true
 }
 
@@ -522,6 +440,32 @@ mod tests {
         let s = solve_milp_with(&p, &cfg, Instant::now(), Some(&mut src));
         assert_eq!(s.status(), Status::Optimal);
         assert!((s.objective() - 3.0).abs() < 1e-6, "obj {}", s.objective());
+    }
+
+    #[test]
+    fn malformed_batch_is_rejected_before_any_change() {
+        // The column names row 5 of a one-row problem: the batch must be
+        // dropped whole and the restricted optimum kept.
+        let p = cover_problem();
+        let mut src = Scripted {
+            batches: vec![PricedBatch {
+                cols: vec![NewColumn {
+                    obj: 1.0,
+                    lb: 0.0,
+                    ub: 10.0,
+                    integer: false,
+                    name: None,
+                    entries: vec![(0, 1.0), (5, 1.0)],
+                }],
+                rows: vec![],
+            }],
+            seen_duals: Vec::new(),
+        };
+        let s = solve_milp_with(&p, &Config::default(), Instant::now(), Some(&mut src));
+        assert_eq!(s.status(), Status::Optimal);
+        assert!((s.objective() - 4.0).abs() < 1e-6, "obj {}", s.objective());
+        assert_eq!(s.stats().cols_priced, 0);
+        assert_eq!(s.values().len(), 2);
     }
 
     #[test]

@@ -1064,16 +1064,6 @@ impl<'a> Engine<'a> {
             if self.degenerate_run > Self::STALL_LIMIT {
                 return Err(SolveError::Cycling { iters: self.iters });
             }
-            if self.cfg.verbose && self.iters > 0 && self.iters.is_multiple_of(50_000) {
-                eprintln!(
-                    "[simplex] iter {} phase{} obj {:.6} infeas {:.3e} degen_run {}",
-                    self.iters,
-                    if phase1 { 1 } else { 2 },
-                    self.objective(),
-                    self.infeasibility(),
-                    self.degenerate_run
-                );
-            }
             if phase1 && self.infeasibility() <= self.cfg.feas_tol * (1.0 + self.m as f64) {
                 return Ok(LpStatus::Optimal); // feasible; caller proceeds to phase 2
             }
@@ -1139,12 +1129,6 @@ impl<'a> Engine<'a> {
                     {
                         if !self.refactorize() {
                             // numerically singular: rebuild from slack basis
-                            if self.cfg.verbose {
-                                eprintln!(
-                                    "[simplex] singular basis at iter {}; resetting to slack basis",
-                                    self.iters
-                                );
-                            }
                             self.slack_resets += 1;
                             if self.slack_resets > 3 {
                                 // persistently singular: surface it; the

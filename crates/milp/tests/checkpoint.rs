@@ -10,8 +10,8 @@
 
 use milp::checkpoint::write_frame;
 use milp::{
-    CheckpointConfig, Config, CutConfig, FaultInjection, FrameError, Problem, Row, Sense, Solver,
-    Status, Var,
+    load_frame, CheckpointConfig, ColumnSource, Config, CutConfig, FaultInjection, FrameError,
+    NewColumn, PriceInput, PricedBatch, Problem, Row, Sense, Solver, Status, Var,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,6 +301,101 @@ fn stall_watchdog_aborts_and_leaves_resumable_frame() {
         assert!((resumed.objective() - clean.objective()).abs() < 1e-6);
     }
     cleanup(&path);
+}
+
+/// Items a scripted column source prices into [`hard_knapsack`], two
+/// rounds of `(value, weight)` pairs, each denser than the knapsack's LP
+/// cut-off ratio so the restricted LP takes them.
+const PRICED_ROUNDS: [&[(f64, f64)]; 2] = [&[(4.0, 1.0), (3.5, 1.5)], &[(5.0, 2.0)]];
+
+/// Serves [`PRICED_ROUNDS`] in order, then nothing; its checkpoint payload
+/// is the number of rounds served, which `restore_state` records.
+#[derive(Default)]
+struct ScriptedItems {
+    served: usize,
+    restored: Option<Vec<u8>>,
+}
+
+impl ColumnSource for ScriptedItems {
+    fn price(&mut self, _input: &PriceInput<'_>) -> PricedBatch {
+        let Some(items) = PRICED_ROUNDS.get(self.served) else {
+            return PricedBatch::default();
+        };
+        self.served += 1;
+        let cols = items
+            .iter()
+            .map(|&(value, weight)| NewColumn {
+                obj: value,
+                lb: 0.0,
+                ub: 1.0,
+                integer: true,
+                name: None,
+                entries: vec![(0, weight)],
+            })
+            .collect();
+        PricedBatch { cols, rows: vec![] }
+    }
+
+    fn snapshot_state(&self) -> Vec<u8> {
+        vec![self.served as u8]
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) {
+        self.restored = Some(bytes.to_vec());
+    }
+}
+
+/// A solve that priced columns, killed mid-search, resumes through the
+/// column-source path: the frame carries the accepted batches, the
+/// replayed LP reaches the uninterrupted priced optimum, and the resumed
+/// vector is feasible for the knapsack grown by the priced items.
+#[test]
+fn priced_solve_kill_and_resume() {
+    let p = hard_knapsack(20);
+    let mut grown = p.clone();
+    let capacity = grown.row_ids().next().expect("one knapsack row");
+    for &(value, weight) in PRICED_ROUNDS.concat().iter() {
+        let v = grown.add_var(Var::binary().obj(value));
+        grown.add_row_coef(capacity, v, weight);
+    }
+    let clean = Solver::new(searchy()).solve_with_columns(&p, &mut ScriptedItems::default());
+    assert_eq!(clean.status(), Status::Optimal);
+    assert_eq!(clean.stats().cols_priced, 3);
+
+    let path = frame_path("priced");
+    let victim_cfg = searchy()
+        .with_checkpoint(every_node(&path))
+        .with_faults(FaultInjection::seeded(1).expire_after_nodes(5));
+    let victim = Solver::new(victim_cfg).solve_with_columns(&p, &mut ScriptedItems::default());
+    assert!(
+        matches!(
+            victim.status(),
+            Status::LimitFeasible | Status::LimitNoSolution
+        ),
+        "victim must die on the injected expiry, got {}",
+        victim.status()
+    );
+    let frame = load_frame(&path).expect("the wind-down leaves a frame");
+    let widths: Vec<usize> = frame.batches.iter().map(|b| b.cols.len()).collect();
+    assert_eq!(widths, [2, 1], "the frame carries both accepted batches");
+
+    let mut source = ScriptedItems::default();
+    let resumed = Solver::new(searchy())
+        .resume_with_columns(&p, &path, &mut source)
+        .expect("the frame fits the problem");
+    cleanup(&path);
+    let payload = source.restored;
+    assert_eq!(payload, Some(vec![2]), "the source payload is restored");
+    assert!(resumed.stats().resumed);
+    assert_eq!(resumed.stats().cols_priced, 3);
+    assert_eq!(resumed.status(), Status::Optimal);
+    assert!(
+        (resumed.objective() - clean.objective()).abs() < 1e-6,
+        "resumed {} vs uninterrupted {}",
+        resumed.objective(),
+        clean.objective()
+    );
+    assert_eq!(grown.check_feasible(resumed.values(), 1e-6), None);
 }
 
 mod determinism {
