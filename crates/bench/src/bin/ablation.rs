@@ -5,7 +5,7 @@
 //!
 //! 1. Link-quality linearization: exact pair conflicts (ours) vs the
 //!    textbook big-M indicator form of constraint (2b).
-//! 2. MILP heuristics on/off (diving + rounding).
+//! 2. MILP heuristics on/off (root rounding and the two root dives).
 //! 3. Presolve on/off.
 //!
 //! Each variant solves the same data-collection workload; the table reports
@@ -43,7 +43,7 @@ fn main() {
         ),
         (
             "heuristics off",
-            Box::new(|o: &mut ExploreOptions| o.solver.heuristics = milp::HeurConfig::off()),
+            Box::new(|o: &mut ExploreOptions| o.solver.heuristics = false),
         ),
         (
             "presolve off",

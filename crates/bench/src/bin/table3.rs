@@ -30,9 +30,13 @@
 //! After writing its JSON, table3 checks the [50/20] records it produced
 //! (`check_gates`) and exits non-zero when one fails: the row must
 //! deliver a design, and each ablation pair must show its subsystem doing
-//! its job without degrading the solve status.
+//! its job without degrading the solve status. The cuts and checkpoint
+//! pairs run one worker under a node budget ([`PAIR_NODES`]) with no time
+//! limit, so they repeat exactly from run to run; the row and the pricing
+//! and heuristic pairs run the default worker count under a time limit.
 //!
-//! Environment knobs: `T3_TL` (approx solve limit per row, default 240),
+//! Environment knobs: `T3_TL` (approx solve limit per row and for the
+//! pricing pair, default 240),
 //! `T3_FULL_TL`, `T3_ROWS` (max rows, default 6; `SCALE=paper` runs all
 //! 10 rows at the paper's sizes), `T3_SKIP_FULL=1` (skip the slow
 //! full-encoding solve on row 1, which the gates do not read),
@@ -41,7 +45,7 @@
 //! row), `T3_CKPT=0` (skip the checkpoint ablation), `T3_HEUR=0` (skip the
 //! heur_on/heur_off anytime ablation), `T3_HEUR_TL` (solve limit for that
 //! ablation, default `T3_TL`; a short limit such as 10 s checks that the
-//! engine hands back a design when the proof cannot finish),
+//! default solver hands back a design when the proof cannot finish),
 //! `T3_FORCE_SCALING=1` (run scaling rungs even past the host's core
 //! count — by default oversubscribed thread counts are skipped because
 //! they measure time-slicing, not parallel speedup).
@@ -64,6 +68,24 @@ fn env_thread_list(default: &[usize]) -> Vec<usize> {
             .collect(),
         Err(_) => default.to_vec(),
     }
+}
+
+/// Node budget of the cuts and checkpoint ablation pairs on [50/20]. Both
+/// pairs run one worker with no time limit, and a one-worker solve with no
+/// time limit repeats exactly, so their status comparisons cannot turn on
+/// how fast the host happens to run. The budget sits between the node
+/// counts at which the default solve and the cut-free one prove optimality
+/// at one worker.
+const PAIR_NODES: usize = 10_000;
+
+/// Options of one side of the cuts or checkpoint pair: the K* = 10 row at
+/// one worker, bounded by [`PAIR_NODES`] instead of a time limit.
+fn pair_options() -> ExploreOptions {
+    let mut opts = ExploreOptions::approx(10);
+    opts.solver.threads = 1;
+    opts.solver.node_limit = Some(PAIR_NODES);
+    opts.solver.rel_gap = 0.005;
+    opts
 }
 
 /// One solver record from an exploration outcome; `oversubscribed` flags
@@ -113,13 +135,16 @@ struct Gate {
 /// The [50/20] gates over table3's records. The row must deliver a design
 /// (warning when it is not proven optimal). Cuts must be applied, pricing
 /// must price columns and deliver a design, checkpointing must write
-/// frames, and the heuristic engine must deliver a design, none of them
-/// ending in a worse status than its off twin (a proof beats an incumbent
-/// beats nothing). When both pricing sides are Optimal the priced
-/// objective must match or beat the plain one within 1e-4 relative; an
-/// open pricing proof and a checkpoint wall-time overhead above 5 % only
-/// warn. A gate is checked only when table3 ran its records (`T3_CUTS=0`
-/// and the like skip a pair).
+/// frames, and the default solver (root heuristics on) must deliver a
+/// design, none of them ending in a worse status than its off twin (a
+/// proof beats an incumbent beats nothing). The checkpointed solve must
+/// also explore the same tree as the plain one (equal nodes and pivots),
+/// which the pair's one-worker node budget makes an exact comparison.
+/// When both pricing sides are Optimal the priced objective must match or
+/// beat the plain one within 1e-4 relative; an open pricing proof and a
+/// checkpoint wall-time overhead above 5 % only warn. A gate is checked
+/// only when table3 ran its records (`T3_CUTS=0` and the like skip a
+/// pair).
 fn check_gates(records: &[SolverRecord]) -> Vec<Gate> {
     use Verdict::{Fail, Warn};
     let find = |kind: &str| {
@@ -134,7 +159,8 @@ fn check_gates(records: &[SolverRecord]) -> Vec<Gate> {
     };
     let show = |r: &SolverRecord| {
         let obj = r.objective.map_or("none".to_string(), |o| o.to_string());
-        format!("{} {} obj {obj} in {:.1} s", r.kind, r.status, r.wall_s)
+        let n = r.stats.nodes;
+        format!("{} {} obj {obj} in {:.1} s, {n} nodes", r.kind, r.status, r.wall_s)
     };
     let mut gates = Vec::new();
     // The first check that holds decides the gate; none holding passes it.
@@ -183,9 +209,11 @@ fn check_gates(records: &[SolverRecord]) -> Vec<Gate> {
     }
     if let (Some(on), Some(off)) = (find("ckpt_on"), find("ckpt_off")) {
         let overhead = on.wall_s > off.wall_s * 1.05;
+        let work = |r: &SolverRecord| (r.stats.nodes, r.stats.simplex_iters);
         let checks = [
             (on.stats.checkpoints_written == 0, Fail, "no frames"),
             (rank(on) < rank(off), Fail, "status degraded"),
+            (work(on) != work(off), Fail, "search diverged"),
             (overhead, Warn, "wall-time overhead above 5 %"),
         ];
         judge("checkpoint", &checks, on, Some(off));
@@ -310,17 +338,16 @@ fn main() {
     println!("while full enumeration only solves the smallest instance (if at all).");
 
     // --- Cutting-plane ablation on the [50 / 20] row ---
-    // Same workload solved with root separation on (the default) and off;
-    // `check_gates` asserts cuts are applied without degrading the status.
-    // `T3_CUTS=0` skips the ablation.
+    // Same workload solved with root separation on (the default) and off,
+    // one worker each under the `PAIR_NODES` budget; `check_gates` asserts
+    // cuts are applied without degrading the status. `T3_CUTS=0` skips the
+    // ablation.
     if env_usize("T3_CUTS", 1) != 0 {
         let (total, end) = (50, 20);
         let w = data_collection_workload(total, end, "cost");
         println!("\nCut ablation on [{} / {}]:", total, end);
         for (kind, enabled) in [("cuts_off", false), ("cuts_on", true)] {
-            let mut opts = ExploreOptions::approx(10);
-            opts.solver.time_limit = Some(tl);
-            opts.solver.rel_gap = 0.005;
+            let mut opts = pair_options();
             opts.solver.cuts.enabled = enabled;
             let out = explore(&w.template, &w.library, &w.requirements, &opts).expect("explores");
             let s = &out.stats.solver;
@@ -340,8 +367,11 @@ fn main() {
 
     // --- Checkpoint-overhead ablation on the [50 / 20] row ---
     // Same workload solved cold and with periodic checkpointing (250 ms
-    // cadence); the acceptance bar is < 5% wall-time overhead, recorded in
-    // BENCH_solver.json as the ckpt_off/ckpt_on pair. `T3_CKPT=0` skips.
+    // cadence), one worker each under the `PAIR_NODES` budget, so both
+    // sides do the same work and the wall-time difference is the
+    // checkpointing cost; the acceptance bar is < 5% wall-time overhead,
+    // recorded in BENCH_solver.json as the ckpt_off/ckpt_on pair.
+    // `T3_CKPT=0` skips.
     if env_usize("T3_CKPT", 1) != 0 {
         let (total, end) = (50, 20);
         let w = data_collection_workload(total, end, "cost");
@@ -349,9 +379,7 @@ fn main() {
         println!("\nCheckpoint ablation on [{} / {}]:", total, end);
         let mut walls: Vec<f64> = Vec::new();
         for (kind, on) in [("ckpt_off", false), ("ckpt_on", true)] {
-            let mut opts = ExploreOptions::approx(10);
-            opts.solver.time_limit = Some(tl);
-            opts.solver.rel_gap = 0.005;
+            let mut opts = pair_options();
             if on {
                 opts.solver.checkpoint = Some(
                     milp::CheckpointConfig::new(frame.clone())
@@ -429,22 +457,17 @@ fn main() {
     }
 
     // --- Anytime-heuristics ablation on the [50 / 20] row ---
-    // Same workload with the LNS + tabu primal engine off and on; the
-    // headline metric is time_to_within_1pct_s (how fast the incumbent
-    // lands within 1% of the final objective), which the engine is meant
-    // to cut by >= 3x while leaving the final objective untouched.
-    // `check_gates` asserts heur_on delivers a design and never degrades
-    // the final status.
+    // Same workload with the root heuristics off and on (`heur_on` is the
+    // default solver); the records carry time_to_first_incumbent_s and
+    // time_to_within_1pct_s. `check_gates` asserts heur_on delivers a
+    // design and never degrades the final status.
     // `T3_HEUR=0` skips the ablation.
     if env_usize("T3_HEUR", 1) != 0 {
         let (total, end) = (50, 20);
         let w = data_collection_workload(total, end, "cost");
         let heur_tl = env_time_limit("T3_HEUR_TL", tl.as_secs());
         println!("\nAnytime-heuristics ablation on [{} / {}]:", total, end);
-        for (kind, heur) in [
-            ("heur_off", milp::HeurConfig::off()),
-            ("heur_on", milp::HeurConfig::default()),
-        ] {
+        for (kind, heur) in [("heur_off", false), ("heur_on", true)] {
             let mut opts = ExploreOptions::approx(10);
             opts.solver.time_limit = Some(heur_tl);
             opts.solver.rel_gap = 0.005;
@@ -461,13 +484,11 @@ fn main() {
             }
             let s = &out.stats.solver;
             println!(
-                "  {:<8}: {:>7.2} s total, 1st incumbent {:?}, within 1% {:?}, {} LNS iters ({} published), obj {:?}",
+                "  {:<8}: {:>7.2} s total, 1st incumbent {:?}, within 1% {:?}, obj {:?}",
                 kind,
                 out.stats.solve_time.as_secs_f64(),
                 s.time_to_first_incumbent,
                 s.time_to_within_1pct,
-                s.lns_iters,
-                s.lns_published,
                 out.design.as_ref().map(|d| d.objective),
             );
             records.push(record(kind, (total, end), &opts, &out));
@@ -669,6 +690,14 @@ mod tests {
     #[test]
     fn ckpt_on_worse_status_fails() {
         assert_eq!(verdict_after("ckpt_on", limit_feasible, "checkpoint"), Fail);
+    }
+
+    #[test]
+    fn ckpt_on_diverging_search_fails() {
+        let more_nodes = |r: &mut SolverRecord| r.stats.nodes += 1;
+        assert_eq!(verdict_after("ckpt_on", more_nodes, "checkpoint"), Fail);
+        let more_pivots = |r: &mut SolverRecord| r.stats.simplex_iters += 1;
+        assert_eq!(verdict_after("ckpt_on", more_pivots, "checkpoint"), Fail);
     }
 
     #[test]

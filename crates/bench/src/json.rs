@@ -69,8 +69,7 @@ impl SolverRecord {
                 "\"cols_priced\":{},\"pricing_rounds\":{},\"pricing_s\":{},",
                 "\"oversubscribed\":{},\"checkpoint_s\":{},",
                 "\"checkpoints_written\":{},\"resumed\":{},",
-                "\"time_to_first_incumbent_s\":{},\"time_to_within_1pct_s\":{},",
-                "\"lns_iters\":{},\"lns_published\":{}}}"
+                "\"time_to_first_incumbent_s\":{},\"time_to_within_1pct_s\":{}}}"
             ),
             self.kind,
             self.total,
@@ -97,8 +96,6 @@ impl SolverRecord {
             s.resumed,
             json_opt(s.time_to_first_incumbent.map(|d| d.as_secs_f64())),
             json_opt(s.time_to_within_1pct.map(|d| d.as_secs_f64())),
-            s.lns_iters,
-            s.lns_published,
         )
     }
 }
@@ -348,8 +345,8 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    /// The exact line the mirrored-field record rendered for these values,
-    /// so the key order and number formats of `BENCH_solver.json` stay put.
+    /// The exact line a record renders for these values, so the key order
+    /// and number formats of `BENCH_solver.json` stay put.
     const GOLDEN_RECORD: &str = concat!(
         "{\"kind\":\"row\",\"total\":50,\"end\":20,\"threads\":1,\"effective_threads\":1,",
         "\"wall_s\":1.250000,\"nodes\":42,\"status\":\"Optimal\",\"objective\":10.000000,",
@@ -357,8 +354,7 @@ mod tests {
         "\"cuts_applied\":7,\"cut_rounds\":2,\"root_gap\":0.125000,\"cols_priced\":33,",
         "\"pricing_rounds\":4,\"pricing_s\":0.500000,\"oversubscribed\":true,",
         "\"checkpoint_s\":0.025000,\"checkpoints_written\":3,\"resumed\":true,",
-        "\"time_to_first_incumbent_s\":0.040000,\"time_to_within_1pct_s\":null,",
-        "\"lns_iters\":12,\"lns_published\":5}"
+        "\"time_to_first_incumbent_s\":0.040000,\"time_to_within_1pct_s\":null}"
     );
 
     fn golden_record() -> SolverRecord {
@@ -389,8 +385,6 @@ mod tests {
                 resumed: true,
                 time_to_first_incumbent: Some(Duration::from_millis(40)),
                 time_to_within_1pct: None,
-                lns_iters: 12,
-                lns_published: 5,
                 // Counters the file does not carry must not leak into it.
                 dual_iters: 77,
                 lp_solves: 55,

@@ -41,9 +41,8 @@ pub fn encode_mapping(
         }
         // GUB-annotated: for fixed nodes presolve substitutes u_i = 1 and
         // the row becomes the set-partitioning form `sum_k m_ki = 1`, which
-        // both the clique separator and the LNS engine's device-placement
-        // neighborhoods pick up; non-conforming rows (free u_i) are dropped
-        // harmlessly by the solver-side validation.
+        // the clique separator picks up; non-conforming rows (free u_i) are
+        // dropped harmlessly by the solver-side validation.
         enc.model
             .add_gub_named(format!("sizing_{}", i), (sum - u).eq(0.0));
         enc.map_vars.push(vars);

@@ -127,7 +127,7 @@ impl ExploreOptions {
         self
     }
 
-    /// Sets the solver's RNG seed (branching perturbations, heuristics).
+    /// Sets the solver's RNG seed (see [`milp::Config::seed`]).
     /// Per-zone offsets keep parallel zone solves decorrelated yet
     /// reproducible.
     pub fn with_solver_seed(mut self, seed: u64) -> Self {
@@ -604,19 +604,18 @@ mod tests {
 
     #[test]
     fn explore_stats_carry_the_solver_record() {
-        // One worker with the synchronous LNS engine repeats a solve
-        // exactly, so the exploration's record must equal a direct solve's.
+        // One worker repeats a solve exactly, so the exploration's record
+        // must equal a direct solve's.
         let t = template(6);
         let lib = catalog::zigbee_reference();
         let req = Requirements::from_spec_text(SPEC).unwrap();
-        let mut opts = ExploreOptions::approx(5).with_threads(1);
-        opts.solver.heuristics.sync = true;
+        let opts = ExploreOptions::approx(5).with_threads(1);
         let out = explore(&t, &lib, &req, &opts).unwrap();
         let enc = encode_with_lq(&t, &lib, &req, opts.mode, opts.lq_encoding).unwrap();
         let direct = enc.model.solve(&opts.solver);
         let work = |s: &milp::Stats| {
             let counts = [s.simplex_iters, s.dual_iters, s.lp_solves, s.cuts_applied];
-            (s.nodes, counts, s.rc_fixed, s.lns_iters)
+            (s.nodes, counts, s.rc_fixed)
         };
         assert_eq!(work(&out.stats.solver), work(direct.stats()));
         assert!(out.stats.solver.lp_solves > 0);

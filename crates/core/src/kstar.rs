@@ -21,13 +21,6 @@ pub struct KstarSearch {
     pub improvement_tol: f64,
     /// Solver configuration for each run.
     pub solver: milp::Config,
-    /// Worker threads for the sweep (`1` = sequential, the default; `0` =
-    /// the machine's available parallelism). With more than one worker the
-    /// candidate `K*` values run speculatively in parallel and the
-    /// sequential stopping rules are applied to the ordered results
-    /// afterwards, so the returned steps match a sequential sweep — runs
-    /// past the stopping point are wasted work traded for wall time.
-    pub threads: usize,
 }
 
 impl Default for KstarSearch {
@@ -37,7 +30,6 @@ impl Default for KstarSearch {
             time_threshold: Duration::from_secs(600),
             improvement_tol: 1e-3,
             solver: milp::Config::default(),
-            threads: 1,
         }
     }
 }
@@ -64,108 +56,33 @@ pub fn search_kstar(
     req: &Requirements,
     cfg: &KstarSearch,
 ) -> Result<Vec<KstarStep>, EncodeError> {
-    let run_one = |k: usize| -> Result<KstarStep, EncodeError> {
+    let mut steps: Vec<KstarStep> = Vec::new();
+    let mut best: Option<f64> = None;
+    for &k in &cfg.ks {
         let opts = ExploreOptions {
             mode: crate::encode::EncodeMode::Approx { kstar: k },
             solver: cfg.solver.clone(),
             ..Default::default()
         };
         let outcome = explore(template, library, req, &opts)?;
-        Ok(KstarStep { kstar: k, outcome })
-    };
-
-    let nworkers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(cfg.ks.len())
-    .max(1);
-
-    let mut steps: Vec<KstarStep> = Vec::new();
-    let mut best: Option<f64> = None;
-
-    if nworkers <= 1 {
-        // Sequential sweep: each stopping rule saves the later runs.
-        for &k in &cfg.ks {
-            let step = run_one(k)?;
-            match apply_stop_rules(cfg, &mut steps, &mut best, step) {
-                Sweep::Continue => {}
-                Sweep::Stop => break,
+        let solve_time = outcome.stats.solve_time;
+        let obj = outcome.design.as_ref().map(|d| d.objective);
+        steps.push(KstarStep { kstar: k, outcome });
+        // Stopping rules (paper §4.3): stop on vanishing relative
+        // improvement, or once a run's solve time crosses the threshold.
+        if let (Some(prev), Some(cur)) = (best, obj) {
+            if (prev - cur) / prev.abs().max(1e-9) < cfg.improvement_tol {
+                break;
             }
         }
-        return Ok(steps);
-    }
-
-    // Speculative sweep: run every candidate K* concurrently, then apply
-    // the same stopping rules to the ordered results.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let slots: Vec<Mutex<Option<Result<KstarStep, EncodeError>>>> =
-        cfg.ks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..nworkers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfg.ks.len() {
-                    break;
-                }
-                // A panicking run must not take the whole sweep down: the
-                // worker moves on and the slot is recomputed sequentially.
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_one(cfg.ks[i])
-                }));
-                if let Ok(r) = r {
-                    *slots[i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                }
-            });
+        if let Some(cur) = obj {
+            best = Some(best.map_or(cur, |b: f64| b.min(cur)));
         }
-    });
-    for (i, slot) in slots.into_iter().enumerate() {
-        let step = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .unwrap_or_else(|| run_one(cfg.ks[i]))?;
-        match apply_stop_rules(cfg, &mut steps, &mut best, step) {
-            Sweep::Continue => {}
-            Sweep::Stop => break,
+        if solve_time > cfg.time_threshold {
+            break;
         }
     }
     Ok(steps)
-}
-
-enum Sweep {
-    Continue,
-    Stop,
-}
-
-/// Pushes `step` and evaluates the sweep's stopping rules (paper §4.3):
-/// stop on vanishing relative improvement or once a run's solve time
-/// crosses the threshold.
-fn apply_stop_rules(
-    cfg: &KstarSearch,
-    steps: &mut Vec<KstarStep>,
-    best: &mut Option<f64>,
-    step: KstarStep,
-) -> Sweep {
-    let solve_time = step.outcome.stats.solve_time;
-    let obj = step.outcome.design.as_ref().map(|d| d.objective);
-    steps.push(step);
-    if let (Some(prev), Some(cur)) = (*best, obj) {
-        let denom = prev.abs().max(1e-9);
-        if (prev - cur) / denom < cfg.improvement_tol {
-            return Sweep::Stop; // no further improvement
-        }
-    }
-    if let Some(cur) = obj {
-        *best = Some(best.map_or(cur, |b: f64| b.min(cur)));
-    }
-    if solve_time > cfg.time_threshold {
-        return Sweep::Stop; // execution time threshold (paper §4.3)
-    }
-    Sweep::Continue
 }
 
 /// The best step (lowest objective with a design), if any.
@@ -245,40 +162,5 @@ mod tests {
         };
         let steps = search_kstar(&t, &lib, &req, &cfg).unwrap();
         assert!(steps.len() <= 3, "searched too far: {} steps", steps.len());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        let t = template();
-        let lib = catalog::zigbee_reference();
-        let req = Requirements::from_spec_text(
-            "p = has_path(sensors, sink)\nmin_signal_to_noise(12)\nobjective minimize cost",
-        )
-        .unwrap();
-        let seq_cfg = KstarSearch {
-            ks: vec![1, 3, 5],
-            ..Default::default()
-        };
-        let par_cfg = KstarSearch {
-            threads: 3,
-            ..seq_cfg.clone()
-        };
-        let seq = search_kstar(&t, &lib, &req, &seq_cfg).unwrap();
-        let par = search_kstar(&t, &lib, &req, &par_cfg).unwrap();
-        // these instances solve in milliseconds, far from the 600 s time
-        // threshold, so the stopping decisions depend only on objectives
-        assert_eq!(
-            seq.iter().map(|s| s.kstar).collect::<Vec<_>>(),
-            par.iter().map(|s| s.kstar).collect::<Vec<_>>()
-        );
-        for (a, b) in seq.iter().zip(&par) {
-            match (&a.outcome.design, &b.outcome.design) {
-                (Some(da), Some(db)) => {
-                    assert!((da.objective - db.objective).abs() < 1e-6)
-                }
-                (None, None) => {}
-                _ => panic!("design presence differs at K*={}", a.kstar),
-            }
-        }
     }
 }

@@ -781,7 +781,7 @@ pub fn solve_decomposed(
     // --- stitch + repair + verify ---------------------------------------
     let mut design = stitch(
         city,
-        &part,
+        &zlib,
         &problems,
         &zone_reports,
         &bb_design,
@@ -911,7 +911,7 @@ fn map_component(lib: &Library, chosen: &devlib::Component, kind: DeviceKind) ->
 #[allow(clippy::too_many_arguments)]
 fn stitch(
     city: &CityInstance,
-    part: &ScalePartition,
+    zlib: &Library,
     problems: &[(usize, NetworkTemplate, Vec<usize>)],
     zone_reports: &[crate::explore::ExploreReport],
     bb_design: &NetworkDesign,
@@ -919,7 +919,6 @@ fn stitch(
     assignment: &[usize],
     sink_zone: usize,
 ) -> NetworkDesign {
-    let zlib = zone_library(&city.library);
     // backbone routes by global gateway index
     let bb_route_of: HashMap<usize, Vec<usize>> = bb_design
         .routes
@@ -959,12 +958,11 @@ fn stitch(
     for p in &bb_design.placed {
         propose(bb_nodes[p.node], p.component, false);
     }
-    for ((z, _, map), rep) in problems.iter().zip(zone_reports) {
+    for ((_, _, map), rep) in problems.iter().zip(zone_reports) {
         let d = rep.design.as_ref().expect("zone reports are all solved");
         for p in &d.placed {
             propose(map[p.node], p.component, true);
         }
-        let _ = z;
     }
     // routes: one per sensor, zone leg then backbone leg
     let mut routes: Vec<DesignRoute> = Vec::new();
@@ -1007,7 +1005,6 @@ fn stitch(
     let mut edges: Vec<(usize, usize)> = routes.iter().flat_map(|r| r.edges()).collect();
     edges.sort_unstable();
     edges.dedup();
-    let _ = part;
     NetworkDesign {
         placed,
         edges,

@@ -730,10 +730,9 @@ mod tests {
     #[test]
     fn rung3_returns_anytime_incumbent_on_expired_deadline() {
         // Deadline already burned and no prior incumbent: rungs 1–2 are
-        // skipped and rung 3 runs a budget-capped cold ladder. The anytime
-        // primal engine (dives + LNS) is what makes this reliable — the
-        // rung must come back with the best heuristic design found within
-        // the budget (LimitFeasible is fine), never empty-handed.
+        // skipped and rung 3 runs a budget-capped cold ladder. The rung must
+        // come back with the best design found within the budget
+        // (LimitFeasible is fine), never empty-handed.
         let svc = DesignService::start(
             ServiceConfig {
                 degraded_budget: Duration::from_millis(100),

@@ -51,17 +51,16 @@ proptest! {
         }
     }
 
-    /// A design obtained almost entirely through the LNS + tabu primal
-    /// engine (the exact search is starved to a single node) still passes
-    /// independent verification: heuristic publications are real designs,
-    /// not bound artifacts.
+    /// A design obtained with the exact search starved to a single node
+    /// (root rounding or that node's LP) still passes independent
+    /// verification: heuristic publications are real designs, not bound
+    /// artifacts.
     #[test]
     fn heuristic_incumbents_verify(t in template_strategy()) {
         let lib = catalog::zigbee_reference();
         let req = Requirements::from_spec_text(SPEC).expect("spec parses");
         let mut opts = ExploreOptions::approx(4);
         opts.solver.node_limit = Some(1);
-        opts.solver.heuristics.sync = true; // engine runs before the tree search
         let out = explore(&t, &lib, &req, &opts).expect("encodes");
         if let Some(d) = out.design {
             let violations = verify_design(&d, &t, &lib, &req);

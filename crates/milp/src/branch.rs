@@ -18,12 +18,12 @@
 //! (`Arc`). Workers plunge depth-first locally and rebuild node bounds from
 //! one shared copy of the reduced-cost-tightened base bounds. With one
 //! worker the trajectory is a pure function of the problem and the
-//! configuration (given [`crate::HeurConfig::sync`]); with more, node
-//! processing order differs run to run, so pseudo-cost learning and node
-//! counts vary — but pruning only ever discards nodes whose LP bound cannot
-//! beat the incumbent, so the *objective value* of the result is
-//! deterministic to within the configured gap tolerances at any thread
-//! count.
+//! configuration (as long as no time limit, cancellation or stall watchdog
+//! stops it); with more, node processing order differs run to run, so
+//! pseudo-cost learning and node counts vary — but pruning only ever
+//! discards nodes whose LP bound cannot beat the incumbent, so the
+//! *objective value* of the result is deterministic to within the gap
+//! tolerances at any thread count.
 //!
 //! A resumed solve is a cold solve seeded from a checkpoint frame: both
 //! entry points share the base-LP builder (`BaseLp::build`), the root
@@ -46,6 +46,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Integrality tolerance: a value within this of a whole number counts as
+/// integral (branching, node incumbents, root heuristics, warm-start checks).
+pub(crate) const INT_TOL: f64 = 1e-6;
+/// Absolute MIP gap: the search stops, and a node is pruned, once the
+/// incumbent is within this of the bound (internal minimize sense).
+const ABS_GAP: f64 = 1e-9;
 
 /// One open node: bound changes relative to the root plus bookkeeping.
 /// `Clone` lets a worker keep an in-flight copy so a panicking worker's
@@ -255,8 +262,8 @@ struct SearchCtx<'a> {
     /// cadence claims, the frame hand-off slot, the write-time debit, and
     /// the stall watchdog's abort flag.
     ckpt: Option<&'a CkptRuntime>,
-    /// Shared incumbent: tree workers, dives, and the LNS engine all
-    /// publish through (and prune against) this one state.
+    /// Shared incumbent: every tree worker publishes through (and prunes
+    /// against) this one state.
     inc: &'a Incumbent,
 }
 
@@ -268,11 +275,10 @@ const _: () = {
 
 /// Shared incumbent state: the objective as atomic f64 bits for lock-free
 /// pruning, the full vector behind a mutex, and a timestamped publication
-/// trace for the anytime metrics. One instance is shared by the tree
-/// workers, the dive heuristics, and the LNS + tabu engine, so an
-/// improvement from any of them immediately tightens every worker's
-/// pruning bound.
-pub(crate) struct Incumbent {
+/// trace for the anytime metrics. One instance is shared by every tree
+/// worker, so an improvement from any of them immediately tightens every
+/// worker's pruning bound.
+struct Incumbent {
     /// Incumbent objective as f64 bits (∞ = none), internal minimize sense.
     bound: AtomicU64,
     /// Incumbent vector; `bound` is only written while holding this.
@@ -285,7 +291,7 @@ pub(crate) struct Incumbent {
 }
 
 impl Incumbent {
-    pub(crate) fn new(start: Instant) -> Self {
+    fn new(start: Instant) -> Self {
         Incumbent {
             bound: AtomicU64::new(INF_BITS),
             full: Mutex::new(None),
@@ -295,13 +301,13 @@ impl Incumbent {
     }
 
     /// The incumbent objective (∞ when none), for lock-free pruning.
-    pub(crate) fn bound(&self) -> f64 {
+    fn bound(&self) -> f64 {
         f64::from_bits(self.bound.load(AtomicOrdering::SeqCst))
     }
 
     /// Installs `(obj, x)` as the incumbent if it improves; returns whether
     /// it did. Callers are responsible for only offering feasible points.
-    pub(crate) fn offer(&self, obj: f64, x: Vec<f64>) -> bool {
+    fn offer(&self, obj: f64, x: Vec<f64>) -> bool {
         let mut guard = relock(&self.full);
         let improves = guard.as_ref().is_none_or(|(o, _)| obj < *o);
         if improves {
@@ -313,7 +319,7 @@ impl Incumbent {
     }
 
     /// A clone of the current best `(objective, x)`.
-    pub(crate) fn best(&self) -> Option<(f64, Vec<f64>)> {
+    fn best(&self) -> Option<(f64, Vec<f64>)> {
         relock(&self.full).clone()
     }
 
@@ -329,7 +335,7 @@ impl Incumbent {
 
 /// What a tree search hands back to the wrap-up code. The incumbent itself
 /// lives in the shared [`Incumbent`] (read by [`wrap_up`] after the search
-/// and the heuristic engine have both stopped).
+/// has stopped).
 struct SearchOutcome {
     /// Smallest bound among still-open nodes (∞ when the tree is exhausted).
     open_bound: f64,
@@ -435,25 +441,6 @@ fn fix_by_reduced_costs(
         }
     }
     fixed
-}
-
-/// Bounded time window for one dive, clamped to the remaining solver
-/// budget: a dive may want `want_secs`, but it never gets more than half
-/// of what is left before `deadline`, and is skipped outright (`None`)
-/// when the budget is nearly exhausted — so a last-gasp dive cannot
-/// overshoot a small `time_limit`.
-fn dive_window(deadline: Option<Instant>, want_secs: f64) -> Option<Instant> {
-    let now = Instant::now();
-    match deadline {
-        None => Some(now + Duration::from_secs_f64(want_secs)),
-        Some(d) => {
-            let remaining = d.saturating_duration_since(now).as_secs_f64();
-            if remaining <= 0.05 {
-                return None;
-            }
-            Some(now + Duration::from_secs_f64(want_secs.min(remaining * 0.5)))
-        }
-    }
 }
 
 /// Solves `problem` by presolve + branch and bound. `start` anchors the time
@@ -571,8 +558,8 @@ pub fn solve_milp_with(
     stats.cut_rounds = cut_pool.rounds;
 
     // --- Incumbent state (internal minimize sense) ---
-    // One shared instance for the whole solve: tree workers, dives, and the
-    // LNS engine publish through it, and its timestamped trace yields the
+    // One shared instance for the whole solve: the root heuristics and the
+    // tree workers publish through it, and its timestamped trace yields the
     // anytime metrics in `wrap_up`.
     let inc = Incumbent::new(start);
 
@@ -587,9 +574,9 @@ pub fn solve_milp_with(
     // pricing grew the variable space the size check fails and the hint is
     // ignored (priced columns have no value in the caller's vector).
     if let Some(warm) = cfg.warm_start.as_deref() {
-        if problem.check_feasible(warm, cfg.int_tol).is_none() {
-            if let Some(red) = base.ps.map_to_reduced(warm, cfg.int_tol) {
-                if base.ps.reduced.check_feasible(&red, cfg.int_tol).is_none() {
+        if problem.check_feasible(warm, INT_TOL).is_none() {
+            if let Some(red) = base.ps.map_to_reduced(warm, INT_TOL) {
+                if base.ps.reduced.check_feasible(&red, INT_TOL).is_none() {
                     let obj: f64 = base.lp.c.iter().zip(&red).map(|(&c, &x)| c * x).sum();
                     if inc.offer(obj, red) {
                         stats.warm_seeded = true;
@@ -642,7 +629,6 @@ pub fn solve_milp_with(
         vec![root_node],
         Some(&root),
         frame_base,
-        &cut_ctx,
         stats,
     )
 }
@@ -766,12 +752,9 @@ pub fn resume_milp_with(
     // from this root, so the root basis stays dual-feasible for all of
     // them — one solve here turns thousands of would-be cold node solves
     // back into short dual-simplex reoptimizations. The same root point
-    // drives the cold-style root heuristics: the frame's incumbent is
-    // whatever the killed run had found by its last snapshot, which can be
-    // far from what a fresh root dive reaches in seconds. Failure is
-    // non-fatal: nodes then cold-solve, and the heuristics, incumbent-time
-    // reduced-cost fixing, and the LNS engine are skipped (pruning
-    // strength lost, never correctness).
+    // feeds the cold-style root heuristics. Failure is non-fatal: nodes
+    // then cold-solve, and the heuristics and incumbent-time reduced-cost
+    // fixing are skipped (pruning strength lost, never correctness).
     let root = base
         .solve_root(cfg, deadline, &mut stats)
         .ok()
@@ -789,7 +772,6 @@ pub fn resume_milp_with(
             warm: warm.clone(),
         })
         .collect();
-    let cut_ctx = cuts::CutContext::from_problem(&base.ps.reduced);
     let frame_base = FrameBase {
         fingerprint,
         root_bound,
@@ -805,14 +787,14 @@ pub fn resume_milp_with(
         roots,
         root.as_ref(),
         frame_base,
-        &cut_ctx,
         stats,
     ))
 }
 
 /// Root primal heuristics shared by the cold and the resumed solve: simple
-/// rounding of the root point, then two time-boxed dives from the root
-/// basis. Every improvement is published through `inc`.
+/// rounding of the root point, then two dives from the root basis, each
+/// bounded by its LP-solve budget. Every improvement is published through
+/// `inc`.
 fn root_heuristics(
     base: &BaseLp,
     root: &LpResult,
@@ -821,26 +803,19 @@ fn root_heuristics(
     inc: &Incumbent,
     stats: &mut Stats,
 ) {
-    if !cfg.heuristics.enabled || base.int_vars.is_empty() {
+    if !cfg.heuristics || base.int_vars.is_empty() {
         return;
     }
     let reduced = &base.ps.reduced;
-    if let Some((obj, x)) = heur::try_rounding(reduced, &base.lp, &root.x, cfg.int_tol) {
+    if let Some((obj, x)) = heur::try_rounding(reduced, &base.lp, &root.x, INT_TOL) {
         if inc.offer(obj, x) {
             stats.heuristic_solutions += 1;
         }
     }
-    let root_dive_budget = cfg
-        .time_limit
-        .map(|t| (t.as_secs_f64() * 0.1).clamp(1.0, 15.0))
-        .unwrap_or(15.0);
     for strategy in [
         heur::DiveStrategy::NearestInteger,
         heur::DiveStrategy::MostFractionalUp,
     ] {
-        let Some(dd) = dive_window(deadline, root_dive_budget) else {
-            break;
-        };
         if let Some((obj, x)) = heur::dive_with(
             strategy,
             reduced,
@@ -850,7 +825,8 @@ fn root_heuristics(
             &base.ub,
             cfg,
             Some(&root.statuses),
-            Some(dd),
+            deadline,
+            stats,
         ) {
             if inc.offer(obj, x) {
                 stats.heuristic_solutions += 1;
@@ -860,10 +836,10 @@ fn root_heuristics(
 }
 
 /// The search-and-wrap-up tail shared by the cold and the resumed solve:
-/// the durable-solve runtime, the search context, the LNS engine, the tree
-/// search from `roots`, and postsolve. `root` is the root LP solution the
-/// open nodes descend from; it seeds incumbent-time reduced-cost fixing
-/// and the LNS engine, both skipped without it.
+/// the durable-solve runtime, the search context, the tree search from
+/// `roots`, and postsolve. `root` is the root LP solution the open nodes
+/// descend from; it seeds incumbent-time reduced-cost fixing, which is
+/// skipped without it.
 #[allow(clippy::too_many_arguments)]
 fn search_and_wrap_up(
     base: BaseLp,
@@ -873,7 +849,6 @@ fn search_and_wrap_up(
     roots: Vec<Node>,
     root: Option<&LpResult>,
     frame_base: FrameBase,
-    cut_ctx: &cuts::CutContext,
     mut stats: Stats,
 ) -> Solution {
     let deadline = cfg.time_limit.map(|d| start + d);
@@ -885,89 +860,18 @@ fn search_and_wrap_up(
         .checkpoint
         .as_ref()
         .map(|ck| CkptRuntime::new(ck.clone(), frame_base, cfg.faults.clone()));
-    let has_ints = !base.int_vars.is_empty();
     let ctx = SearchCtx {
         base: &base,
         cfg,
         deadline,
         rc_root: root
-            .filter(|_| cfg.reduced_cost_fixing && has_ints)
+            .filter(|_| cfg.reduced_cost_fixing && !base.int_vars.is_empty())
             .map(|r| (r.dj.as_slice(), r.obj)),
         ckpt: ckpt_rt.as_ref(),
         inc: &inc,
     };
-
-    // --- LNS + tabu primal engine ---
-    // Destroy units come from the encoder's GUB annotations (route
-    // candidate disjunctions, device-placement rows); integer variables
-    // outside every group are chunked so the whole space stays reachable.
-    let lns_in = root
-        .filter(|_| cfg.heuristics.enabled && has_ints)
-        .map(|root| heur::LnsInput {
-            reduced: &base.ps.reduced,
-            lp: &base.lp,
-            int_vars: &base.int_vars,
-            base_lb: &base.lb,
-            base_ub: &base.ub,
-            root_x: &root.x,
-            root_warm: Some(&root.statuses),
-            neighborhoods: heur::build_neighborhoods(&cut_ctx.gub_groups, &base.int_vars),
-            cfg,
-            deadline,
-        });
-    let outcome = run_search_with_lns(&ctx, roots, lns_in, &mut stats);
+    let outcome = run_search(&ctx, roots, &mut stats);
     wrap_up(outcome, inc, &base, cfg, ckpt_rt.as_ref(), root_bound, start, stats)
-}
-
-/// Runs the tree search with the LNS engine riding shotgun: in async mode
-/// (the default) the engine gets its own scoped thread, publish-only
-/// against the shared incumbent, stopped and joined when the exact search
-/// finishes; in [`crate::HeurConfig::sync`] mode it runs to completion
-/// inline *before* the search, which makes the full engine trace
-/// deterministic at any thread count. An engine panic is isolated exactly
-/// like a worker panic: counted, and the exact search result stands.
-fn run_search_with_lns(
-    ctx: &SearchCtx<'_>,
-    roots: Vec<Node>,
-    lns_in: Option<heur::LnsInput<'_>>,
-    stats: &mut Stats,
-) -> SearchOutcome {
-    let record = |stats: &mut Stats, l: heur::LnsOutcome| {
-        stats.lns_iters += l.iters;
-        stats.lns_published += l.published;
-        stats.heuristic_solutions += l.published;
-        stats.lns_trace = l.trace.iter().map(|&o| ctx.base.user_obj(o)).collect();
-    };
-    match lns_in {
-        Some(lns) if ctx.cfg.heuristics.sync => {
-            match catch_unwind(AssertUnwindSafe(|| heur::run_lns(&lns, ctx.inc, None))) {
-                Ok(l) => record(stats, l),
-                Err(_) => stats.worker_panics += 1,
-            }
-            run_search(ctx, roots, stats)
-        }
-        Some(lns) => {
-            let lns_stop = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                let engine = s.spawn(|| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        heur::run_lns(&lns, ctx.inc, Some(&lns_stop))
-                    }))
-                });
-                let outcome = run_search(ctx, roots, stats);
-                lns_stop.store(true, AtomicOrdering::SeqCst);
-                match engine.join() {
-                    Ok(Ok(l)) => record(stats, l),
-                    // Engine panicked (injected or real): the exact search
-                    // result stands — the engine only ever publishes, so
-                    // losing it costs speed, never correctness.
-                    _ => stats.worker_panics += 1,
-                }
-                outcome
-            })
-        }
-        None => run_search(ctx, roots, stats),
-    }
 }
 
 /// Dispatches the tree search, wrapping it with the checkpoint watchdog
@@ -1009,8 +913,7 @@ fn wrap_up(
     let user_obj = |internal: f64| base.user_obj(internal);
     // Anytime metrics from the incumbent trace: when the first feasible
     // point landed, and when the incumbent first came within 1% of the
-    // final objective (in user space — the headline number of the LNS
-    // engine and the `heur_on`/`heur_off` ablation).
+    // final objective (in user space).
     let (incumbent, trace) = inc.into_parts();
     if let Some(&(t, _)) = trace.first() {
         stats.time_to_first_incumbent = Some(Duration::from_secs_f64(t));
@@ -1040,7 +943,7 @@ fn wrap_up(
                 obj
             };
             let status = if hit_limit
-                && (obj - bound_internal > cfg.abs_gap
+                && (obj - bound_internal > ABS_GAP
                     && obj - bound_internal > cfg.rel_gap * obj.abs().max(1e-10))
             {
                 Status::LimitFeasible
@@ -1086,7 +989,6 @@ fn frame_node(n: &Node) -> FrameNode {
 /// Picks the branching variable: the best pseudo-cost score, scoring a
 /// variable whose costs are not initialized yet by its fractionality.
 fn choose_branch(
-    cfg: &Config,
     pc: &PseudoCosts,
     x: &[f64],
     int_vars: &[usize],
@@ -1096,7 +998,7 @@ fn choose_branch(
     let mut best = (mf_var, mf_frac, -1.0f64);
     for &j in int_vars {
         let f = x[j] - x[j].floor();
-        if f <= cfg.int_tol || f >= 1.0 - cfg.int_tol {
+        if f <= INT_TOL || f >= 1.0 - INT_TOL {
             continue;
         }
         let s = if pc.initialized(j) {
@@ -1215,12 +1117,12 @@ impl Shared {
             }
             let mut heap = relock(&self.heap);
             // Gap-based termination (the incumbent may have just improved
-            // via an LNS publication — the same check picks that up).
+            // on another worker — the same check picks that up).
             let (open_bound, owned) = self.open_bound(&heap);
             let inc_obj = ctx.inc.bound();
             if inc_obj.is_finite() {
                 let gap = inc_obj - open_bound;
-                if gap <= cfg.abs_gap || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
+                if gap <= ABS_GAP || gap <= cfg.rel_gap * inc_obj.abs().max(1e-10) {
                     self.stop.store(true, AtomicOrdering::SeqCst);
                     return None;
                 }
@@ -1276,8 +1178,7 @@ impl Shared {
         // Read the shared incumbent *after* the open set and the base
         // bounds: every pruning decision and every fixing reflected in
         // them used an incumbent at least as old as this one, so the frame
-        // never pairs a pruned-down tree with a weaker incumbent. LNS
-        // publications land here automatically.
+        // never pairs a pruned-down tree with a weaker incumbent.
         frame.incumbent = ctx.inc.best();
         frame.open_nodes = open_nodes;
         frame
@@ -1398,7 +1299,6 @@ fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOut
         stats.dual_iters += t.dual_iters;
         stats.lp_recoveries += t.lp_recoveries;
         stats.rc_fixed += t.rc_fixed;
-        stats.heuristic_solutions += t.heuristic_solutions;
         stats.worker_panics += t.worker_panics;
         stats.dropped_nodes += t.dropped_nodes;
     }
@@ -1434,7 +1334,7 @@ fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOut
 /// The node loop, the one every thread count runs: claims nodes (its own
 /// plunge child first, else the best open node), solves their LP
 /// relaxations with a private simplex instance, publishes incumbents,
-/// fixes by reduced costs, dives, and branches. Work is charged to `tally`.
+/// fixes by reduced costs, and branches. Work is charged to `tally`.
 fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
     let cfg = ctx.cfg;
     let base = ctx.base;
@@ -1442,11 +1342,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
     let mut pc = PseudoCosts::new(base.lb.len());
     let mut lb_buf = base.lb.clone();
     let mut ub_buf = base.ub.clone();
-    // Adaptive dive throttle: each dive that fails to improve the incumbent
-    // doubles the node period before the next one (capped), an improvement
-    // resets it — so dives stop eating wall clock once the tree has a good
-    // incumbent they cannot beat.
-    let mut dive_backoff = 1usize;
 
     while let Some(mut node) = shared.next_node(ctx, id) {
         // Injected fault: panic exactly here, with the node in flight, so
@@ -1455,7 +1350,7 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             panic!("injected panic in worker {id}");
         }
         // Prune against the freshest shared incumbent (∞ when none).
-        if node.bound >= ctx.inc.bound() - cfg.abs_gap {
+        if node.bound >= ctx.inc.bound() - ABS_GAP {
             shared.finish(id);
             continue;
         }
@@ -1467,7 +1362,7 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             shared.halt(&shared.hit_limit);
             break;
         }
-        let node_idx = shared.nodes.fetch_add(1, AtomicOrdering::SeqCst) + 1;
+        shared.nodes.fetch_add(1, AtomicOrdering::SeqCst);
         if let Some(rt) = ctx.ckpt {
             rt.bump_progress();
         }
@@ -1505,12 +1400,12 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             }
             LpStatus::Optimal => {}
         }
-        if r.obj >= ctx.inc.bound() - cfg.abs_gap {
+        if r.obj >= ctx.inc.bound() - ABS_GAP {
             shared.finish(id);
             continue; // bound-dominated
         }
 
-        let Some((mf_var, mf_frac)) = most_fractional(&r.x, &base.lp.c, int_vars, cfg.int_tol)
+        let Some((mf_var, mf_frac)) = most_fractional(&r.x, &base.lp.c, int_vars, INT_TOL)
         else {
             // Integral: new incumbent.
             let mut x = r.x;
@@ -1524,16 +1419,16 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             shared.finish(id);
             continue;
         };
-        let (bvar, _bfrac) = choose_branch(cfg, &pc, &r.x, int_vars, mf_var, mf_frac);
+        let (bvar, _bfrac) = choose_branch(&pc, &r.x, int_vars, mf_var, mf_frac);
         let xval = r.x[bvar];
         let floor = xval.floor();
         // Node-level reduced-cost fixing: this node's reduced costs bound
         // the cost of moving any nonbasic integer off its bound, so against
         // the incumbent the tightening is valid for the whole subtree —
-        // record it on the node so both children (and the dive below)
-        // inherit it. Fractional variables are basic (dj = 0), so the
-        // branch variable is never touched. A stale (worse) incumbent read
-        // only under-fixes, so the tightening stays valid under races.
+        // record it on the node so both children inherit it. Fractional
+        // variables are basic (dj = 0), so the branch variable is never
+        // touched. A stale (worse) incumbent read only under-fixes, so the
+        // tightening stays valid under races.
         if cfg.reduced_cost_fixing {
             let inc_obj = ctx.inc.bound();
             if inc_obj.is_finite() {
@@ -1550,45 +1445,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             }
         }
         let warm = Arc::new(r.statuses);
-        // Occasional in-tree diving heuristic; dive more eagerly (and with
-        // both strategies) while no incumbent exists, and back off
-        // exponentially while dives keep coming up empty.
-        let have_inc = ctx.inc.bound().is_finite();
-        let dive_period = if have_inc { 64 * dive_backoff } else { 16 };
-        if cfg.heuristics.enabled && node_idx % dive_period == 1 && node_idx > 1 {
-            let mut improved = false;
-            let strategies: &[heur::DiveStrategy] = if have_inc {
-                &[heur::DiveStrategy::NearestInteger]
-            } else {
-                &[
-                    heur::DiveStrategy::NearestInteger,
-                    heur::DiveStrategy::MostFractionalUp,
-                ]
-            };
-            for &strategy in strategies {
-                let Some(dd) = dive_window(ctx.deadline, 3.0) else {
-                    break;
-                };
-                if let Some((obj, x)) = heur::dive_with(
-                    strategy,
-                    &base.ps.reduced,
-                    &base.lp,
-                    int_vars,
-                    &lb_buf,
-                    &ub_buf,
-                    cfg,
-                    Some(&warm),
-                    Some(dd),
-                ) {
-                    if ctx.inc.offer(obj, x) {
-                        tally.heuristic_solutions += 1;
-                        improved = true;
-                        tally.rc_fixed += shared.refix(ctx, obj);
-                    }
-                }
-            }
-            dive_backoff = if improved { 1 } else { (dive_backoff * 2).min(4) };
-        }
         let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
         // Attribute this node's LP degradation to the parent's branch
         // direction (online pseudo-cost proxy).

@@ -1,4 +1,4 @@
-//! Solver configuration: tolerances, limits, and subsystem switches.
+//! Solver configuration: gaps, limits, and subsystem switches.
 
 use crate::error::{CancelToken, FaultInjection};
 use std::time::Duration;
@@ -113,65 +113,6 @@ impl ColGenConfig {
     }
 }
 
-/// Primal-heuristic configuration: the classic root rounding/diving passes
-/// plus the anytime large-neighborhood-search (LNS) + tabu engine that rides
-/// shotgun on the branch-and-bound search.
-///
-/// The LNS engine seeds from the root LP relaxation with RINS-style fixing
-/// (integer variables on which the relaxation and the current incumbent
-/// agree stay fixed), then repeatedly *destroys* a neighborhood — one
-/// route's candidate-path disjunction or one node's device placements,
-/// taken from the encoder's GUB annotations — and *repairs* it with a
-/// node-budgeted sub-MILP on the warm-started dual-simplex core. Every
-/// improvement is feasibility-checked against the full row set before it is
-/// published through the shared incumbent, so the engine can only ever help:
-/// workers prune harder, the final optimum is unchanged.
-///
-/// The engine is deterministic given [`Config::seed`]: it never *reads* the
-/// shared incumbent, so its improvement sequence does not depend on thread
-/// scheduling — only how far it gets before the exact search finishes does.
-/// Its work budgets (repair nodes, iterations, stall streak, tabu tenure)
-/// are fixed in [`crate::heur`].
-///
-/// # Examples
-///
-/// ```
-/// use milp::{Config, HeurConfig};
-/// let cfg = Config::default().with_heur(HeurConfig::off());
-/// assert!(!cfg.heuristics.enabled);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HeurConfig {
-    /// Master switch for the rounding/diving passes at the root, the
-    /// in-tree dives, and the LNS + tabu engine.
-    pub enabled: bool,
-    /// Run the engine inline (to completion, before the tree search starts)
-    /// instead of on its own thread. Slower wall-clock but the published
-    /// incumbent trace is bit-identical at any thread count — used by the
-    /// determinism proptests.
-    pub sync: bool,
-}
-
-impl Default for HeurConfig {
-    fn default() -> Self {
-        HeurConfig {
-            enabled: true,
-            sync: false,
-        }
-    }
-}
-
-impl HeurConfig {
-    /// A configuration with every primal heuristic disabled (the
-    /// `heur_off` ablation: pure exact search).
-    pub fn off() -> Self {
-        HeurConfig {
-            enabled: false,
-            ..Default::default()
-        }
-    }
-}
-
 /// Durable-solve settings: where and how often the watchdog thread persists
 /// [`crate::checkpoint::SearchFrame`] snapshots, and the optional stall
 /// window after which a worker pool with no node progress gets a clean
@@ -217,6 +158,10 @@ impl CheckpointConfig {
 
 /// Configuration for [`crate::Solver`].
 ///
+/// The LP feasibility and optimality tolerances, the integrality tolerance
+/// and the absolute MIP gap are fixed constants next to their readers in
+/// [`crate::simplex`] and [`crate::branch`].
+///
 /// # Examples
 ///
 /// ```
@@ -230,17 +175,8 @@ impl CheckpointConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Primal/dual feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Integrality tolerance: `x` counts as integral if within this of a
-    /// whole number.
-    pub int_tol: f64,
     /// Relative MIP gap at which the search stops.
     pub rel_gap: f64,
-    /// Absolute MIP gap at which the search stops.
-    pub abs_gap: f64,
     /// Wall-clock limit for the whole solve (`None` = unlimited).
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes (`None` = unlimited).
@@ -251,9 +187,11 @@ pub struct Config {
     pub reduced_cost_fixing: bool,
     /// Run the presolver before solving.
     pub presolve: bool,
-    /// Primal-heuristic settings: root rounding/diving, in-tree dives, and
-    /// the anytime LNS + tabu engine (all on by default).
-    pub heuristics: HeurConfig,
+    /// Root heuristics: round the root LP point, then run two LP dives
+    /// from the root basis, each bounded by a number of LP solves (on by
+    /// default). Every other incumbent comes from the warm start or from an
+    /// integral node LP.
+    pub heuristics: bool,
     /// Random seed for tie-breaking perturbations.
     pub seed: u64,
     /// Number of branch-and-bound workers. `0` (the default) uses
@@ -294,16 +232,12 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            feas_tol: 1e-7,
-            opt_tol: 1e-7,
-            int_tol: 1e-6,
             rel_gap: 1e-6,
-            abs_gap: 1e-9,
             time_limit: None,
             node_limit: None,
             reduced_cost_fixing: true,
             presolve: true,
-            heuristics: HeurConfig::default(),
+            heuristics: true,
             seed: 0x5eed,
             threads: 0,
             cancel: None,
@@ -346,20 +280,9 @@ impl Config {
         self
     }
 
-    /// Enables or disables all primal heuristics (dives *and* LNS). For
-    /// finer control use [`Config::with_heur`].
+    /// Enables or disables the root heuristics (rounding and the two dives).
     pub fn with_heuristics(mut self, on: bool) -> Self {
-        self.heuristics = if on {
-            HeurConfig::default()
-        } else {
-            HeurConfig::off()
-        };
-        self
-    }
-
-    /// Sets the primal-heuristic configuration.
-    pub fn with_heur(mut self, heur: HeurConfig) -> Self {
-        self.heuristics = heur;
+        self.heuristics = on;
         self
     }
 
@@ -381,7 +304,7 @@ impl Config {
         self
     }
 
-    /// Sets the random seed for tie-breaking perturbations and heuristics.
+    /// Sets the random seed for tie-breaking perturbations.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -464,16 +387,13 @@ mod tests {
         assert_eq!(cfg.node_limit, Some(10));
         assert_eq!(cfg.rel_gap, 0.01);
         assert!(!cfg.presolve);
-        assert!(!cfg.heuristics.enabled);
+        assert!(!cfg.heuristics);
     }
 
     #[test]
     fn heur_config_defaults_and_off() {
-        let d = Config::default();
-        assert!(d.heuristics.enabled);
-        assert!(!d.heuristics.sync, "sync engine is a test-only mode");
-        let off = Config::default().with_heur(HeurConfig::off());
-        assert!(!off.heuristics.enabled);
+        assert!(Config::default().heuristics);
+        assert!(!Config::default().with_heuristics(false).heuristics);
     }
 
     #[test]

@@ -233,8 +233,6 @@ pub struct CutContext {
     pub is_binary: Vec<bool>,
     /// All-binary rows usable as knapsack candidates: `(coefs, lb, ub)`.
     pub knapsack_rows: Vec<SparseRow>,
-    /// Validated GUB groups (members of one-candidate disjunctions).
-    pub gub_groups: Vec<Vec<usize>>,
     /// Pairwise conflict edges (ordered pairs `u < v`): `x_u + x_v <= 1`.
     conflicts: HashSet<(usize, usize)>,
 }
@@ -284,7 +282,6 @@ impl CutContext {
         // Validate GUB hints: all-binary, unit coefficients, rhs 1. A row
         // reshaped by presolve (substituted fixed variable, shifted rhs)
         // simply fails validation and is ignored.
-        let mut gub_groups = Vec::new();
         let mut conflicts = HashSet::new();
         for &r in p.gub_rows() {
             let coefs = p.row_coefs(r);
@@ -304,7 +301,6 @@ impl CutContext {
                     conflicts.insert((u, v));
                 }
             }
-            gub_groups.push(members);
         }
         // Structural pairwise conflicts: two-binary rows where (1, 1) is
         // infeasible while the row admits some assignment.
@@ -327,7 +323,6 @@ impl CutContext {
             is_int,
             is_binary,
             knapsack_rows,
-            gub_groups,
             conflicts,
         }
     }
@@ -820,7 +815,6 @@ mod tests {
         p.mark_gub(good);
         p.mark_gub(bad);
         let ctx = CutContext::from_problem(&p);
-        assert_eq!(ctx.gub_groups.len(), 1);
         assert!(ctx.conflicting(v[0].index(), v[1].index()));
         assert!(!ctx.conflicting(v[2].index(), v[3].index()));
     }

@@ -138,8 +138,6 @@ struct FaultState {
     pricing_reopts: AtomicU64,
     /// Checkpoint frames written so far (1-based ordinals).
     checkpoint_writes: AtomicU64,
-    /// Whether the one-shot LNS-engine panic injection has fired.
-    lns_panic_fired: AtomicBool,
     /// Root cut separation rounds reached so far (1-based ordinals).
     cut_round_marks: AtomicU64,
     /// Root pricing rounds reached so far (1-based ordinals).
@@ -176,8 +174,6 @@ pub struct FaultInjection {
     /// bypassing the pool's parallelism filter, to exercise the recovery
     /// ladder on a near-singular basis.
     parallel_cut: bool,
-    /// Panic the LNS heuristic engine on its first iteration.
-    panic_lns: bool,
     /// Treat the deadline as expired once this many nodes were processed.
     deadline_after_nodes: Option<usize>,
     /// 1-based root cut-round reoptimization ordinals forced to fail (the
@@ -242,15 +238,6 @@ impl FaultInjection {
     /// for good.
     pub fn panic_worker(mut self, id: usize) -> Self {
         self.panic_workers.push(id);
-        self
-    }
-
-    /// Makes the LNS heuristic engine panic on its first iteration. The
-    /// exact search must absorb the dead engine and still return the
-    /// fault-free result (the engine is advisory: it can only publish
-    /// incumbents, never prune).
-    pub fn panic_lns(mut self) -> Self {
-        self.panic_lns = true;
         self
     }
 
@@ -330,11 +317,6 @@ impl FaultInjection {
             fired.push(id);
         }
         done < listed
-    }
-
-    /// Hook: whether the LNS engine should panic now (fires once).
-    pub(crate) fn should_panic_lns(&self) -> bool {
-        self.panic_lns && !self.state.lns_panic_fired.swap(true, Ordering::SeqCst)
     }
 
     /// Hook: whether the simulated deadline has expired at `nodes`.

@@ -7,7 +7,8 @@
 //! This crate provides the optimization substrate for the wireless-network
 //! design-space-exploration stack: a sparse bounded-variable revised simplex
 //! method (with LU-factorized basis and product-form updates) wrapped in a
-//! branch-and-bound search with presolve and primal heuristics.
+//! branch-and-bound search with presolve, root cutting planes and root
+//! primal heuristics.
 //!
 //! # Quick start
 //!
@@ -35,7 +36,12 @@
 //! * [`simplex`] — the LP engine ([`simplex::solve_lp`]); usable directly
 //!   for pure LPs and warm-started from previous bases.
 //! * [`branch`] — LP-based branch and bound with pseudo-cost branching,
-//!   plunging, and rounding/diving heuristics.
+//!   plunging, and reduced-cost fixing. With one worker and no time limit,
+//!   cancellation or stall watchdog, a solve repeats exactly: it spawns no
+//!   thread and reads the clock for no decision.
+//! * [`heur`] — the root primal heuristics: rounding and two LP dives,
+//!   each dive bounded by a number of LP solves; every other incumbent
+//!   comes from the warm start or an integral node LP.
 //! * [`cuts`] — cutting-plane subsystem: round-based separation (Gomory
 //!   mixed-integer, knapsack cover, clique/GUB) through a deduplicating
 //!   pool, reoptimized with the dual simplex.
@@ -64,7 +70,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use checkpoint::{load_frame, structure_fingerprint, FrameError, SearchFrame};
-pub use config::{CheckpointConfig, ColGenConfig, Config, CutConfig, HeurConfig};
+pub use config::{CheckpointConfig, ColGenConfig, Config, CutConfig};
 pub use pricing::{ColumnSource, NewColumn, NewRow, PriceInput, PricedBatch};
 pub use error::{CancelToken, FaultInjection, SolveError};
 pub use problem::{Problem, Row, RowId, Sense, Var, VarId, VarType};

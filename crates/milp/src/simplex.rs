@@ -38,6 +38,13 @@ use crate::lu::{Factorization, LuError};
 use crate::sparse::CscMatrix;
 use std::time::Instant;
 
+/// Primal feasibility tolerance: how far a basic value may sit outside its
+/// bounds (phase-1 costs, ratio tests, the infeasibility sum).
+const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost optimality tolerance: pricing, and ten times it in the
+/// dual-feasibility check of a warm basis.
+const OPT_TOL: f64 = 1e-7;
+
 /// Status of one variable in the simplex basis partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VStat {
@@ -540,7 +547,7 @@ impl<'a> Engine<'a> {
     }
 
     fn infeasibility(&self) -> f64 {
-        let t = self.cfg.feas_tol;
+        let t = FEAS_TOL;
         self.basis
             .iter()
             .map(|&j| {
@@ -561,7 +568,7 @@ impl<'a> Engine<'a> {
     /// also record the reduced costs in `self.dj` so a terminating
     /// (complete) pass leaves them valid for reduced-cost fixing.
     fn price(&mut self, phase1: bool, bland: bool) -> Pricing {
-        let t = self.cfg.feas_tol;
+        let t = FEAS_TOL;
         let mut cb = vec![0.0; self.m];
         let mut any_cost = false;
         for (i, &j) in self.basis.iter().enumerate() {
@@ -587,7 +594,7 @@ impl<'a> Engine<'a> {
         }
         self.fact.btran(&mut cb); // now y in row space
         let y = cb;
-        let otol = self.cfg.opt_tol;
+        let otol = OPT_TOL;
         if !phase1 {
             // Fresh capture per pass: entries not reached (early Bland
             // return) stay zero, which is always safe for fixing.
@@ -641,7 +648,7 @@ impl<'a> Engine<'a> {
     /// (required for Bland's rule to actually prevent cycling).
     fn ratio_test(&self, j: usize, dir: f64, w: &[f64], phase1: bool, bland: bool) -> Ratio {
         let piv_tol = 1e-9;
-        let t_feas = self.cfg.feas_tol;
+        let t_feas = FEAS_TOL;
         let mut t_best = f64::INFINITY;
         // (pos, to_upper, tie-break score: |w| normally, -var index for Bland)
         let mut leave: Option<(usize, bool, f64)> = None;
@@ -761,7 +768,7 @@ impl<'a> Engine<'a> {
             y[i] = self.cost[j];
         }
         self.fact.btran(&mut y);
-        let tol = self.cfg.opt_tol * 10.0;
+        let tol = OPT_TOL * 10.0;
         for j in 0..self.nn {
             let st = self.status[j];
             if st == VStat::Basic || self.lb[j] == self.ub[j] {
@@ -793,7 +800,7 @@ impl<'a> Engine<'a> {
     /// entering column, until primal feasibility is restored.
     fn iterate_dual(&mut self) -> Result<DualRun, SolveError> {
         let piv_tol = 1e-9;
-        let t_feas = self.cfg.feas_tol;
+        let t_feas = FEAS_TOL;
         let mut colbuf: Vec<(usize, f64)> = Vec::new();
         let mut since_recompute = 0usize;
         let mut singular_retries = 0usize;
@@ -1064,14 +1071,14 @@ impl<'a> Engine<'a> {
             if self.degenerate_run > Self::STALL_LIMIT {
                 return Err(SolveError::Cycling { iters: self.iters });
             }
-            if phase1 && self.infeasibility() <= self.cfg.feas_tol * (1.0 + self.m as f64) {
+            if phase1 && self.infeasibility() <= FEAS_TOL * (1.0 + self.m as f64) {
                 return Ok(LpStatus::Optimal); // feasible; caller proceeds to phase 2
             }
             let bland = self.force_bland || self.degenerate_run > 200;
             let (j, dir) = match self.price(phase1, bland) {
                 Pricing::Entering { j, dir } => (j, dir),
                 Pricing::OptimalOrFeasible => {
-                    if phase1 && self.infeasibility() > self.cfg.feas_tol * (1.0 + self.m as f64) {
+                    if phase1 && self.infeasibility() > FEAS_TOL * (1.0 + self.m as f64) {
                         return Ok(LpStatus::Infeasible);
                     }
                     return Ok(LpStatus::Optimal);
@@ -1235,7 +1242,7 @@ fn solve_lp_attempt(
     let used_warm = eng.install(warm)?;
     eng.compute_basics();
 
-    let infeas_tol = cfg.feas_tol * (1.0 + eng.m as f64);
+    let infeas_tol = FEAS_TOL * (1.0 + eng.m as f64);
     let mut need_phase1 = eng.infeasibility() > infeas_tol;
     // Dual reoptimization: a warm basis that was optimal before a bound
     // change (or before rows were appended with basic slacks) is still

@@ -49,7 +49,9 @@ impl std::fmt::Display for Status {
 pub struct Stats {
     /// Branch-and-bound nodes processed (1 for a pure LP).
     pub nodes: usize,
-    /// Total simplex iterations across all LP solves.
+    /// Total simplex iterations across every LP the solve runs: the root,
+    /// each cut-round and pricing reoptimization, the root dives, and every
+    /// node.
     pub simplex_iters: usize,
     /// Simplex iterations spent in primal Phase 1 (feasibility restoration);
     /// warm starts that dual-reoptimize successfully contribute none.
@@ -61,7 +63,8 @@ pub struct Stats {
     /// Integer variable bounds tightened by reduced-cost fixing (at the
     /// root and on incumbent improvements).
     pub rc_fixed: usize,
-    /// Incumbents found by heuristics (as opposed to node LPs).
+    /// Incumbents found by the root heuristics, rounding and the two dives
+    /// (as opposed to the warm start or node LPs): 0 to 3.
     pub heuristic_solutions: usize,
     /// Wall-clock time of the whole solve.
     pub elapsed: Duration,
@@ -82,7 +85,7 @@ pub struct Stats {
     /// Cutting planes that passed the pool filters and were appended to the
     /// LP relaxation.
     pub cuts_applied: usize,
-    /// Separation rounds run (root rounds plus per-node rounds).
+    /// Root separation rounds run.
     pub cut_rounds: usize,
     /// Relative gap between the incumbent and the root LP bound *after*
     /// cut rounds; 0.0 when the root was already integral or no incumbent
@@ -109,25 +112,18 @@ pub struct Stats {
     /// re-validation and was seeded as the initial incumbent.
     pub warm_seeded: bool,
     /// Wall-clock time from solve start to the *first* feasible incumbent,
-    /// whatever found it (warm seed, heuristic, or a node LP). `None` when
-    /// the solve never held an incumbent.
+    /// whatever found it (warm seed, a root heuristic, or a node LP). `None`
+    /// when the solve never held an incumbent.
     pub time_to_first_incumbent: Option<Duration>,
     /// Wall-clock time from solve start to the first incumbent whose
     /// objective is within 1% of the final one — the anytime headline
     /// metric. `None` when the solve never held an incumbent.
     pub time_to_within_1pct: Option<Duration>,
-    /// Destroy/repair iterations run by the LNS + tabu engine.
+    /// Always 0: the solver has no LNS engine. Kept because `perfbench`
+    /// (a separate workspace) still reads it.
     pub lns_iters: usize,
-    /// LNS improvements accepted by the shared incumbent (an engine
-    /// improvement loses the publication race when the tree search already
-    /// holds something better).
+    /// Always 0, for the same reason as [`Stats::lns_iters`].
     pub lns_published: usize,
-    /// The LNS engine's own improvement trace (objective values in the
-    /// problem's user sense, best-first order of discovery). Depends only on
-    /// [`crate::Config::seed`] and the problem — never on thread count or
-    /// scheduling — except that an async engine may be stopped early, which
-    /// truncates the trace without reordering it.
-    pub lns_trace: Vec<f64>,
 }
 
 impl Stats {

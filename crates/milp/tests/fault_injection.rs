@@ -476,7 +476,7 @@ fn warm_start_is_returned_when_the_search_expires_immediately() {
     let mut cfg = no_cuts()
         .with_faults(faults)
         .with_warm_start(clean.values().to_vec());
-    cfg.heuristics = milp::HeurConfig::off();
+    cfg.heuristics = false;
     let sol = solve_with(&p, cfg);
     assert!(sol.stats().warm_seeded);
     assert!(
@@ -508,89 +508,6 @@ fn warm_start_wrong_length_is_ignored() {
     let sol = solve_with(&p, Config::default().with_warm_start(vec![0.0; 5]));
     assert!(!sol.stats().warm_seeded);
     assert_eq!(sol.status(), Status::Optimal);
-}
-
-#[test]
-fn lns_engine_panic_is_isolated_and_optimum_stands() {
-    // The injected panic fires inside the LNS + tabu engine thread; the
-    // exact search must be untouched (the engine only ever publishes) and
-    // the panic counted like any worker panic.
-    let p = hard_knapsack(18);
-    let clean = solve_with(&p, no_cuts());
-    assert_eq!(clean.status(), Status::Optimal);
-
-    let faults = FaultInjection::seeded(11).panic_lns();
-    let sol = solve_with(&p, no_cuts().with_faults(faults));
-    assert_eq!(sol.status(), Status::Optimal);
-    assert!(
-        (sol.objective() - clean.objective()).abs() < 1e-6,
-        "after LNS panic {} vs fault-free {}",
-        sol.objective(),
-        clean.objective()
-    );
-    assert!(
-        sol.stats().worker_panics >= 1,
-        "the injected LNS panic must have fired and been isolated"
-    );
-    assert!(p.check_feasible(sol.values(), 1e-6).is_none());
-}
-
-#[test]
-fn lns_engine_panic_in_sync_mode_is_isolated_too() {
-    let p = hard_knapsack(18);
-    let faults = FaultInjection::seeded(11).panic_lns();
-    let mut cfg = no_cuts().with_faults(faults);
-    cfg.heuristics.sync = true;
-    let sol = solve_with(&p, cfg);
-    assert_eq!(sol.status(), Status::Optimal);
-    assert!(sol.stats().worker_panics >= 1);
-    assert!(p.check_feasible(sol.values(), 1e-6).is_none());
-}
-
-#[test]
-fn prefired_cancel_stops_the_lns_engine_before_any_iteration() {
-    // Cancellation is one of the engine's per-iteration stop conditions;
-    // a token fired before the solve starts must keep it from running at
-    // all (and wind the whole solve down as usual).
-    let p = hard_knapsack(20);
-    let token = CancelToken::new();
-    token.cancel();
-    let mut cfg = no_cuts().with_cancel(token);
-    cfg.heuristics.sync = true; // engine runs (and must exit) before the search
-    let sol = solve_with(&p, cfg);
-    assert!(
-        matches!(
-            sol.status(),
-            Status::LimitFeasible | Status::LimitNoSolution
-        ),
-        "pre-fired cancel must wind down, got {:?}",
-        sol.status()
-    );
-    assert_eq!(
-        sol.stats().lns_iters,
-        0,
-        "a pre-fired token must stop the engine before any destroy/repair"
-    );
-}
-
-#[test]
-fn injected_deadline_expiry_stops_the_lns_engine() {
-    // The simulated-deadline hook counts engine iterations like tree
-    // nodes: expiry after 0 means not a single destroy/repair runs.
-    let p = hard_knapsack(18);
-    let faults = FaultInjection::seeded(31).expire_after_nodes(0);
-    let mut cfg = no_cuts().with_faults(faults);
-    cfg.heuristics.sync = true;
-    let sol = solve_with(&p, cfg);
-    assert_eq!(sol.stats().lns_iters, 0);
-    assert!(
-        matches!(
-            sol.status(),
-            Status::LimitFeasible | Status::LimitNoSolution
-        ),
-        "simulated expiry must wind down, got {:?}",
-        sol.status()
-    );
 }
 
 mod determinism {
