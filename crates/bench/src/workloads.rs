@@ -304,6 +304,38 @@ mod tests {
         assert_eq!(w.requirements.min_lifetime_years, Some(5.0));
     }
 
+    /// Every zone of the smoke campus proves optimality well inside either
+    /// budget and the backbone is a fixed tree, so the stitched design
+    /// must not depend on the budget.
+    #[test]
+    fn scale_smoke_design_is_budget_independent() {
+        use archex::scale::{generate_city, solve_decomposed, ScaleOptions};
+        use std::time::Duration;
+        let WorkloadKind::City {
+            params,
+            buildings_per_zone,
+        } = scale_smoke().kind
+        else {
+            panic!("the scale smoke is a city workload");
+        };
+        let city = generate_city(&params);
+        let solve = |secs| {
+            let opts = ScaleOptions {
+                buildings_per_zone,
+                budget: Duration::from_secs(secs),
+                ..ScaleOptions::default()
+            };
+            solve_decomposed(&city, &opts).expect("the smoke campus decomposes")
+        };
+        let (long, short) = (solve(60), solve(10));
+        assert!(long.violations.is_empty(), "{:?}", long.violations);
+        // the monolith's optimum; seam repair in node-index order costs 530
+        assert_eq!(long.design.total_cost, 520.0);
+        assert_eq!(long.design.placed, short.design.placed);
+        assert_eq!(long.design.routes, short.design.routes);
+        assert_eq!(long.design.total_cost, short.design.total_cost);
+    }
+
     #[test]
     fn localization_shapes() {
         let w = localization_workload((5, 4), (4, 3), "cost");

@@ -17,12 +17,14 @@
 //! 2. [`partition_city`] clusters buildings into zones with deterministic
 //!    k-means over building centers ([`netgraph::cluster::kmeans`]).
 //! 3. [`solve_decomposed`] picks one gateway rooftop per zone, once, by
-//!    zone proxy cost plus backhaul hop count to the sink, solves the
-//!    backbone over the chosen gateways, solves the zone MILPs in
-//!    parallel under sliced budgets ([`milp::Config::budget_slice`]),
-//!    stitches zone routes onto backbone routes, repairs component
-//!    choices at the seams, and re-verifies the stitched design against
-//!    the full un-partitioned instance with [`verify_design`].
+//!    zone proxy cost plus backhaul hop count to the sink, and routes the
+//!    gateways to the sink along a minimum path-loss spanning tree (no
+//!    backbone solve). It then solves the zone MILPs in parallel, each
+//!    under a slice of the remaining budget set through
+//!    [`LadderOptions::with_budget`], stitches zone routes onto backbone
+//!    routes, repairs component choices at the seams, and re-verifies the
+//!    stitched design against the full un-partitioned instance with
+//!    [`verify_design`].
 //! 4. [`solve_monolithic`] is the ablation baseline: the plain resilient
 //!    ladder on the full template.
 
@@ -39,8 +41,10 @@ use milp::Status;
 use netgraph::cluster::{kmeans, num_clusters};
 use netgraph::{distances_from, DiGraph, NodeId};
 use rand::{Rng, SeedableRng, StdRng};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::iter::successors;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -453,7 +457,7 @@ pub fn partition_city(city: &CityInstance, buildings_per_zone: usize) -> ScalePa
 pub struct ScaleOptions {
     /// Target buildings per zone.
     pub buildings_per_zone: usize,
-    /// Yen candidate count (`K*`) for zone and backbone encodings.
+    /// Yen candidate count (`K*`) for the zone encodings.
     pub kstar: usize,
     /// Wall-clock budget for the whole decomposed solve.
     pub budget: Duration,
@@ -487,10 +491,11 @@ pub enum ScaleError {
         /// Final solver status, when the solve ran at all.
         status: Option<Status>,
     },
-    /// The backbone solve produced no design.
+    /// A backbone relay (a gateway or the sink building's rooftop) has no
+    /// rooftop route to the sink.
     Backbone {
-        /// Final solver status, when the solve ran at all.
-        status: Option<Status>,
+        /// The unreachable relay's template node index.
+        gateway: usize,
     },
     /// No rooftop in the zone can reach every zone sensor.
     NoGateway {
@@ -506,8 +511,8 @@ impl fmt::Display for ScaleError {
             ScaleError::Zone { zone, status } => {
                 write!(f, "zone {} produced no design (status {:?})", zone, status)
             }
-            ScaleError::Backbone { status } => {
-                write!(f, "backbone produced no design (status {:?})", status)
+            ScaleError::Backbone { gateway } => {
+                write!(f, "backbone relay {} has no route to the sink", gateway)
             }
             ScaleError::NoGateway { zone } => {
                 write!(f, "zone {} has no gateway reaching every sensor", zone)
@@ -536,7 +541,7 @@ pub struct ScaleReport {
     /// Cross-zone candidate links in the partition.
     pub boundary_links: usize,
     /// Gateway choice rounds. Always 1: each zone's gateway is chosen once,
-    /// before the backbone solve.
+    /// before the zone solves.
     pub price_iters: usize,
     /// Final solver status per zone, in zone order.
     pub zone_statuses: Vec<Status>,
@@ -622,13 +627,15 @@ fn hops_to(
     distances_from(&g, NodeId(target))
 }
 
-/// Spatially decomposed solve: one-shot gateway choice, backbone solve,
-/// parallel zone MILPs, stitching, seam repair, full re-verification.
+/// Spatially decomposed solve: one-shot gateway choice, spanning-tree
+/// backbone routes, parallel zone MILPs, stitching, seam repair, full
+/// re-verification.
 ///
 /// # Errors
 ///
-/// Returns [`ScaleError`] when any zone or the backbone yields no design
-/// (the caller may retry with a larger budget) or a sub-encoding fails.
+/// Returns [`ScaleError`] when any zone yields no design (the caller may
+/// retry with a larger budget), a backbone relay cannot reach the sink, or
+/// a sub-encoding fails.
 pub fn solve_decomposed(
     city: &CityInstance,
     opts: &ScaleOptions,
@@ -696,8 +703,7 @@ pub fn solve_decomposed(
         }
         assignment.push(best);
     }
-    let remaining = opts.budget.saturating_sub(t0.elapsed());
-    let (bb_design, bb_nodes) = solve_backbone(city, &assignment, sink_zone, remaining, opts)?;
+    let backbone = backbone_routes(city, &assignment, sink_zone)?;
 
     // --- parallel zone solves -------------------------------------------
     let zlib = zone_library(&city.library);
@@ -784,8 +790,7 @@ pub fn solve_decomposed(
         &zlib,
         &problems,
         &zone_reports,
-        &bb_design,
-        &bb_nodes,
+        &backbone,
         &assignment,
         sink_zone,
     );
@@ -805,51 +810,60 @@ pub fn solve_decomposed(
     })
 }
 
-/// Solves the backbone: chosen gateways plus the sink building's rooftop
-/// routing to the real sink (`has_path(relays, sink)` gives every backbone
-/// relay a route). Returns the design and the local-to-global node map.
-fn solve_backbone(
+/// Routes the backbone: the chosen gateways and the sink building's
+/// rooftop each reach the sink along Prim's minimum spanning tree, grown
+/// from the sink over the template links among those nodes and weighted
+/// by path loss (ties go to the lower link). A tree path is a minimax
+/// route: no route to the sink over these links has a lower worst hop.
+/// Returns each relay's route, relay first and sink last, keyed by relay.
+///
+/// # Errors
+///
+/// [`ScaleError::Backbone`] names the lowest relay the tree cannot reach.
+fn backbone_routes(
     city: &CityInstance,
     assignment: &[usize],
     sink_zone: usize,
-    remaining: Duration,
-    opts: &ScaleOptions,
-) -> Result<(NetworkDesign, Vec<usize>), ScaleError> {
-    let mut nodes: Vec<usize> = assignment
+) -> Result<BTreeMap<usize, Vec<usize>>, ScaleError> {
+    let mut relays: Vec<usize> = assignment
         .iter()
         .enumerate()
         .filter(|&(z, _)| z != sink_zone)
         .map(|(_, &g)| g)
         .collect();
-    nodes.push(city.backhaul[city.building_of[city.sink]]);
-    nodes.push(city.sink);
-    nodes.sort_unstable();
-    nodes.dedup();
-    let mut t = NetworkTemplate::new();
-    for &g in &nodes {
-        let src = &city.template.nodes()[g];
-        t.add_node(src.name.clone(), src.position, src.role);
+    relays.push(city.backhaul[city.building_of[city.sink]]);
+    relays.sort_unstable();
+    relays.dedup();
+    let is_relay = |u: usize| relays.binary_search(&u).is_ok();
+    let links: Vec<(usize, usize)> = city
+        .template
+        .links()
+        .iter()
+        .copied()
+        .filter(|&(i, j)| is_relay(i) && (is_relay(j) || j == city.sink))
+        .collect();
+    let loss = |(i, j): (usize, usize)| city.template.path_loss(i, j);
+    // each tree relay's next hop toward the sink
+    let mut next: BTreeMap<usize, usize> = BTreeMap::new();
+    let in_tree = |next: &BTreeMap<usize, usize>, u| u == city.sink || next.contains_key(&u);
+    while let Some(&(i, j)) = links
+        .iter()
+        .filter(|&&(i, j)| !in_tree(&next, i) && in_tree(&next, j))
+        .min_by(|&&a, &&b| loss(a).total_cmp(&loss(b)).then(a.cmp(&b)))
+    {
+        next.insert(i, j);
     }
-    t.compute_path_loss_with(|a, b| city.template.path_loss(nodes[a], nodes[b]));
-    t.prune_links(
-        &city.library,
-        city.requirements.params.noise_dbm,
-        city.requirements.effective_min_snr_db(),
-    );
-    let spec = "b = has_path(relays, sink)\nmin_signal_to_noise(20)\nobjective minimize cost\n";
-    let req = Requirements::from_spec_text(spec).expect("builtin backbone spec parses");
-    let mut base = ExploreOptions::approx(opts.kstar)
-        .with_threads(1)
-        .with_solver_seed(opts.seed ^ 0xb0b0);
-    base.solver = base.solver.clone().budget_slice(remaining, 1);
-    let budget = remaining.min(Duration::from_secs(10)).max(Duration::from_millis(200));
-    let rep = explore_resilient(&t, &city.library, &req, &LadderOptions::new(base).with_budget(budget));
-    match rep.design {
-        Some(d) => Ok((d, nodes)),
-        None => Err(ScaleError::Backbone {
-            status: rep.final_status,
-        }),
-    }
+    relays
+        .into_iter()
+        .map(|g| {
+            let route: Vec<usize> = successors(Some(g), |u| next.get(u).copied()).collect();
+            if route.last() == Some(&city.sink) {
+                Ok((g, route))
+            } else {
+                Err(ScaleError::Backbone { gateway: g })
+            }
+        })
+        .collect()
 }
 
 /// Loop-erases a node sequence: on a revisit, the cycle back to the first
@@ -905,64 +919,38 @@ fn map_component(lib: &Library, chosen: &devlib::Component, kind: DeviceKind) ->
 }
 
 /// Assembles the stitched design: zone routes extended along backbone
-/// routes, loop-erased; components mapped to the real library with
-/// conflicts resolved toward the more capable part; unused optional nodes
-/// dropped.
-#[allow(clippy::too_many_arguments)]
+/// routes, loop-erased; zone components mapped to the real library, and
+/// backbone nodes no zone placed given the cheapest part of their kind
+/// (seam repair sizes them); unused optional nodes dropped.
 fn stitch(
     city: &CityInstance,
     zlib: &Library,
     problems: &[(usize, NetworkTemplate, Vec<usize>)],
     zone_reports: &[crate::explore::ExploreReport],
-    bb_design: &NetworkDesign,
-    bb_nodes: &[usize],
+    backbone: &BTreeMap<usize, Vec<usize>>,
     assignment: &[usize],
     sink_zone: usize,
 ) -> NetworkDesign {
-    // backbone routes by global gateway index
-    let bb_route_of: HashMap<usize, Vec<usize>> = bb_design
-        .routes
-        .iter()
-        .map(|r| {
-            (
-                bb_nodes[r.nodes[0]],
-                r.nodes.iter().map(|&u| bb_nodes[u]).collect(),
-            )
-        })
-        .collect();
+    let kind_of = |node: usize| city.template.nodes()[node].role.device_kind();
+    // zones are disjoint, so each node gets at most one zone pick
     let mut comp_of: HashMap<usize, usize> = HashMap::new();
-    let mut propose = |node: usize, comp: usize, from_zone: bool| {
-        let kind = city.template.nodes()[node].role.device_kind();
-        let chosen = if from_zone {
-            zlib.get(comp).cloned()
-        } else {
-            city.library.get(comp).cloned()
-        };
-        let Some(chosen) = chosen else { return };
-        let mapped = map_component(&city.library, &chosen, kind);
-        comp_of
-            .entry(node)
-            .and_modify(|cur| {
-                // conflict (gateway placed by zone and backbone): keep the
-                // more capable part; repair may downgrade it later
-                let a = city.library.get(*cur).expect("valid index");
-                let b = city.library.get(mapped).expect("valid index");
-                let ka = (a.tx_power_dbm + a.antenna_gain_dbi, a.antenna_gain_dbi);
-                let kb = (b.tx_power_dbm + b.antenna_gain_dbi, b.antenna_gain_dbi);
-                if kb > ka {
-                    *cur = mapped;
-                }
-            })
-            .or_insert(mapped);
-    };
-    for p in &bb_design.placed {
-        propose(bb_nodes[p.node], p.component, false);
-    }
     for ((_, _, map), rep) in problems.iter().zip(zone_reports) {
         let d = rep.design.as_ref().expect("zone reports are all solved");
         for p in &d.placed {
-            propose(map[p.node], p.component, true);
+            let node = map[p.node];
+            let chosen = zlib
+                .get(p.component)
+                .expect("zone designs index the zone library");
+            comp_of.insert(node, map_component(&city.library, chosen, kind_of(node)));
         }
+    }
+    for &u in backbone.values().flatten() {
+        comp_of.entry(u).or_insert_with(|| {
+            city.library
+                .cheapest_of(kind_of(u))
+                .and_then(|c| city.library.index_of(&c.name))
+                .expect("library has parts of every kind")
+        });
     }
     // routes: one per sensor, zone leg then backbone leg
     let mut routes: Vec<DesignRoute> = Vec::new();
@@ -971,10 +959,7 @@ fn stitch(
         for r in &d.routes {
             let mut seq: Vec<usize> = r.nodes.iter().map(|&u| map[u]).collect();
             if *z != sink_zone {
-                let gateway = assignment[*z];
-                if let Some(bb) = bb_route_of.get(&gateway) {
-                    seq.extend_from_slice(&bb[1..]);
-                }
+                seq.extend_from_slice(&backbone[&assignment[*z]][1..]);
             }
             let nodes = loop_erase(&seq);
             routes.push(DesignRoute {
@@ -1014,10 +999,13 @@ fn stitch(
 }
 
 /// Seam repair: re-picks the component of every placed node so all route
-/// edges clear the SNR floor, preferring cheaper parts. Neighbor choices
-/// interact, so the sweep runs to a fixpoint (bounded passes); a node
-/// with no satisfying part gets the max-min-slack one and the final
-/// [`verify_design`] pass is the authority.
+/// edges clear the SNR floor, preferring cheaper parts. Nodes farthest
+/// from the sink go first (most hops left on any route through them, ties
+/// by node index), so a transmitter is sized for its hop before its
+/// receiver is. Neighbor choices interact, so the sweep runs to a
+/// fixpoint (bounded passes); a node with no satisfying part gets the
+/// max-min-slack one and the final [`verify_design`] pass is the
+/// authority.
 fn repair_components(d: &mut NetworkDesign, city: &CityInstance) {
     let floor = city.requirements.effective_min_snr_db();
     let noise = city.requirements.params.noise_dbm;
@@ -1042,7 +1030,14 @@ fn repair_components(d: &mut NetworkDesign, city: &CityInstance) {
             - city.template.path_loss(i, j)
             - noise
     };
-    let order: Vec<usize> = d.placed.iter().map(|p| p.node).collect();
+    let mut hops_left = vec![0usize; city.template.num_nodes()];
+    for r in &d.routes {
+        for (k, &u) in r.nodes.iter().enumerate() {
+            hops_left[u] = hops_left[u].max(r.nodes.len() - 1 - k);
+        }
+    }
+    let mut order: Vec<usize> = d.placed.iter().map(|p| p.node).collect();
+    order.sort_by_key(|&u| (Reverse(hops_left[u]), u));
     for _pass in 0..3 {
         let mut changed = false;
         for &u in &order {
@@ -1196,6 +1191,79 @@ mod tests {
         assert_eq!(loop_erase(&[1, 2, 3]), vec![1, 2, 3]);
         assert_eq!(loop_erase(&[5]), vec![5]);
         assert_eq!(loop_erase(&[1, 2, 1, 3, 1, 4]), vec![1, 4]);
+    }
+
+    #[test]
+    fn backbone_routes_are_minimax_paths_to_the_sink() {
+        let city = generate_city(&CityParams {
+            grid: (3, 2),
+            ..tiny_params()
+        });
+        // one building per zone, so every rooftop is its zone's gateway
+        let part = partition_city(&city, 1);
+        let sink_zone = part.zone_of[city.sink];
+        let assignment: Vec<usize> = part
+            .zones
+            .iter()
+            .enumerate()
+            .map(|(z, nodes)| {
+                let rooftop = nodes.iter().copied().find(|&i| city.elevated[i]);
+                if z == sink_zone {
+                    city.sink
+                } else {
+                    rooftop.expect("a rooftop")
+                }
+            })
+            .collect();
+        let routes = backbone_routes(&city, &assignment, sink_zone).expect("rooftops connect");
+        let mut relays = city.backhaul.clone();
+        relays.sort_unstable();
+        assert_eq!(routes.keys().copied().collect::<Vec<_>>(), relays);
+
+        // the same links the tree may use: rooftop to rooftop or to the sink
+        let links: Vec<(usize, usize)> = city
+            .template
+            .links()
+            .iter()
+            .copied()
+            .filter(|&(i, j)| city.elevated[i] && (city.elevated[j] || j == city.sink))
+            .collect();
+        let loss = |(i, j): (usize, usize)| city.template.path_loss(i, j);
+        // brute force: the least threshold under which `g` reaches the sink
+        let minimax = |g: usize| {
+            let mut thresholds: Vec<f64> = links.iter().map(|&l| loss(l)).collect();
+            thresholds.sort_by(f64::total_cmp);
+            thresholds
+                .into_iter()
+                .find(|&t| {
+                    let mut reached = vec![g];
+                    let mut k = 0;
+                    while k < reached.len() {
+                        let u = reached[k];
+                        for &(i, j) in &links {
+                            if i == u && loss((i, j)) <= t && !reached.contains(&j) {
+                                reached.push(j);
+                            }
+                        }
+                        k += 1;
+                    }
+                    reached.contains(&city.sink)
+                })
+                .expect("the sink is reachable")
+        };
+        let mut multi_hop = 0;
+        for (&g, route) in &routes {
+            assert_eq!(route.first(), Some(&g));
+            assert_eq!(route.last(), Some(&city.sink));
+            let hops: Vec<(usize, usize)> = route.windows(2).map(|w| (w[0], w[1])).collect();
+            for &hop in &hops {
+                assert!(links.contains(&hop), "{:?} is not a backbone link", hop);
+            }
+            let worst = hops.iter().map(|&h| loss(h)).fold(0.0, f64::max);
+            assert_eq!(worst, minimax(g), "relay {}", g);
+            multi_hop += usize::from(hops.len() > 2);
+        }
+        assert!(multi_hop > 0, "some rooftop relays through another");
     }
 
     #[test]

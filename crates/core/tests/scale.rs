@@ -1,6 +1,7 @@
 //! Property tests on the city-scale subsystem: generator determinism,
 //! partition soundness, and the headline guarantee — every stitched
-//! decomposed design verifies on the full un-partitioned instance.
+//! decomposed design verifies on the full un-partitioned instance, and a
+//! repeat solve stitches the same design.
 
 use archex::design::verify_design;
 use archex::scale::{
@@ -86,7 +87,8 @@ proptest! {
 
     /// Every stitched decomposed design passes `verify_design` on the full
     /// un-partitioned instance — checked here independently of the
-    /// violations the report carries.
+    /// violations the report carries — and a second solve returns the same
+    /// design.
     #[test]
     fn stitched_designs_verify_on_full_instance(
         (params, bpz) in (params_strategy(), 1usize..=2)
@@ -109,6 +111,10 @@ proptest! {
                 );
                 prop_assert!(independent.is_empty(), "independent: {:?}", independent);
                 prop_assert!(rep.design.total_cost > 0.0);
+                let again = solve_decomposed(&city, &opts).expect("a repeat solve stitches");
+                prop_assert_eq!(&again.design.placed, &rep.design.placed);
+                prop_assert_eq!(&again.design.routes, &rep.design.routes);
+                prop_assert_eq!(again.design.total_cost, rep.design.total_cost);
             }
             // a starved zone may legitimately time out; the property only
             // constrains designs that were actually stitched

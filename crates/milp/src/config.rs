@@ -310,18 +310,6 @@ impl Config {
         self
     }
 
-    /// Splits a remaining wall-clock budget evenly across `subproblems`
-    /// concurrent solves and sets it as this config's time limit. A
-    /// decomposition master loop calls this each round so late zones don't
-    /// inherit time the early zones already spent. Zero subproblems count
-    /// as one; the slice is floored at 100 ms so a nearly-exhausted budget
-    /// still lets each solve run its root LP and return a limit status.
-    pub fn budget_slice(mut self, remaining: Duration, subproblems: usize) -> Self {
-        let share = remaining / subproblems.max(1) as u32;
-        self.time_limit = Some(share.max(Duration::from_millis(100)));
-        self
-    }
-
     /// Supplies a warm-start point (original variable order) to seed the
     /// initial incumbent after validation.
     pub fn with_warm_start(mut self, values: Vec<f64>) -> Self {

@@ -400,18 +400,7 @@ const MIN_EFFICACY: f64 = 1e-4;
 /// Maximum |cosine| between two cuts applied in the same round; filters
 /// near-parallel rows that would degrade the basis conditioning.
 const MAX_PARALLELISM: f64 = 0.999;
-/// Maximum number of cuts held in the pool (pending + applied).
-const MAX_POOL: usize = 2000;
-/// Pending cuts not selected for this many rounds are evicted.
-const MAX_AGE: usize = 3;
-
-#[derive(Debug, Clone)]
-struct PoolEntry {
-    cut: Cut,
-    age: usize,
-}
-
-/// Deduplicating cut pool with activity-based aging.
+/// Deduplicating cut pool.
 ///
 /// Offered cuts pass the numerical-safety pass ([`Cut::sanitize`]) and a
 /// normalized content hash before entering the pending set. Each
@@ -419,11 +408,12 @@ struct PoolEntry {
 /// fractional point and moves the best ones — subject to efficacy and
 /// pairwise-parallelism filters — onto the **append-only applied list**
 /// (later cuts only ever append rows, so an earlier basis stays
-/// index-consistent). Pending cuts not selected age by one per round and
-/// are evicted past `MAX_AGE` rounds.
+/// index-consistent). Unselected cuts stay pending for later rounds; the
+/// root loop's `MAX_ROUNDS` rounds of at most `MAX_CUTS_PER_ROUND` cuts per
+/// separator bound the pool's size.
 #[derive(Debug, Default)]
 pub struct CutPool {
-    pending: Vec<PoolEntry>,
+    pending: Vec<Cut>,
     applied: Vec<Cut>,
     seen: HashSet<u64>,
     /// Cuts offered by separators (pre-filter).
@@ -448,13 +438,13 @@ impl CutPool {
         if !self.seen.insert(cut.content_hash()) {
             return false;
         }
-        self.pending.push(PoolEntry { cut, age: 0 });
+        self.pending.push(cut);
         true
     }
 
     /// Selects up to `MAX_CUTS_PER_ROUND` pending cuts violated at `x`,
-    /// moves them to the applied list, ages the rest, and returns clones of
-    /// the newly applied cuts (in applied order).
+    /// moves them to the applied list, and returns clones of the newly
+    /// applied cuts (in applied order).
     pub fn select(&mut self, x: &[f64]) -> Vec<Cut> {
         self.rounds += 1;
         // Score pending cuts: (index, violation, efficacy).
@@ -462,9 +452,9 @@ impl CutPool {
             .pending
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| {
-                let viol = e.cut.violation(x);
-                let norm = e.cut.norm();
+            .filter_map(|(i, c)| {
+                let viol = c.violation(x);
+                let norm = c.norm();
                 if norm == 0.0 || viol < MIN_VIOLATION {
                     return None;
                 }
@@ -478,31 +468,21 @@ impl CutPool {
             if picked_idx.len() >= MAX_CUTS_PER_ROUND {
                 break;
             }
-            let cand = &self.pending[i].cut;
+            let cand = &self.pending[i];
             let parallel = picked_idx
                 .iter()
-                .any(|&k| self.pending[k].cut.cosine(cand).abs() > MAX_PARALLELISM);
+                .any(|&k| self.pending[k].cosine(cand).abs() > MAX_PARALLELISM);
             if !parallel {
                 picked_idx.push(i);
             }
         }
-        // Move picks to the applied list (order = pick order), age the rest.
+        // Move picks to the applied list (order = pick order).
         picked_idx.sort_unstable();
         let mut selected = Vec::with_capacity(picked_idx.len());
         for &i in picked_idx.iter().rev() {
-            selected.push(self.pending.swap_remove(i).cut);
+            selected.push(self.pending.swap_remove(i));
         }
         selected.reverse();
-        for e in &mut self.pending {
-            e.age += 1;
-        }
-        self.pending.retain(|e| e.age <= MAX_AGE);
-        // Hard cap on pool size: keep the youngest pending entries.
-        let budget = MAX_POOL.saturating_sub(self.applied.len());
-        if self.pending.len() > budget {
-            self.pending.sort_by_key(|e| e.age);
-            self.pending.truncate(budget);
-        }
         self.applied.extend(selected.iter().cloned());
         selected
     }
@@ -744,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_dedups_and_ages() {
+    fn pool_dedups() {
         let (lb, ub) = (vec![0.0; 2], vec![1.0; 2]);
         let mut pool = CutPool::new();
         let mk = || Cut {
@@ -764,14 +744,6 @@ mod tests {
         assert!(!pool.offer(scaled, &lb, &ub), "rescaled duplicate rejected");
         assert_eq!(pool.generated, 3);
         assert_eq!(pool.pending_len(), 1);
-
-        // Not violated at an integral point: the entry ages out.
-        for _ in 0..MAX_AGE {
-            assert!(pool.select(&[0.0, 0.0]).is_empty());
-        }
-        assert_eq!(pool.pending_len(), 1, "kept for MAX_AGE rounds");
-        assert!(pool.select(&[0.0, 0.0]).is_empty());
-        assert_eq!(pool.pending_len(), 0, "aged out past MAX_AGE rounds");
     }
 
     #[test]

@@ -138,11 +138,12 @@ echo "tier1: service smoke OK"
 
 echo "== tier1: scale smoke (4-building campus, decomposed, 30 s budget) =="
 # The city-scale bench in smoke mode runs only the small campus: a
-# spatially decomposed solve (one-shot gateway choice + zone MILPs in
-# parallel + backbone stitch) whose stitched design must re-verify on the full
-# un-partitioned instance and land within SCALE_SMOKE_GAP (10%) of the
-# monolithic resilient-ladder baseline. The binary gates itself and
-# exits non-zero on a missing/unverified design or an excessive gap.
+# spatially decomposed solve (one-shot gateway choice + spanning-tree
+# backbone routes + zone MILPs in parallel + stitch) whose stitched design
+# must re-verify on the full un-partitioned instance and land within
+# SCALE_SMOKE_GAP (10%) of the monolithic resilient-ladder baseline. The
+# binary gates itself and exits non-zero on a missing/unverified design or
+# an excessive gap.
 SCALE_SMOKE_JSON="$(mktemp)"
 trap 'rm -f "$T3_SMOKE_JSON" "$DUR_FRAME" "$DUR_FRAME.prev" "$DUR_FRAME.tmp" "$SCALE_SMOKE_JSON"' EXIT
 if ! SCALE_MODE=smoke SCALE_JSON="$SCALE_SMOKE_JSON" \
