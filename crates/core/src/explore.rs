@@ -65,24 +65,14 @@ impl ExploreOptions {
     /// Yen candidates per replica, plus root column generation — the
     /// [`PathPricer`] prices improving path columns against the restricted
     /// LP duals until none exists, so the root bound matches a much larger
-    /// `K*` at a fraction of the model size.
+    /// `K*` at a fraction of the model size. The pricing loop's round and
+    /// column limits are fixed in [`milp::pricing`].
     pub fn pricing(kstar: usize) -> Self {
-        let mut opts = ExploreOptions {
+        ExploreOptions {
             mode: EncodeMode::Approx { kstar },
             pricing: true,
             ..Default::default()
-        };
-        // [50/20] has 40 route replicas; let every replica contribute a
-        // bundle per round, but stop quickly once rounds no longer move the
-        // LP bound — every extra column slows the integer search.
-        opts.solver.colgen = milp::ColGenConfig {
-            enabled: true,
-            max_rounds: 200,
-            max_cols_per_round: 96,
-            rc_tol: 1e-6,
-            stall_rounds: 5,
-        };
-        opts
+        }
     }
 
     /// Exhaustive encoding.
@@ -100,7 +90,7 @@ impl ExploreOptions {
     }
 
     /// Enables periodic checkpointing of the integer search to `path` (see
-    /// [`milp::CheckpointConfig`] for cadence and watchdog knobs).
+    /// [`milp::CheckpointConfig`] for the cadence).
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.solver.checkpoint = Some(milp::CheckpointConfig::new(path.into()));
         self
@@ -324,10 +314,10 @@ pub struct LadderOptions {
     /// Wall-clock budget shared by **all** attempts (encode + solve).
     pub budget: Duration,
     /// `K*` ceiling: once doubling would exceed it, the ladder falls
-    /// through to the exhaustive [`EncodeMode::Full`] encoding.
+    /// through to the exhaustive [`EncodeMode::Full`] encoding, and stops
+    /// after that. From `K*` = 1 under the default ceiling of 64 that is
+    /// eight rungs at most.
     pub max_kstar: usize,
-    /// Hard cap on the number of attempts.
-    pub max_attempts: usize,
 }
 
 impl Default for LadderOptions {
@@ -336,7 +326,6 @@ impl Default for LadderOptions {
             base: ExploreOptions::default(),
             budget: Duration::from_secs(30),
             max_kstar: 64,
-            max_attempts: 8,
         }
     }
 }
@@ -404,7 +393,7 @@ pub fn explore_resilient(
         budget_exhausted: false,
     };
     let mut mode = ladder.base.mode;
-    for _ in 0..ladder.max_attempts.max(1) {
+    loop {
         let Some(remaining) = ladder
             .budget
             .checked_sub(start.elapsed())
@@ -490,10 +479,6 @@ pub fn explore_resilient(
                 }
             }
         }
-    }
-    if report.attempts.len() >= ladder.max_attempts && report.final_status.is_none() {
-        // Ran out of rungs while still escalating.
-        report.final_status = report.attempts.last().and_then(|a| a.status);
     }
     report.total_time = start.elapsed();
     report

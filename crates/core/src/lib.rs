@@ -61,7 +61,6 @@ pub mod kstar;
 pub mod pricing;
 pub mod report;
 pub mod requirements;
-pub mod resilience;
 pub mod scale;
 pub mod service;
 pub mod session;
@@ -78,7 +77,6 @@ pub use kstar::{best_step, search_kstar, KstarSearch, KstarStep};
 pub use pricing::PathPricer;
 pub use report::{design_summary, design_to_svg, Table};
 pub use requirements::{Params, Protocol, Requirements};
-pub use resilience::{analyze_resilience, ResilienceReport};
 pub use scale::{
     generate_city, partition_city, solve_decomposed, solve_monolithic, CityInstance, CityParams,
     ScaleError, ScaleOptions, ScalePartition, ScaleReport, TrafficProfile,

@@ -180,13 +180,19 @@ pub struct SessionSnapshot {
 
 impl SessionSnapshot {
     /// Builds a snapshot from scratch — the seed for sessions created on
-    /// demand by a [`crate::service::DesignService`].
+    /// demand by a [`crate::service::DesignService`], and for every
+    /// [`DesignSession::new`].
+    ///
+    /// Column generation (`opts.pricing`) is force-disabled: priced columns
+    /// grow the variable space differently on every solve, which defeats
+    /// warm-state reuse — sessions use the fixed approx/full encodings.
     pub fn new(
         template: NetworkTemplate,
         library: Library,
         req: Requirements,
-        opts: ExploreOptions,
+        mut opts: ExploreOptions,
     ) -> Self {
+        opts.pricing = false;
         let out_of_stock = opts.banned_components.iter().copied().collect();
         SessionSnapshot {
             template,
@@ -224,34 +230,17 @@ pub struct DesignSession {
 }
 
 impl DesignSession {
-    /// Creates a session over an owned copy of the problem. Nothing is
-    /// encoded until the first [`DesignSession::solve`].
-    ///
-    /// Column generation (`opts.pricing`) is force-disabled: priced columns
-    /// grow the variable space differently on every solve, which defeats
-    /// warm-state reuse — sessions use the fixed approx/full encodings.
+    /// Creates a session over an owned copy of the problem: the session
+    /// [`DesignSession::restore`] builds from [`SessionSnapshot::new`], so
+    /// column generation is off here too. Nothing is encoded until the
+    /// first [`DesignSession::solve`].
     pub fn new(
         template: NetworkTemplate,
         library: Library,
         req: Requirements,
-        mut opts: ExploreOptions,
+        opts: ExploreOptions,
     ) -> Self {
-        opts.pricing = false;
-        let out_of_stock: BTreeSet<usize> = opts.banned_components.iter().copied().collect();
-        DesignSession {
-            template,
-            library,
-            req,
-            opts,
-            enc: None,
-            structure: 0,
-            warm: None,
-            dirty: false,
-            out_of_stock,
-            last_design: None,
-            revision: 0,
-            stats: SessionStats::default(),
-        }
+        Self::restore(SessionSnapshot::new(template, library, req, opts))
     }
 
     /// Rebuilds a session from a [`SessionSnapshot`] (worker-death
@@ -815,6 +804,20 @@ mod tests {
         let got = r.solve().unwrap();
         assert!(got.reencoded, "restored session starts cold");
         assert!((got.objective().unwrap() - want).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sessions_from_a_snapshot_never_price() {
+        // A service restores every session from its seed snapshot; a seed
+        // built with pricing options must not leak `pricing` into the
+        // session, or the cold fallback rung would run branch-and-price.
+        let (t, lib) = (template(4), catalog::zigbee_reference());
+        let req = Requirements::from_spec_text(SPEC).unwrap();
+        let seed =
+            SessionSnapshot::new(t.clone(), lib.clone(), req.clone(), ExploreOptions::pricing(2));
+        assert!(!DesignSession::restore(seed).options().pricing);
+        let direct = DesignSession::new(t, lib, req, ExploreOptions::pricing(2));
+        assert!(!direct.options().pricing);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! (`Arc`). Workers plunge depth-first locally and rebuild node bounds from
 //! one shared copy of the reduced-cost-tightened base bounds. With one
 //! worker the trajectory is a pure function of the problem and the
-//! configuration (as long as no time limit, cancellation or stall watchdog
-//! stops it); with more, node processing order differs run to run, so
-//! pseudo-cost learning and node counts vary — but pruning only ever
+//! configuration (as long as no time limit or cancellation stops it); with
+//! more, node processing order differs run to run, so pseudo-cost learning
+//! and node counts vary — but pruning only ever
 //! discards nodes whose LP bound cannot beat the incumbent, so the
 //! *objective value* of the result is deterministic to within the gap
 //! tolerances at any thread count.
@@ -254,13 +254,12 @@ struct SearchCtx<'a> {
     base: &'a BaseLp,
     cfg: &'a Config,
     deadline: Option<Instant>,
-    /// Root reduced costs and root LP bound, when reduced-cost fixing is
-    /// on and a root solution is at hand: every incumbent a worker finds
-    /// re-runs fixing against the shared base bounds.
+    /// Root reduced costs and root LP bound, when a root solution is at
+    /// hand and the problem has integer variables: every incumbent a worker
+    /// finds re-runs fixing against the shared base bounds.
     rc_root: Option<(&'a [f64], f64)>,
     /// Durable-solve runtime, when [`Config::checkpoint`] is set: snapshot
-    /// cadence claims, the frame hand-off slot, the write-time debit, and
-    /// the stall watchdog's abort flag.
+    /// cadence claims, the frame hand-off slot, and the write-time debit.
     ckpt: Option<&'a CkptRuntime>,
     /// Shared incumbent: every tree worker publishes through (and prunes
     /// against) this one state.
@@ -350,12 +349,11 @@ struct SearchOutcome {
 
 impl SearchCtx<'_> {
     /// Whether the solve should wind down: wall-clock deadline (net of the
-    /// checkpoint-time debit), cooperative cancellation, a watchdog stall
-    /// abort, or an injected (simulated) deadline expiry.
+    /// checkpoint-time debit), cooperative cancellation, or an injected
+    /// (simulated) deadline expiry.
     fn should_stop(&self, nodes: usize) -> bool {
         self.effective_deadline().is_some_and(|d| Instant::now() >= d)
             || self.cfg.is_cancelled()
-            || self.ckpt.is_some_and(CkptRuntime::stall_abort_requested)
             || self
                 .cfg
                 .faults
@@ -450,11 +448,10 @@ pub fn solve_milp(problem: &Problem, cfg: &Config, start: Instant) -> Solution {
 }
 
 /// [`solve_milp`] with an optional column source for root column
-/// generation. When a source is supplied (and [`Config::colgen`] is
-/// enabled), presolve is forced to the identity so the row indices the
-/// source prices against are exactly the caller's encode-time indices, and
-/// the root LP is grown by a solve-price-reoptimize loop before cut
-/// separation. Called through [`crate::Solver::solve_with_columns`].
+/// generation. When a source is supplied, presolve is forced to the
+/// identity so the row indices the source prices against are exactly the
+/// caller's encode-time indices, and the root LP is grown by a
+/// solve-price-reoptimize loop before cut separation. Called through [`crate::Solver::solve_with_columns`].
 pub fn solve_milp_with(
     problem: &Problem,
     cfg: &Config,
@@ -515,7 +512,7 @@ pub fn solve_milp_with(
     // problem, the LP, the base bounds, and `int_vars` in lockstep, and
     // leaves `root` optimal over the grown LP.
     let mut batches: Vec<checkpoint::FrameBatch> = Vec::new();
-    if let Some(source) = columns.as_deref_mut().filter(|_| cfg.colgen.enabled) {
+    if let Some(source) = columns.as_deref_mut() {
         pricing::run_root_pricing(
             source,
             &mut base.ps,
@@ -591,7 +588,7 @@ pub fn solve_milp_with(
     // With an incumbent in hand the root reduced costs bound how far any
     // nonbasic integer can move in a better solution; pull the opposite
     // bounds in before the tree search ever sees them.
-    if cfg.reduced_cost_fixing && !base.int_vars.is_empty() {
+    if !base.int_vars.is_empty() {
         stats.rc_fixed += fix_by_reduced_costs(
             &mut base.lb,
             &mut base.ub,
@@ -672,9 +669,9 @@ pub fn resume_milp_with(
     // Batch by batch, so side-row column indices (`num_vars + i` within
     // their own round) resolve exactly as they did when first accepted.
     if !frame.batches.is_empty() {
-        if columns.is_none() || !cfg.colgen.enabled {
+        if columns.is_none() {
             return Err(FrameError::Mismatch(
-                "frame carries priced columns but column generation is off",
+                "frame carries priced columns but no column source was given",
             ));
         }
         let fits = frame.batches.iter().all(|batch| {
@@ -854,8 +851,7 @@ fn search_and_wrap_up(
     let deadline = cfg.time_limit.map(|d| start + d);
     let root_bound = frame_base.root_bound;
     // The watchdog thread (spawned around the search in `run_search`) arms
-    // the snapshot cadence, persists frames the workers assemble, and turns
-    // a stalled worker pool into a clean checkpointed abort.
+    // the snapshot cadence and persists frames the workers assemble.
     let ckpt_rt = cfg
         .checkpoint
         .as_ref()
@@ -865,7 +861,7 @@ fn search_and_wrap_up(
         cfg,
         deadline,
         rc_root: root
-            .filter(|_| cfg.reduced_cost_fixing && !base.int_vars.is_empty())
+            .filter(|_| !base.int_vars.is_empty())
             .map(|r| (r.dj.as_slice(), r.obj)),
         ckpt: ckpt_rt.as_ref(),
         inc: &inc,
@@ -907,7 +903,6 @@ fn wrap_up(
     if let Some(rt) = ckpt_rt {
         stats.checkpoint_time = rt.debit();
         stats.checkpoints_written = rt.frames_written();
-        stats.stalls_detected = rt.stalls();
     }
     stats.elapsed = start.elapsed();
     let user_obj = |internal: f64| base.user_obj(internal);
@@ -1313,7 +1308,7 @@ fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOut
     let hit_limit = shared.hit_limit.load(AtomicOrdering::SeqCst) || abandoned;
     // Limit wind-down: deposit a final frame covering every still-open node
     // (the watchdog's exit drain persists it), so a deadline-expired or
-    // stall-aborted solve resumes from exactly where it stopped.
+    // cancelled solve resumes from exactly where it stopped.
     if hit_limit {
         if let Some(rt) = ctx.ckpt {
             let t0 = Instant::now();
@@ -1354,18 +1349,15 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             shared.finish(id);
             continue;
         }
-        // Limits (wall-clock, cancellation, injected expiry, stall abort,
-        // node count). The node stays in flight, so the wind-down bound —
-        // and the final checkpoint frame — still cover it.
+        // Limits (wall-clock, cancellation, injected expiry, node count).
+        // The node stays in flight, so the wind-down bound — and the final
+        // checkpoint frame — still cover it.
         let done = shared.nodes.load(AtomicOrdering::SeqCst);
         if ctx.should_stop(done) || cfg.node_limit.is_some_and(|nl| done >= nl) {
             shared.halt(&shared.hit_limit);
             break;
         }
         shared.nodes.fetch_add(1, AtomicOrdering::SeqCst);
-        if let Some(rt) = ctx.ckpt {
-            rt.bump_progress();
-        }
 
         shared.node_bounds(&node, &mut lb_buf, &mut ub_buf);
         let warm = node.warm.as_deref().map(Vec::as_slice);
@@ -1429,20 +1421,12 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
         // variables are basic (dj = 0), so the branch variable is never
         // touched. A stale (worse) incumbent read only under-fixes, so the
         // tightening stays valid under races.
-        if cfg.reduced_cost_fixing {
-            let inc_obj = ctx.inc.bound();
-            if inc_obj.is_finite() {
-                let fixed = fix_by_reduced_costs(
-                    &mut lb_buf,
-                    &mut ub_buf,
-                    &r.dj,
-                    int_vars,
-                    r.obj,
-                    inc_obj,
-                );
-                tally.rc_fixed += fixed.len();
-                node.changes.extend_from_slice(&fixed);
-            }
+        let inc_obj = ctx.inc.bound();
+        if inc_obj.is_finite() {
+            let fixed =
+                fix_by_reduced_costs(&mut lb_buf, &mut ub_buf, &r.dj, int_vars, r.obj, inc_obj);
+            tally.rc_fixed += fixed.len();
+            node.changes.extend_from_slice(&fixed);
         }
         let warm = Arc::new(r.statuses);
         let (down_child, up_child) = make_children(&node, bvar, floor, r.obj, warm);
@@ -1494,7 +1478,7 @@ mod tests {
     }
 
     #[test]
-    fn reduced_cost_fixing_tightens_and_respects_gap() {
+    fn fix_by_reduced_costs_tightens_and_respects_gap() {
         // gap = 10 - 8 = 2; d = 3 allows floor((2+eps)/3) = 0 above lb.
         let mut lb = vec![0.0, 0.0, 0.0];
         let mut ub = vec![10.0, 10.0, 10.0];

@@ -618,7 +618,7 @@ pub fn load_frame(path: &Path) -> Result<SearchFrame, FrameError> {
 }
 
 // ---------------------------------------------------------------------------
-// In-solve runtime: cadence, watchdog, stall detection, deadline debit
+// In-solve runtime: cadence, watchdog, deadline debit
 // ---------------------------------------------------------------------------
 
 /// The static part of every frame written during one solve, assembled once
@@ -635,8 +635,8 @@ pub(crate) struct FrameBase {
 }
 
 /// Shared state between the search threads and the watchdog thread:
-/// cadence claims, the pending-frame hand-off slot, the write-time debit
-/// charged against the deadline, and the stall heartbeat.
+/// cadence claims, the pending-frame hand-off slot, and the write-time
+/// debit charged against the deadline.
 #[derive(Debug)]
 pub(crate) struct CkptRuntime {
     pub(crate) cfg: CheckpointConfig,
@@ -651,10 +651,6 @@ pub(crate) struct CkptRuntime {
     debit_nanos: AtomicU64,
     frames_written: AtomicU64,
     write_failures: AtomicU64,
-    /// Bumped at every node boundary; the stall watchdog requires movement.
-    progress: AtomicU64,
-    stall_abort: AtomicBool,
-    stalls: AtomicU64,
     exit: AtomicBool,
 }
 
@@ -673,9 +669,6 @@ impl CkptRuntime {
             debit_nanos: AtomicU64::new(0),
             frames_written: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
-            stall_abort: AtomicBool::new(false),
-            stalls: AtomicU64::new(0),
             exit: AtomicBool::new(false),
         }
     }
@@ -696,11 +689,6 @@ impl CkptRuntime {
         }
     }
 
-    /// Marks one node boundary processed (the stall heartbeat).
-    pub(crate) fn bump_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Whether this thread should assemble a snapshot now. A zero cadence
     /// means "every node boundary" (used by the kill-and-resume tests).
     pub(crate) fn take_due(&self) -> bool {
@@ -715,11 +703,6 @@ impl CkptRuntime {
         *relock(&self.pending) = Some(frame);
     }
 
-    /// Whether the stall watchdog requested a clean checkpointed abort.
-    pub(crate) fn stall_abort_requested(&self) -> bool {
-        self.stall_abort.load(Ordering::Relaxed)
-    }
-
     /// Total time spent on checkpointing so far (debited from the
     /// deadline so cadence cannot silently eat the budget).
     pub(crate) fn debit(&self) -> Duration {
@@ -728,10 +711,6 @@ impl CkptRuntime {
 
     pub(crate) fn frames_written(&self) -> usize {
         self.frames_written.load(Ordering::Relaxed) as usize
-    }
-
-    pub(crate) fn stalls(&self) -> usize {
-        self.stalls.load(Ordering::Relaxed) as usize
     }
 
     /// Signals the watchdog to drain and exit.
@@ -756,15 +735,11 @@ impl CkptRuntime {
         }
     }
 
-    /// The watchdog loop: arms the snapshot cadence, persists frames the
-    /// search threads assemble, and watches the node-progress heartbeat —
-    /// a worker pool that stops advancing for the configured stall window
-    /// gets a clean checkpointed abort instead of a hung process.
+    /// The watchdog loop: arms the snapshot cadence and persists frames
+    /// the search threads assemble.
     pub(crate) fn watchdog(&self) {
         let tick = Duration::from_millis(5);
         let mut last_arm = Instant::now();
-        let mut last_progress = self.progress.load(Ordering::Relaxed);
-        let mut last_move = Instant::now();
         while !self.exit.load(Ordering::Acquire) {
             std::thread::sleep(tick);
             if last_arm.elapsed() >= self.cfg.every {
@@ -772,17 +747,6 @@ impl CkptRuntime {
                 last_arm = Instant::now();
             }
             self.drain_pending();
-            if let Some(window) = self.cfg.stall {
-                let p = self.progress.load(Ordering::Relaxed);
-                if p != last_progress {
-                    last_progress = p;
-                    last_move = Instant::now();
-                } else if last_move.elapsed() >= window && !self.stall_abort.load(Ordering::Relaxed)
-                {
-                    self.stall_abort.store(true, Ordering::Relaxed);
-                    self.stalls.fetch_add(1, Ordering::Relaxed);
-                }
-            }
         }
         self.drain_pending();
     }
@@ -901,7 +865,7 @@ mod tests {
 
         // Second write torn by the injected fault: the primary is invalid,
         // the loader must fall back to the rotated previous frame.
-        let faults = FaultInjection::seeded(1).corrupt_checkpoint(1);
+        let faults = FaultInjection::default().corrupt_checkpoint(1);
         let mut second = sample_frame();
         second.nodes_done = 2;
         write_frame(&path, &second, Some(&faults)).expect("torn write");
@@ -916,32 +880,6 @@ mod tests {
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(sibling(&path, "prev"));
-    }
-
-    #[test]
-    fn stall_watchdog_requests_abort_without_progress() {
-        let cfg = CheckpointConfig::new(tmp_path("stall"))
-            .with_cadence(Duration::from_secs(3600))
-            .with_stall_watchdog(Duration::from_millis(30));
-        let rt = CkptRuntime::new(cfg, FrameBase::default(), None);
-        std::thread::scope(|s| {
-            s.spawn(|| rt.watchdog());
-            let t = Instant::now();
-            // Heartbeats hold the abort off...
-            while t.elapsed() < Duration::from_millis(60) {
-                rt.bump_progress();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            assert!(!rt.stall_abort_requested(), "heartbeats must hold off the stall abort");
-            // ...then silence trips it.
-            let t = Instant::now();
-            while !rt.stall_abort_requested() && t.elapsed() < Duration::from_secs(5) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            assert!(rt.stall_abort_requested(), "stall must be detected");
-            assert_eq!(rt.stalls(), 1);
-            rt.shutdown();
-        });
     }
 
     #[test]

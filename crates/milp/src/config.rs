@@ -56,67 +56,8 @@ impl CutConfig {
     }
 }
 
-/// Column-generation configuration: round limits and the reduced-cost
-/// acceptance tolerance of the root pricing loop.
-///
-/// Pricing is driven by a caller-supplied [`crate::pricing::ColumnSource`]
-/// (the solver core has no knowledge of what columns *mean*); these knobs
-/// only bound how long the solve-price-reoptimize loop runs. Because every
-/// priced column is a variable of the true (unrestricted) formulation,
-/// pricing can only improve the restricted optimum — termination with no
-/// acceptable column proves LP optimality over the full column set.
-///
-/// # Examples
-///
-/// ```
-/// use milp::{ColGenConfig, Config};
-/// let cfg = Config::default().with_colgen(ColGenConfig::default());
-/// assert!(cfg.colgen.enabled);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ColGenConfig {
-    /// Master switch; `false` skips pricing even when a column source is
-    /// supplied.
-    pub enabled: bool,
-    /// Maximum solve-price-reoptimize rounds at the root.
-    pub max_rounds: usize,
-    /// Maximum columns accepted per round (most negative reduced cost
-    /// first; the source enforces this).
-    pub max_cols_per_round: usize,
-    /// A candidate column is accepted when its reduced cost is below
-    /// `-rc_tol` (minimization form).
-    pub rc_tol: f64,
-    /// Stop after this many consecutive rounds where the LP objective
-    /// fails to improve by more than `rc_tol` (degenerate stalling guard).
-    pub stall_rounds: usize,
-}
-
-impl Default for ColGenConfig {
-    fn default() -> Self {
-        ColGenConfig {
-            enabled: true,
-            max_rounds: 50,
-            max_cols_per_round: 20,
-            rc_tol: 1e-6,
-            stall_rounds: 5,
-        }
-    }
-}
-
-impl ColGenConfig {
-    /// A configuration with pricing disabled (pricing-off ablation).
-    pub fn off() -> Self {
-        ColGenConfig {
-            enabled: false,
-            ..Default::default()
-        }
-    }
-}
-
 /// Durable-solve settings: where and how often the watchdog thread persists
-/// [`crate::checkpoint::SearchFrame`] snapshots, and the optional stall
-/// window after which a worker pool with no node progress gets a clean
-/// checkpointed abort.
+/// [`crate::checkpoint::SearchFrame`] snapshots.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Frame file path. The writer also uses `<path>.tmp` and keeps the
@@ -125,21 +66,14 @@ pub struct CheckpointConfig {
     /// Snapshot cadence. `Duration::ZERO` means a frame at every node
     /// boundary (test cadence; far too slow for production solves).
     pub every: Duration,
-    /// Stall window: when no branch-and-bound node completes for this long,
-    /// the watchdog writes a final frame and aborts the search cleanly with
-    /// a limit status instead of leaving a hung process. `None` disables
-    /// stall detection.
-    pub stall: Option<Duration>,
 }
 
 impl CheckpointConfig {
-    /// Checkpointing to `path` with the default 1 s cadence and no stall
-    /// watchdog.
+    /// Checkpointing to `path` with the default 1 s cadence.
     pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
         CheckpointConfig {
             path: path.into(),
             every: Duration::from_secs(1),
-            stall: None,
         }
     }
 
@@ -148,19 +82,16 @@ impl CheckpointConfig {
         self.every = every;
         self
     }
-
-    /// Enables the stall watchdog with the given silence window.
-    pub fn with_stall_watchdog(mut self, window: Duration) -> Self {
-        self.stall = Some(window);
-        self
-    }
 }
 
 /// Configuration for [`crate::Solver`].
 ///
 /// The LP feasibility and optimality tolerances, the integrality tolerance
 /// and the absolute MIP gap are fixed constants next to their readers in
-/// [`crate::simplex`] and [`crate::branch`].
+/// [`crate::simplex`] and [`crate::branch`], and so are the column
+/// generation limits in [`crate::pricing`]. Reduced-cost fixing always
+/// runs: at the root, on the shared base bounds whenever a worker improves
+/// the incumbent, and at every node for its subtree.
 ///
 /// # Examples
 ///
@@ -181,10 +112,6 @@ pub struct Config {
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes (`None` = unlimited).
     pub node_limit: Option<usize>,
-    /// Fix nonbasic integer variables whose reduced cost exceeds the
-    /// primal–dual gap: at the root, at every node (for its subtree), and
-    /// on the shared base bounds whenever a worker improves the incumbent.
-    pub reduced_cost_fixing: bool,
     /// Run the presolver before solving.
     pub presolve: bool,
     /// Root heuristics: round the root LP point, then run two LP dives
@@ -224,9 +151,6 @@ pub struct Config {
     pub checkpoint: Option<CheckpointConfig>,
     /// Cutting-plane separation settings.
     pub cuts: CutConfig,
-    /// Column-generation settings (consulted only when a column source is
-    /// supplied via [`crate::Solver::solve_with_columns`]).
-    pub colgen: ColGenConfig,
 }
 
 impl Default for Config {
@@ -235,7 +159,6 @@ impl Default for Config {
             rel_gap: 1e-6,
             time_limit: None,
             node_limit: None,
-            reduced_cost_fixing: true,
             presolve: true,
             heuristics: true,
             seed: 0x5eed,
@@ -245,7 +168,6 @@ impl Default for Config {
             faults: None,
             checkpoint: None,
             cuts: CutConfig::default(),
-            colgen: ColGenConfig::default(),
         }
     }
 }
@@ -292,12 +214,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables reduced-cost variable fixing.
-    pub fn with_reduced_cost_fixing(mut self, on: bool) -> Self {
-        self.reduced_cost_fixing = on;
-        self
-    }
-
     /// Attaches a cooperative cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -333,12 +249,6 @@ impl Config {
     /// Sets the cutting-plane configuration.
     pub fn with_cuts(mut self, cuts: CutConfig) -> Self {
         self.cuts = cuts;
-        self
-    }
-
-    /// Sets the column-generation configuration.
-    pub fn with_colgen(mut self, colgen: ColGenConfig) -> Self {
-        self.colgen = colgen;
         self
     }
 
@@ -385,28 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn reopt_and_pricing_builders() {
-        let cfg = Config::new().with_reduced_cost_fixing(false);
-        assert!(!cfg.reduced_cost_fixing);
-        assert!(Config::default().reduced_cost_fixing);
-    }
-
-    #[test]
     fn cut_config_defaults_and_off() {
         let d = Config::default();
         assert!(d.cuts.enabled && d.cuts.gomory && d.cuts.cover && d.cuts.clique);
         let off = Config::default().with_cuts(CutConfig::off());
         assert!(!off.cuts.enabled);
         assert!(!off.cuts.gomory && !off.cuts.cover && !off.cuts.clique);
-    }
-
-    #[test]
-    fn colgen_config_defaults_and_off() {
-        let d = Config::default();
-        assert!(d.colgen.enabled);
-        assert!(d.colgen.max_rounds >= 1 && d.colgen.max_cols_per_round >= 1);
-        let off = Config::default().with_colgen(ColGenConfig::off());
-        assert!(!off.colgen.enabled);
     }
 
     #[test]

@@ -146,28 +146,27 @@ struct FaultState {
 
 /// Deterministic fault-injection plan for exercising the recovery paths.
 ///
-/// All hooks are seeded/ordinal-based so a given plan produces the same
-/// faults on every run; tests assert that recovery restores the fault-free
-/// result rather than trusting the error handling on faith.
+/// All hooks are ordinal-based so a given plan produces the same faults on
+/// every run; tests assert that recovery restores the fault-free result
+/// rather than trusting the error handling on faith. A plan starts empty
+/// (`FaultInjection::default()`) and each builder schedules one fault.
 ///
 /// # Examples
 ///
 /// ```
-/// use milp::FaultInjection;
-/// let f = FaultInjection::seeded(7)
-///     .lu_singular_on(1)
-///     .panic_worker(0)
-///     .expire_after_nodes(100);
-/// assert_eq!(f.seed(), 7);
+/// use milp::{Config, FaultInjection};
+/// let cfg = Config::default().with_faults(
+///     FaultInjection::default()
+///         .lu_singular_on(1)
+///         .panic_worker(0)
+///         .expire_after_nodes(100),
+/// );
+/// assert!(cfg.faults.is_some());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjection {
-    seed: u64,
     /// 1-based factorization ordinals forced to report a singular basis.
     lu_singular_at: Vec<u64>,
-    /// Per-1024 probability of failing any factorization (seeded hash of
-    /// the ordinal, so still fully deterministic).
-    lu_singular_per_1024: u16,
     /// Worker ids that panic on the next node they claim, once per listing.
     panic_workers: Vec<usize>,
     /// Inject one near-parallel duplicate of an applied cutting plane,
@@ -196,40 +195,11 @@ pub struct FaultInjection {
     state: Arc<FaultState>,
 }
 
-/// SplitMix64: cheap, high-quality deterministic hash for seeded decisions.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultInjection {
-    /// A plan with no faults scheduled, carrying `seed` for the seeded hooks.
-    pub fn seeded(seed: u64) -> Self {
-        FaultInjection {
-            seed,
-            ..Default::default()
-        }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Forces the `ordinal`-th (1-based) LU factorization of the solve to
     /// report a singular basis.
     pub fn lu_singular_on(mut self, ordinal: u64) -> Self {
         self.lu_singular_at.push(ordinal);
-        self
-    }
-
-    /// Fails each factorization with probability `per_1024`/1024, decided by
-    /// a seeded hash of the factorization ordinal (deterministic per seed).
-    pub fn lu_singular_rate(mut self, per_1024: u16) -> Self {
-        self.lu_singular_per_1024 = per_1024.min(1024);
         self
     }
 
@@ -300,11 +270,7 @@ impl FaultInjection {
     /// report a singular basis.
     pub(crate) fn on_factorize(&self) -> bool {
         let ord = self.state.factorizations.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.lu_singular_at.contains(&ord) {
-            return true;
-        }
-        self.lu_singular_per_1024 > 0
-            && (splitmix64(self.seed ^ ord) % 1024) < u64::from(self.lu_singular_per_1024)
+        self.lu_singular_at.contains(&ord)
     }
 
     /// Hook: whether worker `id` should panic now (fires once per listing
@@ -392,7 +358,7 @@ mod tests {
 
     #[test]
     fn lu_ordinal_fires_exactly_once() {
-        let f = FaultInjection::seeded(1).lu_singular_on(2);
+        let f = FaultInjection::default().lu_singular_on(2);
         assert!(!f.on_factorize()); // ordinal 1
         assert!(f.on_factorize()); // ordinal 2: injected
         assert!(!f.on_factorize()); // ordinal 3
@@ -403,54 +369,43 @@ mod tests {
 
     #[test]
     fn worker_panic_fires_once_per_id() {
-        let f = FaultInjection::seeded(1).panic_worker(3);
+        let f = FaultInjection::default().panic_worker(3);
         assert!(!f.should_panic_worker(0));
         assert!(f.should_panic_worker(3));
         assert!(!f.should_panic_worker(3)); // already fired
         // Listed twice: fires again after the restart, then never.
-        let g = FaultInjection::seeded(1).panic_worker(2).panic_worker(2);
+        let g = FaultInjection::default().panic_worker(2).panic_worker(2);
         assert!(g.should_panic_worker(2));
         assert!(g.should_panic_worker(2));
         assert!(!g.should_panic_worker(2));
     }
 
     #[test]
-    fn seeded_rate_is_deterministic() {
-        let a = FaultInjection::seeded(42).lu_singular_rate(512);
-        let b = FaultInjection::seeded(42).lu_singular_rate(512);
-        let fa: Vec<bool> = (0..64).map(|_| a.on_factorize()).collect();
-        let fb: Vec<bool> = (0..64).map(|_| b.on_factorize()).collect();
-        assert_eq!(fa, fb);
-        assert!(fa.iter().any(|&x| x), "rate 1/2 should fire in 64 draws");
-        assert!(fa.iter().any(|&x| !x));
-    }
-
-    #[test]
     fn deadline_after_nodes() {
-        let f = FaultInjection::seeded(0).expire_after_nodes(5);
+        let f = FaultInjection::default().expire_after_nodes(5);
         assert!(!f.deadline_expired(4));
         assert!(f.deadline_expired(5));
-        let none = FaultInjection::seeded(0);
+        let none = FaultInjection::default();
         assert!(!none.deadline_expired(1_000_000));
     }
 
     #[test]
     fn parallel_cut_injection_fires_once() {
-        let f = FaultInjection::seeded(1).inject_parallel_cut();
+        let f = FaultInjection::default().inject_parallel_cut();
         assert!(f.take_parallel_cut());
         assert!(!f.take_parallel_cut(), "one-shot");
         // clones share the fired flag
-        let g = FaultInjection::seeded(1).inject_parallel_cut();
+        let g = FaultInjection::default().inject_parallel_cut();
         let h = g.clone();
         assert!(h.take_parallel_cut());
         assert!(!g.take_parallel_cut());
         // unscheduled: never fires
-        assert!(!FaultInjection::seeded(2).take_parallel_cut());
+        assert!(!FaultInjection::default().take_parallel_cut());
     }
 
     #[test]
     fn reopt_failure_ordinals_fire_once_and_share_state() {
-        let f = FaultInjection::seeded(1).fail_cut_reopt(2).fail_pricing_reopt(1);
+        let f = FaultInjection::default().fail_cut_reopt(2).fail_pricing_reopt(1);
         assert!(!f.take_cut_reopt_failure()); // ordinal 1
         let g = f.clone(); // clones share the ordinal counters
         assert!(g.take_cut_reopt_failure()); // ordinal 2: injected
@@ -461,7 +416,7 @@ mod tests {
 
     #[test]
     fn checkpoint_corruption_ordinal() {
-        let f = FaultInjection::seeded(1).corrupt_checkpoint(3);
+        let f = FaultInjection::default().corrupt_checkpoint(3);
         assert!(!f.take_checkpoint_corruption());
         assert!(!f.take_checkpoint_corruption());
         assert!(f.take_checkpoint_corruption());

@@ -36,9 +36,9 @@
 //! * [`simplex`] — the LP engine ([`simplex::solve_lp`]); usable directly
 //!   for pure LPs and warm-started from previous bases.
 //! * [`branch`] — LP-based branch and bound with pseudo-cost branching,
-//!   plunging, and reduced-cost fixing. With one worker and no time limit,
-//!   cancellation or stall watchdog, a solve repeats exactly: it spawns no
-//!   thread and reads the clock for no decision.
+//!   plunging, and reduced-cost fixing. With one worker and no time limit
+//!   or cancellation, a solve repeats exactly: it spawns no thread and
+//!   reads the clock for no decision.
 //! * [`heur`] — the root primal heuristics: rounding and two LP dives,
 //!   each dive bounded by a number of LP solves; every other incumbent
 //!   comes from the warm start or an integral node LP.
@@ -48,7 +48,8 @@
 //! * [`pricing`] — column-generation subsystem: a caller-supplied
 //!   [`pricing::ColumnSource`] prices improving variables against the root
 //!   LP duals; accepted columns are appended and warm-reoptimized, the
-//!   column mirror of the cut rounds.
+//!   column mirror of the cut rounds. Supplying a source is the only
+//!   switch; the round and column limits are fixed in [`pricing`].
 //! * [`presolve`] — bound tightening and row/column elimination with full
 //!   postsolve of the original solution vector.
 //! * [`lp_format`] — export to CPLEX LP text format for debugging against
@@ -70,7 +71,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use checkpoint::{load_frame, structure_fingerprint, FrameError, SearchFrame};
-pub use config::{CheckpointConfig, ColGenConfig, Config, CutConfig};
+pub use config::{CheckpointConfig, Config, CutConfig};
 pub use pricing::{ColumnSource, NewColumn, NewRow, PriceInput, PricedBatch};
 pub use error::{CancelToken, FaultInjection, SolveError};
 pub use problem::{Problem, Row, RowId, Sense, Var, VarId, VarType};

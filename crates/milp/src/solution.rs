@@ -105,9 +105,6 @@ pub struct Stats {
     pub checkpoints_written: usize,
     /// Whether this solve was resumed from a checkpoint frame.
     pub resumed: bool,
-    /// Stalls detected by the watchdog (node progress silent past the
-    /// configured window; each triggers a clean checkpointed abort).
-    pub stalls_detected: usize,
     /// Whether a caller-supplied [`crate::Config::warm_start`] vector passed
     /// re-validation and was seeded as the initial incumbent.
     pub warm_seeded: bool,

@@ -70,7 +70,7 @@ fn kill_and_resume(p: &Problem, k: usize, nthreads: usize) {
     let victim_cfg = searchy()
         .with_threads(nthreads)
         .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(1).expire_after_nodes(k));
+        .with_faults(FaultInjection::default().expire_after_nodes(k));
     let victim = Solver::new(victim_cfg).solve(p);
     assert!(
         matches!(
@@ -165,14 +165,14 @@ fn torn_primary_falls_back_to_previous_frame() {
     let path = frame_path("torn");
     let victim_cfg = searchy()
         .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(2).expire_after_nodes(4));
+        .with_faults(FaultInjection::default().expire_after_nodes(4));
     let victim = Solver::new(victim_cfg).solve(&p);
     assert!(victim.stats().checkpoints_written >= 1);
     let good = milp::load_frame(&path).expect("victim frame loads");
 
     // ...then rotate it behind a torn write: the corruption fault truncates
     // the new primary mid-payload, so only `<path>.prev` validates.
-    let faults = FaultInjection::seeded(3).corrupt_checkpoint(1);
+    let faults = FaultInjection::default().corrupt_checkpoint(1);
     write_frame(&path, &good, Some(&faults)).expect("torn write still completes");
     assert!(
         milp::checkpoint::decode_frame(&std::fs::read(&path).expect("primary exists")).is_err(),
@@ -193,10 +193,10 @@ fn doubly_torn_frame_is_rejected() {
     let path = frame_path("doubly_torn");
     let victim_cfg = searchy()
         .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(2).expire_after_nodes(3));
+        .with_faults(FaultInjection::default().expire_after_nodes(3));
     Solver::new(victim_cfg).solve(&p);
     let good = milp::load_frame(&path).expect("victim frame loads");
-    let faults = FaultInjection::seeded(3).corrupt_checkpoint(1).corrupt_checkpoint(2);
+    let faults = FaultInjection::default().corrupt_checkpoint(1).corrupt_checkpoint(2);
     write_frame(&path, &good, Some(&faults)).expect("first torn write");
     write_frame(&path, &good, Some(&faults)).expect("second torn write");
     let err = Solver::new(searchy()).resume(&p, &path).expect_err("both frames torn");
@@ -212,7 +212,7 @@ fn foreign_frame_is_rejected_by_fingerprint() {
     let path = frame_path("foreign");
     let victim_cfg = searchy()
         .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(2).expire_after_nodes(3));
+        .with_faults(FaultInjection::default().expire_after_nodes(3));
     Solver::new(victim_cfg).solve(&a);
 
     let b = hard_knapsack(17);
@@ -247,7 +247,7 @@ fn resume_with_root_cuts_two_threads() {
     let victim_cfg = base
         .clone()
         .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(4).expire_after_nodes(1));
+        .with_faults(FaultInjection::default().expire_after_nodes(1));
     let victim = Solver::new(victim_cfg).solve(&p);
     if victim.stats().checkpoints_written == 0 {
         // Cover cuts may close the instance at the root before any node
@@ -269,38 +269,6 @@ fn resume_with_root_cuts_two_threads() {
         clean.objective()
     );
     assert!(p.check_feasible(resumed.values(), 1e-6).is_none());
-}
-
-/// The stall watchdog triggers a clean checkpointed abort: a stall window
-/// shorter than the time the (single) worker spends wedged must convert the
-/// solve into a limit status with a resumable frame, not a hang.
-#[test]
-fn stall_watchdog_aborts_and_leaves_resumable_frame() {
-    let p = hard_knapsack(20);
-    let path = frame_path("stall");
-    // A zero-width stall window: any gap between node boundaries counts as
-    // a stall, so the watchdog aborts almost immediately after the root.
-    let ck = CheckpointConfig::new(path.clone())
-        .with_cadence(Duration::ZERO)
-        .with_stall_watchdog(Duration::ZERO);
-    let sol = Solver::new(searchy().with_checkpoint(ck)).solve(&p);
-    assert!(
-        matches!(
-            sol.status(),
-            Status::LimitFeasible | Status::LimitNoSolution | Status::Optimal
-        ),
-        "got {}",
-        sol.status()
-    );
-    if sol.status() != Status::Optimal {
-        assert!(sol.stats().stalls_detected >= 1);
-        // Whatever was aborted must be resumable to the true optimum.
-        let clean = Solver::new(searchy()).solve(&p);
-        let resumed = Solver::new(searchy()).resume(&p, &path).expect("abort frame");
-        assert_eq!(resumed.status(), Status::Optimal);
-        assert!((resumed.objective() - clean.objective()).abs() < 1e-6);
-    }
-    cleanup(&path);
 }
 
 /// Items a scripted column source prices into [`hard_knapsack`], two
@@ -345,6 +313,16 @@ impl ColumnSource for ScriptedItems {
     }
 }
 
+/// The priced victim: [`ScriptedItems`] prices both rounds into
+/// `hard_knapsack(20)`, then an injected expiry at node 5 kills the search
+/// and the wind-down leaves a frame carrying the accepted batches at `path`.
+fn priced_victim(p: &Problem, path: &Path) -> milp::Solution {
+    let victim_cfg = searchy()
+        .with_checkpoint(every_node(path))
+        .with_faults(FaultInjection::default().expire_after_nodes(5));
+    Solver::new(victim_cfg).solve_with_columns(p, &mut ScriptedItems::default())
+}
+
 /// A solve that priced columns, killed mid-search, resumes through the
 /// column-source path: the frame carries the accepted batches, the
 /// replayed LP reaches the uninterrupted priced optimum, and the resumed
@@ -363,10 +341,7 @@ fn priced_solve_kill_and_resume() {
     assert_eq!(clean.stats().cols_priced, 3);
 
     let path = frame_path("priced");
-    let victim_cfg = searchy()
-        .with_checkpoint(every_node(&path))
-        .with_faults(FaultInjection::seeded(1).expire_after_nodes(5));
-    let victim = Solver::new(victim_cfg).solve_with_columns(&p, &mut ScriptedItems::default());
+    let victim = priced_victim(&p, &path);
     assert!(
         matches!(
             victim.status(),
@@ -396,6 +371,25 @@ fn priced_solve_kill_and_resume() {
         clean.objective()
     );
     assert_eq!(grown.check_feasible(resumed.values(), 1e-6), None);
+}
+
+/// A frame that carries priced columns is refused when resumed without a
+/// column source. Presolve is off, so the rebuilt base LP is the identity
+/// one the priced solve used and the fingerprint matches: the priced-batch
+/// check is the one that refuses.
+#[test]
+fn priced_frame_resumed_without_a_source_is_refused() {
+    let p = hard_knapsack(20);
+    let path = frame_path("priced_plain");
+    priced_victim(&p, &path);
+    let err = Solver::new(searchy().with_presolve(false))
+        .resume(&p, &path)
+        .expect_err("a priced frame needs its column source");
+    cleanup(&path);
+    assert!(
+        matches!(err, FrameError::Mismatch(why) if why.contains("priced columns")),
+        "got {err}"
+    );
 }
 
 mod determinism {
@@ -445,7 +439,7 @@ mod determinism {
             let victim_cfg = searchy()
                 .with_threads(threads)
                 .with_checkpoint(every_node(&path))
-                .with_faults(FaultInjection::seeded(kill_at as u64).expire_after_nodes(kill_at));
+                .with_faults(FaultInjection::default().expire_after_nodes(kill_at));
             let victim = Solver::new(victim_cfg).solve(&p);
             match Solver::new(searchy().with_threads(threads)).resume(&p, &path) {
                 Ok(resumed) => {

@@ -10,7 +10,7 @@
 
 use milp::simplex::{solve_lp, LpData, LpStatus};
 use milp::sparse::TripletBuilder;
-use milp::{Config, Problem, Row, Sense, Solver, Status, Var, VarId};
+use milp::{Config, CutConfig, Problem, Row, Sense, Solver, Status, Var, VarId};
 use proptest::prelude::*;
 
 const INF: f64 = f64::INFINITY;
@@ -240,15 +240,18 @@ mod agreement {
             }
         }
 
-        /// The default solve and the solve without reduced-cost fixing
-        /// both reach the optimum found by enumerating every subset.
+        /// The default solve and a cut-free, heuristic-free solve (every
+        /// incumbent then comes from a node LP and reduced-cost fixing runs
+        /// in the tree) both reach the optimum found by enumerating every
+        /// subset.
         #[test]
         fn milp_optimum_invariant_under_solver_knobs((obj, wts, cap) in instance()) {
             let p = build_milp(&obj, &wts, cap);
             let obj8: Vec<f64> = obj.iter().map(|&c| eighths(c)).collect();
             let wts8: Vec<f64> = wts.iter().map(|&w| eighths(w)).collect();
             let best = enumerate_knapsack(&obj8, &wts8, cap);
-            for cfg in [Config::default(), Config::default().with_reduced_cost_fixing(false)] {
+            let plain = Config::default().with_cuts(CutConfig::off()).with_heuristics(false);
+            for cfg in [Config::default(), plain] {
                 let s = Solver::new(cfg).solve(&p);
                 prop_assert_eq!(s.status(), Status::Optimal);
                 prop_assert!(

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection tests: every recovery path of the solver
 //! is forced to run and must restore the fault-free result.
 //!
-//! The plans are seeded/ordinal-based ([`FaultInjection`]), so these tests
+//! The plans are ordinal-based ([`FaultInjection`]), so these tests
 //! are reproducible: an injected LU singularity or worker panic happens at
 //! the same point on every run.
 
@@ -44,7 +44,7 @@ fn lu_singularity_recovers_to_fault_free_optimum() {
     // Ordinals 1 and 2 fail both the first factorization and its immediate
     // retry, forcing solve_lp onto its second recovery rung; ordinal 6
     // exercises a mid-solve refactorization failure as well.
-    let faults = FaultInjection::seeded(0xD15EA5E)
+    let faults = FaultInjection::default()
         .lu_singular_on(1)
         .lu_singular_on(2)
         .lu_singular_on(6);
@@ -73,7 +73,7 @@ fn lu_singularity_during_dual_reopt_recovers() {
     let clean = solve_with(&p, Config::default());
     assert_eq!(clean.status(), Status::Optimal);
 
-    let faults = FaultInjection::seeded(0xD15EA5E)
+    let faults = FaultInjection::default()
         .lu_singular_on(3)
         .lu_singular_on(5)
         .lu_singular_on(9);
@@ -107,7 +107,7 @@ fn worker_panic_preserves_incumbent_and_optimum() {
     // One worker runs the same loop as four, so a panic must be isolated,
     // its node re-queued, and the worker restarted at either count.
     for threads in [1usize, 4] {
-        let faults = FaultInjection::seeded(7).panic_worker(0);
+        let faults = FaultInjection::default().panic_worker(0);
         let sol = solve_with(&p, no_cuts().with_threads(threads).with_faults(faults));
         assert_eq!(sol.status(), Status::Optimal, "threads = {threads}");
         assert!(sol.status().has_solution());
@@ -137,7 +137,7 @@ fn every_worker_panicking_once_restarts_and_finishes() {
     // exact optimum. Worker 0 always claims the first node, so at least
     // its panic fires; a restarted worker may finish the tree before a
     // peer ever claims a node, so the other two are up to scheduling.
-    let faults = FaultInjection::seeded(3)
+    let faults = FaultInjection::default()
         .panic_worker(0)
         .panic_worker(1)
         .panic_worker(2);
@@ -165,7 +165,7 @@ fn all_workers_dying_leaves_a_resumable_limit() {
     // search must report a limit (never a false optimum or infeasibility)
     // and leave a frame that resumes to the exact optimum.
     let path = std::env::temp_dir().join(format!("milp_dying_{}", std::process::id()));
-    let faults = FaultInjection::seeded(9)
+    let faults = FaultInjection::default()
         .panic_worker(0)
         .panic_worker(0)
         .panic_worker(1)
@@ -204,7 +204,7 @@ fn injected_near_parallel_cut_recovers() {
     // applied cut, bypassing the pool's parallelism filter. The resulting
     // near-singular basis must be absorbed by the recovery ladder and the
     // fault-free optimum restored.
-    let faults = FaultInjection::seeded(5).inject_parallel_cut();
+    let faults = FaultInjection::default().inject_parallel_cut();
     let sol = solve_with(&p, Config::default().with_faults(faults));
     assert_eq!(sol.status(), Status::Optimal);
     assert!(
@@ -251,7 +251,7 @@ fn cancel_token_is_shared_across_clones() {
 #[test]
 fn injected_deadline_expiry_yields_limit_status() {
     let p = hard_knapsack(22);
-    let faults = FaultInjection::seeded(11).expire_after_nodes(1);
+    let faults = FaultInjection::default().expire_after_nodes(1);
     let sol = solve_with(&p, no_cuts().with_heuristics(false).with_faults(faults));
     assert!(
         matches!(
@@ -270,7 +270,7 @@ fn injected_deadline_expiry_yields_limit_status() {
 #[test]
 fn injected_deadline_expiry_in_parallel_search() {
     let p = hard_knapsack(22);
-    let faults = FaultInjection::seeded(11).expire_after_nodes(2);
+    let faults = FaultInjection::default().expire_after_nodes(2);
     let sol = solve_with(
         &p,
         no_cuts()
@@ -297,7 +297,7 @@ fn injected_cut_reopt_failure_recovers_to_clean_optimum() {
     let clean = solve_with(&p, Config::default());
     assert_eq!(clean.status(), Status::Optimal);
 
-    let faults = FaultInjection::seeded(13).fail_cut_reopt(1);
+    let faults = FaultInjection::default().fail_cut_reopt(1);
     let sol = solve_with(&p, Config::default().with_faults(faults));
     assert_eq!(sol.status(), Status::Optimal);
     assert!(
@@ -310,10 +310,10 @@ fn injected_cut_reopt_failure_recovers_to_clean_optimum() {
 }
 
 mod pricing_rollback {
-    //! Satellite: a failed reoptimization after a column splice must
-    //! restore the exact pre-splice LP — the solve then equals one with
-    //! column generation disabled, and a later-round failure keeps every
-    //! earlier round's columns.
+    //! A failed reoptimization after a column splice must restore the exact
+    //! pre-splice LP — the solve then equals one whose source prices
+    //! nothing, and a later-round failure keeps every earlier round's
+    //! columns.
 
     use super::*;
     use milp::{ColumnSource, NewColumn, PriceInput, PricedBatch};
@@ -358,24 +358,23 @@ mod pricing_rollback {
     }
 
     #[test]
-    fn round_one_failure_equals_colgen_disabled_solve() {
+    fn round_one_failure_equals_unpriced_solve() {
         let p = cover_problem();
-        // Reference: same problem with the source never consulted.
+        // Reference: same problem with a source that prices nothing.
         let mut idle = Scripted { batches: vec![] };
-        let off = Solver::new(Config::default().with_colgen(milp::ColGenConfig::off()))
-            .solve_with_columns(&p, &mut idle);
+        let off = Solver::new(Config::default()).solve_with_columns(&p, &mut idle);
         assert_eq!(off.status(), Status::Optimal);
 
         let mut src = Scripted {
             batches: vec![covering_col(1.0, "x3")],
         };
-        let faults = FaultInjection::seeded(17).fail_pricing_reopt(1);
+        let faults = FaultInjection::default().fail_pricing_reopt(1);
         let sol = Solver::new(Config::default().with_faults(faults))
             .solve_with_columns(&p, &mut src);
         assert_eq!(sol.status(), Status::Optimal);
         assert!(
             (sol.objective() - off.objective()).abs() < 1e-9,
-            "rolled-back splice {} vs colgen-off {}",
+            "rolled-back splice {} vs unpriced {}",
             sol.objective(),
             off.objective()
         );
@@ -397,8 +396,7 @@ mod pricing_rollback {
             batches: vec![covering_col(1.0, "x3"), covering_col(0.5, "x4")],
         };
         let token = CancelToken::new();
-        let faults =
-            FaultInjection::seeded(23).cancel_in_pricing_round(1, token.clone());
+        let faults = FaultInjection::default().cancel_in_pricing_round(1, token.clone());
         let sol = Solver::new(Config::default().with_faults(faults).with_cancel(token))
             .solve_with_columns(&p, &mut src);
         assert_eq!(sol.stats().pricing_rounds, 1, "must abort within round 1");
@@ -415,7 +413,7 @@ mod pricing_rollback {
         let mut src = Scripted {
             batches: vec![covering_col(1.0, "x3"), covering_col(0.5, "x4")],
         };
-        let faults = FaultInjection::seeded(19).fail_pricing_reopt(2);
+        let faults = FaultInjection::default().fail_pricing_reopt(2);
         let sol = Solver::new(Config::default().with_faults(faults))
             .solve_with_columns(&p, &mut src);
         assert_eq!(sol.status(), Status::Optimal);
@@ -440,7 +438,7 @@ fn cancellation_mid_cut_round_aborts_within_one_round() {
     // limit status instead of running the remaining rounds.
     let p = hard_knapsack(18);
     let token = CancelToken::new();
-    let faults = FaultInjection::seeded(29).cancel_in_cut_round(1, token.clone());
+    let faults = FaultInjection::default().cancel_in_cut_round(1, token.clone());
     let sol = solve_with(&p, Config::default().with_faults(faults).with_cancel(token));
     assert_eq!(sol.stats().cut_rounds, 1, "must abort within round 1");
     assert_eq!(sol.stats().cuts_applied, 0, "the cancelled round appends nothing");
@@ -472,7 +470,7 @@ fn warm_start_is_returned_when_the_search_expires_immediately() {
     // must come back with a solution at least as good as the seed.
     let p = hard_knapsack(18);
     let clean = solve_with(&p, no_cuts());
-    let faults = FaultInjection::seeded(31).expire_after_nodes(0);
+    let faults = FaultInjection::default().expire_after_nodes(0);
     let mut cfg = no_cuts()
         .with_faults(faults)
         .with_warm_start(clean.values().to_vec());
@@ -541,14 +539,14 @@ mod determinism {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Under seeded fault injection, a run that recovers must report
+        /// Under injected LU faults, a run that recovers must report
         /// exactly the same status and optimal objective as a fault-free
         /// run: recovery is invisible to the caller.
         #[test]
-        fn recovery_is_deterministic((obj, wts, cap) in instance(), seed in 0u64..1000) {
+        fn recovery_is_deterministic((obj, wts, cap) in instance()) {
             let p = build(&obj, &wts, cap);
             let clean = Solver::new(Config::default()).solve(&p);
-            let faults = FaultInjection::seeded(seed)
+            let faults = FaultInjection::default()
                 .lu_singular_on(1)
                 .lu_singular_on(2)
                 .lu_singular_on(4);

@@ -5,7 +5,10 @@
 #   2. the whole workspace test suite (the root `Cargo.toml` sets
 #      `default-members` to every crate): determinism, integration,
 #      kill-and-resume, fault-injection, cuts, and degradation-ladder tests
-#   3. clippy on every target with warnings promoted to errors
+#   3. clippy on every target with warnings promoted to errors, then the
+#      benchmark's own tests (`perfbench` is a separate workspace that
+#      builds against these crates, so an API change it relies on fails
+#      here, not only when the benchmark runs)
 #   4. table3 [50/20] gates: the Table 3 [50/20] row and its pricing pair
 #      run under a 30 s solver budget, the heuristic (root heuristics on
 #      vs off) pair under 10 s (it checks the default solver), and the cuts
@@ -40,6 +43,9 @@ cargo test -q
 
 echo "== tier1: cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tier1: perfbench tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== tier1: table3 [50/20] gates (row, cuts, pricing, checkpoint, heuristics) =="
 # One table3 run emits the [50/20] row record and the four ablation pairs,
