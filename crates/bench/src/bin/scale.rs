@@ -3,7 +3,9 @@
 
 //! **City scale** — spatially decomposed solves on the multi-building
 //! instances of the shared workload registry, each stitched design
-//! re-verified on the full un-partitioned template, with a monolithic
+//! re-verified on the full un-partitioned template and measured against
+//! the one-node bound of the monolithic K* model (one worker, node limit
+//! 1, no time limit, so the bound repeats exactly), with a monolithic
 //! resilient-ladder ablation where the monolith is tractable. Emits
 //! `BENCH_scale.json`.
 //!
@@ -18,8 +20,10 @@
 //! dominates the budget), `SCALE_JSON` (output path, default
 //! `BENCH_scale.json`).
 
-use archex::scale::{generate_city, solve_decomposed, solve_monolithic, ScaleOptions};
-use archex::Table;
+use archex::scale::{
+    generate_city, solve_decomposed, solve_monolithic, CityInstance, ScaleOptions,
+};
+use archex::{EncodeMode, Table};
 use bench::json::{write_scale_json, ScaleRecord};
 use bench::util::{env_f64, env_time_limit, env_usize};
 use bench::{scale_smoke, WorkloadKind, WorkloadSpec};
@@ -34,6 +38,22 @@ struct RunLimits {
     mono_tl: Duration,
     /// Skip the monolith above this many candidate sites.
     mono_max: usize,
+}
+
+/// The best bound of the monolithic K* model after one branch-and-bound
+/// node: one worker, no time limit, so it is the root LP bound after cuts
+/// and repeats exactly. `None` when the encoding fails or the bound is not
+/// finite.
+fn one_node_bound(city: &CityInstance, kstar: usize) -> Option<f64> {
+    let enc = archex::encode::encode(
+        &city.template,
+        &city.library,
+        &city.requirements,
+        EncodeMode::Approx { kstar },
+    )
+    .ok()?;
+    let cfg = milp::Config::default().with_threads(1).with_node_limit(1);
+    Some(enc.model.solve(&cfg).best_bound()).filter(|b| b.is_finite())
 }
 
 /// Solves one registry instance decomposed (+ monolith where allowed) and
@@ -83,6 +103,8 @@ fn run_instance(spec: &WorkloadSpec, limits: &RunLimits) -> (ScaleRecord, bool) 
         verified: false,
         violations: 0,
         budget_s: limits.budget.as_secs_f64(),
+        one_node_bound: None,
+        bound_gap: None,
         monolithic_status: None,
         monolithic_objective: None,
         monolithic_wall_s: None,
@@ -122,6 +144,19 @@ fn run_instance(spec: &WorkloadSpec, limits: &RunLimits) -> (ScaleRecord, bool) 
         }
     }
 
+    let t1 = Instant::now();
+    rec.one_node_bound = one_node_bound(&city, opts.kstar);
+    rec.bound_gap = rel_gap(rec.stitched_objective, rec.one_node_bound);
+    println!(
+        "  one-node bound (K* = {}): {:.1}s, bound {}, stitched gap {}",
+        opts.kstar,
+        t1.elapsed().as_secs_f64(),
+        rec.one_node_bound
+            .map_or("-".to_string(), |b| format!("{b:.1}")),
+        rec.bound_gap
+            .map_or("-".to_string(), |g| format!("{:.1}%", g * 100.0)),
+    );
+
     if sites <= limits.mono_max {
         let mono = solve_monolithic(&city, limits.mono_tl, opts.kstar, params.seed);
         rec.monolithic_status = Some(
@@ -130,11 +165,7 @@ fn run_instance(spec: &WorkloadSpec, limits: &RunLimits) -> (ScaleRecord, bool) 
         );
         rec.monolithic_objective = mono.best_objective();
         rec.monolithic_wall_s = Some(mono.total_time.as_secs_f64());
-        if let (Some(st), Some(mo)) = (rec.stitched_objective, rec.monolithic_objective) {
-            if mo > 0.0 {
-                rec.gap = Some((st - mo) / mo);
-            }
-        }
+        rec.gap = rel_gap(rec.stitched_objective, rec.monolithic_objective);
         println!(
             "  monolithic: {:.1}s, status {}, cost {}, gap {}",
             mono.total_time.as_secs_f64(),
@@ -149,6 +180,15 @@ fn run_instance(spec: &WorkloadSpec, limits: &RunLimits) -> (ScaleRecord, bool) 
 
     let ok = rec.verified;
     (rec, ok)
+}
+
+/// `(cost - reference) / reference`, when both exist and the reference is
+/// positive.
+fn rel_gap(cost: Option<f64>, reference: Option<f64>) -> Option<f64> {
+    match (cost, reference) {
+        (Some(c), Some(r)) if r > 0.0 => Some((c - r) / r),
+        _ => None,
+    }
 }
 
 fn cell_opt(v: Option<f64>, fmt: impl Fn(f64) -> String) -> String {
@@ -197,10 +237,10 @@ fn main() {
     }
 
     let mut table = Table::new(
-        "City scale: decomposed vs monolithic",
+        "City scale: decomposed vs the one-node bound and the monolith",
         &[
-            "Instance", "Sites", "Zones", "Bnd", "Iters", "Decomp s", "Cost", "Mono s",
-            "Mono cost", "Gap %", "Verified",
+            "Instance", "Sites", "Zones", "Bnd", "Iters", "Decomp s", "Cost", "Bound",
+            "Gap %", "Mono s", "Mono cost", "Mono gap %", "Verified",
         ],
     );
     for r in &records {
@@ -212,6 +252,8 @@ fn main() {
             r.price_iters.to_string(),
             format!("{:.1}", r.decomposed_wall_s),
             cell_opt(r.stitched_objective, |v| format!("{v:.0}")),
+            cell_opt(r.one_node_bound, |v| format!("{v:.1}")),
+            cell_opt(r.bound_gap, |v| format!("{:.1}", v * 100.0)),
             cell_opt(r.monolithic_wall_s, |v| format!("{v:.1}")),
             cell_opt(r.monolithic_objective, |v| format!("{v:.0}")),
             cell_opt(r.gap, |v| format!("{:.1}", v * 100.0)),

@@ -221,7 +221,8 @@ pub fn write_service_json(
 
 /// One city-scale instance worth of measurements (`BENCH_scale.json`):
 /// the decomposed solve, its verification verdict on the full instance,
-/// and the monolithic ablation where attempted.
+/// the one-node bound of the monolithic model, and the monolithic
+/// ablation where attempted.
 #[derive(Debug, Clone)]
 pub struct ScaleRecord {
     /// Registry name of the instance (`campus-4`, `district-16`, ...).
@@ -250,6 +251,14 @@ pub struct ScaleRecord {
     pub violations: usize,
     /// Budget handed to the decomposed solve, seconds.
     pub budget_s: f64,
+    /// Best bound of the monolithic K* model after one branch-and-bound
+    /// node (one worker, no time limit): the root LP bound after cuts,
+    /// so it repeats exactly from run to run. `null` when that solve
+    /// gave no finite bound.
+    pub one_node_bound: Option<f64>,
+    /// Relative gap of the stitched cost above the one-node bound,
+    /// `(stitched - bound) / bound`, when both exist.
+    pub bound_gap: Option<f64>,
     /// Final status of the monolithic ablation; `null` when the monolith
     /// was not attempted (instance past the size gate).
     pub monolithic_status: Option<String>,
@@ -270,7 +279,8 @@ impl ScaleRecord {
                 "\"interference\":{},\"zones\":{},\"boundary_links\":{},",
                 "\"price_iters\":{},\"decomposed_wall_s\":{},",
                 "\"stitched_objective\":{},\"verified\":{},\"violations\":{},",
-                "\"budget_s\":{},\"monolithic_status\":{},",
+                "\"budget_s\":{},\"one_node_bound\":{},\"bound_gap\":{},",
+                "\"monolithic_status\":{},",
                 "\"monolithic_objective\":{},\"monolithic_wall_s\":{},",
                 "\"gap\":{}}}"
             ),
@@ -286,6 +296,8 @@ impl ScaleRecord {
             self.verified,
             self.violations,
             json_f64(self.budget_s),
+            json_opt(self.one_node_bound),
+            json_opt(self.bound_gap),
             self.monolithic_status
                 .as_ref()
                 .map_or("null".to_string(), |s| format!(
@@ -437,6 +449,8 @@ mod tests {
             verified: true,
             violations: 0,
             budget_s: 120.0,
+            one_node_bound: Some(1200.0),
+            bound_gap: Some(0.0283),
             monolithic_status: None,
             monolithic_objective: None,
             monolithic_wall_s: None,
@@ -447,6 +461,7 @@ mod tests {
         assert!(s.contains("\"name\":\"district-16\""));
         assert!(s.contains("\"stitched_objective\":1234.000000"));
         assert!(s.contains("\"verified\":true"));
+        assert!(s.contains("\"one_node_bound\":1200.000000,\"bound_gap\":0.028300"));
         assert!(s.contains("\"monolithic_status\":null"));
         assert!(s.contains("\"gap\":null"));
         let r2 = ScaleRecord {

@@ -16,5 +16,5 @@ pub mod workloads;
 pub use workloads::{
     data_collection_spec, data_collection_workload, localization_spec, localization_workload,
     scale_registry, scale_smoke, table3_registry, DataCollection, Localization, WorkloadKind,
-    WorkloadSpec,
+    WorkloadSpec, DC_50_20_KSTAR10_OPTIMUM,
 };

@@ -69,6 +69,12 @@ pub struct WorkloadSpec {
     pub kind: WorkloadKind,
 }
 
+/// The proven optimum of the [50/20] row (`dc-50-20`, cost objective)
+/// under the K* = 10 path encoding: a one-worker solve at the default gap
+/// proves it in about 90 s on a 2-core host. The durability smoke checks
+/// its resumed solve against it.
+pub const DC_50_20_KSTAR10_OPTIMUM: f64 = 392.0;
+
 /// The Table 3 instance ladder. `paper` selects the paper's full ten rows;
 /// otherwise the laptop-friendly prefix that finishes in minutes.
 pub fn table3_registry(paper: bool) -> Vec<WorkloadSpec> {

@@ -258,8 +258,8 @@ struct SearchCtx<'a> {
     /// hand and the problem has integer variables: every incumbent a worker
     /// finds re-runs fixing against the shared base bounds.
     rc_root: Option<(&'a [f64], f64)>,
-    /// Durable-solve runtime, when [`Config::checkpoint`] is set: snapshot
-    /// cadence claims, the frame hand-off slot, and the write-time debit.
+    /// Durable-solve runtime, when [`Config::checkpoint`] is set: frame
+    /// claims on the snapshot cadence and the hand-off to the writer.
     ckpt: Option<&'a CkptRuntime>,
     /// Shared incumbent: every tree worker publishes through (and prunes
     /// against) this one state.
@@ -348,29 +348,16 @@ struct SearchOutcome {
 }
 
 impl SearchCtx<'_> {
-    /// Whether the solve should wind down: wall-clock deadline (net of the
-    /// checkpoint-time debit), cooperative cancellation, or an injected
-    /// (simulated) deadline expiry.
+    /// Whether the solve should wind down: wall-clock deadline,
+    /// cooperative cancellation, or an injected (simulated) deadline expiry.
     fn should_stop(&self, nodes: usize) -> bool {
-        self.effective_deadline().is_some_and(|d| Instant::now() >= d)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
             || self.cfg.is_cancelled()
             || self
                 .cfg
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.deadline_expired(nodes))
-    }
-
-    /// The wall-clock deadline with checkpoint assembly/write time debited:
-    /// durability overhead shrinks the search budget instead of silently
-    /// extending the wall time, mirroring how the exploration layer charges
-    /// encode time against a shared limit.
-    fn effective_deadline(&self) -> Option<Instant> {
-        let d = self.deadline?;
-        match self.ckpt {
-            Some(rt) => Some(d.checked_sub(rt.debit()).unwrap_or(d)),
-            None => Some(d),
-        }
     }
 }
 
@@ -850,8 +837,8 @@ fn search_and_wrap_up(
 ) -> Solution {
     let deadline = cfg.time_limit.map(|d| start + d);
     let root_bound = frame_base.root_bound;
-    // The watchdog thread (spawned around the search in `run_search`) arms
-    // the snapshot cadence and persists frames the workers assemble.
+    // The writer thread (spawned around the search in `run_search`)
+    // persists the frames the workers assemble.
     let ckpt_rt = cfg
         .checkpoint
         .as_ref()
@@ -867,43 +854,38 @@ fn search_and_wrap_up(
         inc: &inc,
     };
     let outcome = run_search(&ctx, roots, &mut stats);
-    wrap_up(outcome, inc, &base, cfg, ckpt_rt.as_ref(), root_bound, start, stats)
+    wrap_up(outcome, inc, &base, cfg, root_bound, start, stats)
 }
 
-/// Dispatches the tree search, wrapping it with the checkpoint watchdog
-/// thread when durable solves are configured. The watchdog runs for the
-/// whole search and flushes any pending frame on shutdown, so even a
-/// limit-stopped solve leaves its final frame on disk.
+/// Dispatches the tree search. A durable solve runs one writer thread
+/// beside it that blocks on the frame hand-off; closing the hand-off after
+/// the search lets the writer persist the last frame offered (a
+/// limit-stopped solve's wind-down frame) before it is joined.
 fn run_search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOutcome {
-    match ctx.ckpt {
-        Some(rt) => std::thread::scope(|s| {
-            let wd = s.spawn(|| rt.watchdog());
-            let outcome = search(ctx, roots, stats);
-            rt.shutdown();
-            let _ = wd.join();
-            outcome
-        }),
-        None => search(ctx, roots, stats),
-    }
+    let Some(rt) = ctx.ckpt else {
+        return search(ctx, roots, stats);
+    };
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| rt.write_offered());
+        let outcome = search(ctx, roots, stats);
+        rt.close();
+        (stats.checkpoints_written, stats.checkpoint_failures) =
+            writer.join().unwrap_or_default();
+        outcome
+    })
 }
 
-/// Checkpoint and limit statistics, bound/status reconciliation, and
-/// postsolve of the incumbent back to the original variable space.
-#[allow(clippy::too_many_arguments)]
+/// Limit statistics, bound/status reconciliation, and postsolve of the
+/// incumbent back to the original variable space.
 fn wrap_up(
     outcome: SearchOutcome,
     inc: Incumbent,
     base: &BaseLp,
     cfg: &Config,
-    ckpt_rt: Option<&CkptRuntime>,
     root_cut_bound: f64,
     start: Instant,
     mut stats: Stats,
 ) -> Solution {
-    if let Some(rt) = ckpt_rt {
-        stats.checkpoint_time = rt.debit();
-        stats.checkpoints_written = rt.frames_written();
-    }
     stats.elapsed = start.elapsed();
     let user_obj = |internal: f64| base.user_obj(internal);
     // Anytime metrics from the incumbent trace: when the first feasible
@@ -1095,11 +1077,12 @@ impl Shared {
     /// Claims the next node for worker `id`: its own plunge child when it
     /// has one, else the best open node, waiting while peers may still
     /// produce children. Before every claim it stops the search once the
-    /// gap to the global open bound closes, and takes the checkpoint
-    /// snapshot when one is due (heap ∪ slots is the complete open set at
-    /// this boundary). Returns `None` when the search is over; a claimed
-    /// node stays in the worker's slot until [`Shared::finish`].
-    fn next_node(&self, ctx: &SearchCtx<'_>, id: usize) -> Option<Node> {
+    /// gap to the global open bound closes, and claims a checkpoint frame
+    /// when the cadence has passed (heap ∪ slots is the complete open set
+    /// at this boundary), charging the claim and the assembly to `tally`.
+    /// Returns `None` when the search is over; a claimed node stays in the
+    /// worker's slot until [`Shared::finish`].
+    fn next_node(&self, ctx: &SearchCtx<'_>, id: usize, tally: &mut Stats) -> Option<Node> {
         let cfg = ctx.cfg;
         // Starvation backoff: on an oversubscribed host a tight fixed-period
         // poll steals the core from whichever worker is producing children,
@@ -1133,10 +1116,10 @@ impl Shared {
                 wait = (wait * 2).min(Duration::from_millis(1));
                 continue;
             }
-            let snapshot = ctx
-                .ckpt
-                .filter(|rt| rt.take_due())
-                .map(|rt| (rt, Instant::now(), self.open_nodes(&heap)));
+            let snapshot = ctx.ckpt.and_then(|rt| {
+                let t0 = Instant::now();
+                rt.claim(t0).then(|| (rt, t0, self.open_nodes(&heap)))
+            });
             let node = match own {
                 Some(nd) => nd,
                 None => {
@@ -1151,8 +1134,8 @@ impl Shared {
             };
             drop(heap);
             if let Some((rt, t0, open)) = snapshot {
-                let frame = self.snapshot_frame(ctx, rt, open);
-                rt.offer(frame, t0.elapsed());
+                rt.offer(self.snapshot_frame(ctx, rt, open));
+                tally.checkpoint_time += t0.elapsed();
             }
             return Some(node);
         }
@@ -1296,6 +1279,7 @@ fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOut
         stats.rc_fixed += t.rc_fixed;
         stats.worker_panics += t.worker_panics;
         stats.dropped_nodes += t.dropped_nodes;
+        stats.checkpoint_time += t.checkpoint_time;
     }
     stats.nodes = shared.nodes.load(AtomicOrdering::SeqCst);
 
@@ -1306,14 +1290,15 @@ fn search(ctx: &SearchCtx<'_>, roots: Vec<Node>, stats: &mut Stats) -> SearchOut
     // not claim optimality, and a frame lets a resume pick it up.
     let abandoned = !shared.stop.load(AtomicOrdering::SeqCst) && (owned || !heap.is_empty());
     let hit_limit = shared.hit_limit.load(AtomicOrdering::SeqCst) || abandoned;
-    // Limit wind-down: deposit a final frame covering every still-open node
-    // (the watchdog's exit drain persists it), so a deadline-expired or
-    // cancelled solve resumes from exactly where it stopped.
+    // Limit wind-down: hand over a final frame covering every still-open
+    // node (the writer persists it before it is joined), so a
+    // deadline-expired or cancelled solve resumes from exactly where it
+    // stopped.
     if hit_limit {
         if let Some(rt) = ctx.ckpt {
             let t0 = Instant::now();
-            let frame = shared.snapshot_frame(ctx, rt, shared.open_nodes(&heap));
-            rt.offer(frame, t0.elapsed());
+            rt.offer(shared.snapshot_frame(ctx, rt, shared.open_nodes(&heap)));
+            stats.checkpoint_time += t0.elapsed();
         }
     }
     drop(heap);
@@ -1338,7 +1323,7 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
     let mut lb_buf = base.lb.clone();
     let mut ub_buf = base.ub.clone();
 
-    while let Some(mut node) = shared.next_node(ctx, id) {
+    while let Some(mut node) = shared.next_node(ctx, id, tally) {
         // Injected fault: panic exactly here, with the node in flight, so
         // tests prove the recovery path re-queues it.
         if cfg.faults.as_ref().is_some_and(|f| f.should_panic_worker(id)) {

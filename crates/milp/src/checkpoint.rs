@@ -1,6 +1,7 @@
 //! Durable solves: versioned, checksummed snapshots of the full search
-//! state, written periodically by a watchdog thread so a killed or
-//! deadline-expired run resumes from its last good frame.
+//! state, assembled periodically by the search and written by one writer
+//! thread, so a killed or deadline-expired run resumes from its last good
+//! frame.
 //!
 //! # Frame format
 //!
@@ -35,9 +36,8 @@ use crate::cuts::{Cut, CutSource};
 use crate::error::{relock, FaultInjection};
 use crate::pricing::{NewColumn, NewRow};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Current frame format version; bumped on any layout change.
 pub const FRAME_VERSION: u32 = 1;
@@ -618,7 +618,7 @@ pub fn load_frame(path: &Path) -> Result<SearchFrame, FrameError> {
 }
 
 // ---------------------------------------------------------------------------
-// In-solve runtime: cadence, watchdog, deadline debit
+// In-solve runtime: cadence claims and the frame writer
 // ---------------------------------------------------------------------------
 
 /// The static part of every frame written during one solve, assembled once
@@ -634,24 +634,27 @@ pub(crate) struct FrameBase {
     pub(crate) cuts: Vec<Cut>,
 }
 
-/// Shared state between the search threads and the watchdog thread:
-/// cadence claims, the pending-frame hand-off slot, and the write-time
-/// debit charged against the deadline.
+/// The hand-off between the search threads and the frame writer: the
+/// newest frame not yet taken, and whether the search has finished.
+#[derive(Debug, Default)]
+struct Handoff {
+    frame: Option<SearchFrame>,
+    closed: bool,
+}
+
+/// Shared state between the search threads and the frame writer thread:
+/// the cadence clock and the one-frame hand-off.
 #[derive(Debug)]
 pub(crate) struct CkptRuntime {
     pub(crate) cfg: CheckpointConfig,
     pub(crate) base: FrameBase,
     faults: Option<FaultInjection>,
-    /// Set by the watchdog when the cadence elapses; CAS-claimed by the
-    /// first search thread to reach a node boundary.
-    snapshot_due: AtomicBool,
-    /// Frame assembled by a search thread, awaiting the watchdog's write.
-    pending: Mutex<Option<SearchFrame>>,
-    /// Nanoseconds spent assembling and writing frames.
-    debit_nanos: AtomicU64,
-    frames_written: AtomicU64,
-    write_failures: AtomicU64,
-    exit: AtomicBool,
+    /// When the last frame was claimed (the runtime's creation before the
+    /// first claim).
+    last_claim: Mutex<Instant>,
+    handoff: Mutex<Handoff>,
+    /// Wakes the writer when a frame is offered or the hand-off closes.
+    offered: Condvar,
 }
 
 impl CkptRuntime {
@@ -664,12 +667,9 @@ impl CkptRuntime {
             cfg,
             base,
             faults,
-            snapshot_due: AtomicBool::new(false),
-            pending: Mutex::new(None),
-            debit_nanos: AtomicU64::new(0),
-            frames_written: AtomicU64::new(0),
-            write_failures: AtomicU64::new(0),
-            exit: AtomicBool::new(false),
+            last_claim: Mutex::new(Instant::now()),
+            handoff: Mutex::new(Handoff::default()),
+            offered: Condvar::new(),
         }
     }
 
@@ -689,72 +689,61 @@ impl CkptRuntime {
         }
     }
 
-    /// Whether this thread should assemble a snapshot now. A zero cadence
-    /// means "every node boundary" (used by the kill-and-resume tests).
-    pub(crate) fn take_due(&self) -> bool {
-        self.cfg.every.is_zero() || self.snapshot_due.swap(false, Ordering::AcqRel)
-    }
-
-    /// Hands an assembled frame to the watchdog, charging the assembly
-    /// time to the debit.
-    pub(crate) fn offer(&self, frame: SearchFrame, assembly: Duration) {
-        self.debit_nanos
-            .fetch_add(assembly.as_nanos() as u64, Ordering::Relaxed);
-        *relock(&self.pending) = Some(frame);
-    }
-
-    /// Total time spent on checkpointing so far (debited from the
-    /// deadline so cadence cannot silently eat the budget).
-    pub(crate) fn debit(&self) -> Duration {
-        Duration::from_nanos(self.debit_nanos.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn frames_written(&self) -> usize {
-        self.frames_written.load(Ordering::Relaxed) as usize
-    }
-
-    /// Signals the watchdog to drain and exit.
-    pub(crate) fn shutdown(&self) {
-        self.exit.store(true, Ordering::Release);
-    }
-
-    fn drain_pending(&self) {
-        let frame = relock(&self.pending).take();
-        if let Some(f) = frame {
-            let t = Instant::now();
-            match write_frame(&self.cfg.path, &f, self.faults.as_ref()) {
-                Ok(()) => {
-                    self.frames_written.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.write_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.debit_nanos
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Claims a frame at a node boundary reached at `now` when the cadence
+    /// has passed since the last claim. A zero cadence claims at every
+    /// boundary (used by the kill-and-resume tests).
+    pub(crate) fn claim(&self, now: Instant) -> bool {
+        let mut last = relock(&self.last_claim);
+        let due = now.saturating_duration_since(*last) >= self.cfg.every;
+        if due {
+            *last = now;
         }
+        due
     }
 
-    /// The watchdog loop: arms the snapshot cadence and persists frames
-    /// the search threads assemble.
-    pub(crate) fn watchdog(&self) {
-        let tick = Duration::from_millis(5);
-        let mut last_arm = Instant::now();
-        while !self.exit.load(Ordering::Acquire) {
-            std::thread::sleep(tick);
-            if last_arm.elapsed() >= self.cfg.every {
-                self.snapshot_due.store(true, Ordering::Release);
-                last_arm = Instant::now();
+    /// Hands an assembled frame to the writer without waiting for it. A
+    /// frame the writer has not taken yet is replaced: only the newest
+    /// unwritten frame is kept.
+    pub(crate) fn offer(&self, frame: SearchFrame) {
+        relock(&self.handoff).frame = Some(frame);
+        self.offered.notify_one();
+    }
+
+    /// Closes the hand-off: the writer persists the frame still waiting,
+    /// if any, and returns.
+    pub(crate) fn close(&self) {
+        relock(&self.handoff).closed = true;
+        self.offered.notify_one();
+    }
+
+    /// The writer thread's loop: blocks until a frame is offered, writes
+    /// it, and returns `(frames written, writes failed)` once the hand-off
+    /// is closed and empty.
+    pub(crate) fn write_offered(&self) -> (usize, usize) {
+        let (mut written, mut failed) = (0, 0);
+        loop {
+            let frame = {
+                let mut h = self
+                    .offered
+                    .wait_while(relock(&self.handoff), |h| h.frame.is_none() && !h.closed)
+                    .unwrap_or_else(PoisonError::into_inner);
+                match h.frame.take() {
+                    Some(f) => f,
+                    None => return (written, failed),
+                }
+            };
+            match write_frame(&self.cfg.path, &frame, self.faults.as_ref()) {
+                Ok(()) => written += 1,
+                Err(_) => failed += 1,
             }
-            self.drain_pending();
         }
-        self.drain_pending();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("milp_ckpt_{}_{}", std::process::id(), tag))
@@ -883,32 +872,50 @@ mod tests {
     }
 
     #[test]
-    fn cadence_arms_and_zero_cadence_is_always_due() {
+    fn claims_follow_the_cadence_and_zero_cadence_always_claims() {
         let cfg = CheckpointConfig::new(tmp_path("due")).with_cadence(Duration::ZERO);
         let rt = CkptRuntime::new(cfg, FrameBase::default(), None);
-        assert!(rt.take_due());
-        assert!(rt.take_due(), "zero cadence: due at every boundary");
+        let now = Instant::now();
+        assert!(rt.claim(now));
+        assert!(rt.claim(now), "zero cadence: a claim at every boundary");
 
         let cfg = CheckpointConfig::new(tmp_path("due2")).with_cadence(Duration::from_secs(3600));
         let rt = CkptRuntime::new(cfg, FrameBase::default(), None);
-        assert!(!rt.take_due(), "not armed yet");
-        rt.snapshot_due.store(true, Ordering::Release);
-        assert!(rt.take_due());
-        assert!(!rt.take_due(), "claim is one-shot");
+        let now = Instant::now();
+        assert!(!rt.claim(now), "the cadence has not passed yet");
+        let later = now + Duration::from_secs(3600);
+        assert!(rt.claim(later));
+        assert!(!rt.claim(later), "a claim restarts the cadence");
+        assert!(rt.claim(later + Duration::from_secs(3600)));
     }
 
     #[test]
-    fn offer_and_drain_write_the_frame_and_charge_debit() {
-        let path = tmp_path("drain");
+    fn writer_keeps_the_newest_offer_and_counts_writes() {
+        let path = tmp_path("handoff");
         let _ = std::fs::remove_file(&path);
-        let cfg = CheckpointConfig::new(path.clone());
-        let rt = CkptRuntime::new(cfg, FrameBase::default(), None);
-        rt.offer(sample_frame(), Duration::from_micros(10));
-        rt.drain_pending();
-        assert_eq!(rt.frames_written(), 1);
-        assert!(rt.debit() >= Duration::from_micros(10));
+        let rt = CkptRuntime::new(CheckpointConfig::new(path.clone()), FrameBase::default(), None);
+        // Two offers before the writer runs: the newer replaces the older.
+        let mut older = sample_frame();
+        older.nodes_done = 1;
+        rt.offer(older);
+        rt.offer(sample_frame());
+        rt.close();
+        assert_eq!(rt.write_offered(), (1, 0));
         assert_eq!(load_frame(&path).expect("written").nodes_done, 42);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(sibling(&path, "prev"));
+
+        // A writer on its own thread takes a frame offered while it runs
+        // (before or after it starts waiting, the result is the same), and
+        // a write into a missing directory counts as failed.
+        let missing = tmp_path("no_such_dir").join("frame");
+        let rt = CkptRuntime::new(CheckpointConfig::new(missing), FrameBase::default(), None);
+        let counts = std::thread::scope(|s| {
+            let writer = s.spawn(|| rt.write_offered());
+            rt.offer(sample_frame());
+            rt.close();
+            writer.join().expect("the writer returns")
+        });
+        assert_eq!(counts, (0, 1));
     }
 }

@@ -56,15 +56,17 @@ impl CutConfig {
     }
 }
 
-/// Durable-solve settings: where and how often the watchdog thread persists
-/// [`crate::checkpoint::SearchFrame`] snapshots.
+/// Durable-solve settings: where and how often the search hands
+/// [`crate::checkpoint::SearchFrame`] snapshots to the frame writer thread.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Frame file path. The writer also uses `<path>.tmp` and keeps the
     /// previous good frame at `<path>.prev` for torn-write fallback.
     pub path: std::path::PathBuf,
-    /// Snapshot cadence. `Duration::ZERO` means a frame at every node
-    /// boundary (test cadence; far too slow for production solves).
+    /// Snapshot cadence: a worker claims a frame at the first node boundary
+    /// after `every` has passed since the last claim. `Duration::ZERO`
+    /// means a frame at every node boundary (test cadence; far too slow for
+    /// production solves).
     pub every: Duration,
 }
 
@@ -146,8 +148,9 @@ pub struct Config {
     /// singularities, worker panics, and simulated deadline expiry so every
     /// recovery path is exercised.
     pub faults: Option<FaultInjection>,
-    /// Durable-solve settings: `Some` enables periodic checkpoint frames
-    /// and the watchdog thread; write time is debited from the deadline.
+    /// Durable-solve settings: `Some` enables periodic checkpoint frames,
+    /// assembled by the search and written by one writer thread; the
+    /// deadline is the same as without them.
     pub checkpoint: Option<CheckpointConfig>,
     /// Cutting-plane separation settings.
     pub cuts: CutConfig,
@@ -240,7 +243,7 @@ impl Config {
     }
 
     /// Enables durable solving: periodic checkpoint frames at
-    /// `checkpoint.path` plus the watchdog thread.
+    /// `checkpoint.path`, written by one writer thread.
     pub fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
         self.checkpoint = Some(checkpoint);
         self

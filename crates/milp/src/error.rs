@@ -37,11 +37,6 @@ pub enum SolveError {
         /// Iteration count at which the stall was declared.
         iters: usize,
     },
-    /// A search worker panicked and was isolated.
-    WorkerPanic {
-        /// Worker id that panicked.
-        worker: usize,
-    },
 }
 
 impl std::fmt::Display for SolveError {
@@ -56,9 +51,6 @@ impl std::fmt::Display for SolveError {
             SolveError::NumericBlowup => write!(f, "non-finite iterate (numeric blow-up)"),
             SolveError::Cycling { iters } => {
                 write!(f, "simplex stalled after {} iterations despite Bland's rule", iters)
-            }
-            SolveError::WorkerPanic { worker } => {
-                write!(f, "search worker {} panicked", worker)
             }
         }
     }

@@ -98,11 +98,16 @@ pub struct Stats {
     /// Wall-clock time spent inside the root pricing loop (oracle calls
     /// plus LP reoptimizations).
     pub pricing_time: Duration,
-    /// Wall-clock time spent assembling and writing checkpoint frames
-    /// (debited from the solver deadline).
+    /// Wall-clock time the search threads spent claiming checkpoint frames
+    /// and assembling them for the writer, summed over workers (with one
+    /// worker, part of [`Stats::elapsed`]). The writer thread's encoding
+    /// and disk time overlaps the search and is not counted.
     pub checkpoint_time: Duration,
     /// Checkpoint frames successfully persisted to disk.
     pub checkpoints_written: usize,
+    /// Checkpoint frame writes that failed (unwritable path, full disk);
+    /// the search goes on without them.
+    pub checkpoint_failures: usize,
     /// Whether this solve was resumed from a checkpoint frame.
     pub resumed: bool,
     /// Whether a caller-supplied [`crate::Config::warm_start`] vector passed

@@ -139,18 +139,77 @@ fn stale_frame_resume_matches_clean_finish() {
     assert!((resumed.objective() - full.objective()).abs() < 1e-6);
 }
 
-/// Checkpoint assembly/write time is charged against the solver deadline:
-/// the reported checkpoint time never exceeds total solve time, and a
-/// checkpointed solve still respects its overall limit.
+/// Checkpoint time is what the search threads spend claiming and
+/// assembling frames: with one worker it is part of the solve's wall time.
 #[test]
 fn checkpoint_time_is_accounted() {
     let p = hard_knapsack(20);
-    let path = frame_path("debit");
-    let sol = Solver::new(searchy().with_checkpoint(every_node(&path))).solve(&p);
+    let path = frame_path("accounted");
+    let sol = Solver::new(searchy().with_threads(1).with_checkpoint(every_node(&path))).solve(&p);
     cleanup(&path);
     assert_eq!(sol.status(), Status::Optimal);
     assert!(sol.stats().checkpoints_written >= 1);
     assert!(sol.stats().checkpoint_time <= sol.stats().elapsed);
+}
+
+/// `max Σx s.t. Σ2x ≤ n` for odd `n`: the LP bound stays at `n/2` until
+/// half the variables are fixed, so without cuts the proof of the
+/// optimum `(n-1)/2` needs exponentially many nodes.
+fn odd_capacity_knapsack(n: usize) -> Problem {
+    let mut p = Problem::new(Sense::Maximize);
+    let mut row = Row::new().le(n as f64);
+    for _ in 0..n {
+        let v = p.add_var(Var::binary().obj(1.0));
+        row = row.coef(v, 2.0);
+    }
+    p.add_row(row);
+    p
+}
+
+/// Checkpointing does not shorten the time limit: a solve that cannot
+/// finish, with a frame at every node boundary, runs until its deadline.
+#[test]
+fn checkpointed_solve_runs_to_its_time_limit() {
+    let p = odd_capacity_knapsack(41);
+    let path = frame_path("deadline");
+    let limit = Duration::from_millis(400);
+    let cfg = searchy()
+        .with_threads(1)
+        .with_time_limit(limit)
+        .with_checkpoint(every_node(&path));
+    let sol = Solver::new(cfg).solve(&p);
+    cleanup(&path);
+    assert!(
+        matches!(sol.status(), Status::LimitFeasible | Status::LimitNoSolution),
+        "the proof cannot finish in {limit:?}, got {}",
+        sol.status()
+    );
+    assert!(sol.stats().checkpoints_written >= 1);
+    assert!(
+        sol.stats().elapsed >= limit,
+        "stopped after {:?} of a {limit:?} limit ({:?} checkpointing)",
+        sol.stats().elapsed,
+        sol.stats().checkpoint_time
+    );
+}
+
+/// Failed frame writes are counted, and the search goes on without them:
+/// a frame path inside a missing directory leaves the result unchanged.
+#[test]
+fn failed_frame_writes_are_counted_and_do_not_change_the_result() {
+    let p = hard_knapsack(20);
+    let plain = Solver::new(searchy().with_threads(1)).solve(&p);
+    let missing = frame_path("no_such_dir").join("frame");
+    let sol = Solver::new(searchy().with_threads(1).with_checkpoint(every_node(&missing))).solve(&p);
+    assert_eq!(sol.stats().checkpoints_written, 0);
+    assert!(sol.stats().checkpoint_failures >= 1);
+    assert_eq!(sol.status(), plain.status());
+    assert!(
+        (sol.objective() - plain.objective()).abs() < 1e-6,
+        "with failing writes {} vs plain {}",
+        sol.objective(),
+        plain.objective()
+    );
 }
 
 /// The loader falls back to `<path>.prev` when the primary frame is torn

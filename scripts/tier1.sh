@@ -17,10 +17,9 @@
 #      records and exits non-zero when a gate fails (see `check_gates` in
 #      crates/bench/src/bin/table3.rs for each condition, and which ones
 #      only warn)
-#   5. durability smoke: a checkpointed [50/20] solve is SIGKILLed
-#      mid-search, resumed from its frame, and must deliver a verified
-#      design that matches or beats the uninterrupted reference when
-#      both prove optimality
+#   5. durability smoke: a checkpointed one-worker [50/20] solve is
+#      SIGKILLed mid-search and resumed from its frame; the resume must
+#      prove Optimal with a verified design at the row's proven optimum
 #   6. service smoke: a short request storm against the design-session
 #      service with seeded clients, injected mid-request cancellations,
 #      a simulated worker death, and one poisoned delta — the binary
@@ -71,18 +70,19 @@ fi
 echo "tier1: table3 gates OK"
 
 echo "== tier1: durability smoke (SIGKILL mid-search, resume from frame) =="
-# A checkpointed [50/20] solve is killed hard a few seconds in — exactly
-# the failure the subsystem exists for — then resumed from its last
-# durable frame. The resume must (a) actually continue from the frame,
-# (b) deliver a design that survives independent re-verification, and
-# (c) match or beat the uninterrupted reference when both prove
-# optimality (a resumed search explores the identical node space).
+# A checkpointed one-worker [50/20] solve at the default gap is killed hard
+# a few seconds in — exactly the failure the subsystem exists for — then
+# resumed from its last durable frame. The resume run gates itself (see
+# crates/bench/src/bin/durability.rs): it exits non-zero unless it
+# continued from the frame, its design survives independent
+# re-verification, it proves Optimal, and its objective matches the
+# row's proven optimum. DUR_TL is only a hang guard: the proof takes
+# about 90 s on a 2-core host.
 DUR_FRAME="$(mktemp -u).frame"
 trap 'rm -f "$T3_SMOKE_JSON" "$DUR_FRAME" "$DUR_FRAME.prev" "$DUR_FRAME.tmp"' EXIT
 # The victim is exec'd directly (not through `cargo run`) so the SIGKILL
 # hits the solver process itself; step 1 built it.
-ref_line="$(DUR_MODE=reference DUR_TL=60 ./target/release/durability | grep '^DUR ')"
-DUR_MODE=victim DUR_TL=120 DUR_CKPT="$DUR_FRAME" ./target/release/durability &
+DUR_MODE=victim DUR_TL=600 DUR_CKPT="$DUR_FRAME" ./target/release/durability &
 victim_pid=$!
 sleep 5
 kill -9 "$victim_pid" 2>/dev/null || true
@@ -91,42 +91,11 @@ if [ ! -f "$DUR_FRAME" ]; then
     echo "tier1: durability smoke FAILED — the killed victim left no frame at $DUR_FRAME" >&2
     exit 1
 fi
-res_line="$(DUR_MODE=resume DUR_TL=60 DUR_CKPT="$DUR_FRAME" ./target/release/durability | grep '^DUR ')"
-echo "  reference: $ref_line"
-echo "  resumed:   $res_line"
-case "$res_line" in
-    *"resumed=true"*) ;;
-    *)
-        echo "tier1: durability smoke FAILED — the resume run fell back to a cold solve" >&2
-        exit 1 ;;
-esac
-case "$res_line" in
-    *"verified=ok"*) ;;
-    *)
-        echo "tier1: durability smoke FAILED — resumed run produced no verified design" >&2
-        exit 1 ;;
-esac
-status_rank() {
-    case "$1" in
-        Optimal) echo 2 ;;
-        LimitFeasible) echo 1 ;;
-        *) echo 0 ;;
-    esac
-}
-ref_status="$(echo "$ref_line" | sed -n 's/.*status=\([A-Za-z]*\).*/\1/p')"
-res_status="$(echo "$res_line" | sed -n 's/.*status=\([A-Za-z]*\).*/\1/p')"
-ref_obj="$(echo "$ref_line" | sed -n 's/.*objective=\([0-9.eE+-]*\).*/\1/p')"
-res_obj="$(echo "$res_line" | sed -n 's/.*objective=\([0-9.eE+-]*\).*/\1/p')"
-if [ "$ref_status" = "Optimal" ] && [ "$res_status" = "Optimal" ]; then
-    if ! awk -v a="$res_obj" -v b="$ref_obj" \
-        'BEGIN { exit !(a <= b + 1e-4 * (1 + (b < 0 ? -b : b))) }'; then
-        echo "tier1: durability smoke FAILED — resumed objective $res_obj worse than reference $ref_obj" >&2
-        exit 1
-    fi
-elif [ "$(status_rank "$res_status")" -lt "$(status_rank "$ref_status")" ]; then
-    echo "tier1: durability smoke WARNING — resumed status $res_status vs reference $ref_status within the smoke budget" >&2
+if ! DUR_MODE=resume DUR_TL=600 DUR_CKPT="$DUR_FRAME" ./target/release/durability; then
+    echo "tier1: durability smoke FAILED" >&2
+    exit 1
 fi
-echo "tier1: durability smoke OK (resumed $res_status obj ${res_obj:-none} vs reference $ref_status obj ${ref_obj:-none})"
+echo "tier1: durability smoke OK"
 
 echo "== tier1: service smoke (fault-injected request storm) =="
 # 24 seeded clients x 3 rounds of typed spec deltas against the
