@@ -158,7 +158,7 @@ fn run_instance(spec: &WorkloadSpec, limits: &RunLimits) -> (ScaleRecord, bool) 
     );
 
     if sites <= limits.mono_max {
-        let mono = solve_monolithic(&city, limits.mono_tl, opts.kstar, params.seed);
+        let mono = solve_monolithic(&city, limits.mono_tl, opts.kstar);
         rec.monolithic_status = Some(
             mono.final_status
                 .map_or("NoSolve".to_string(), |s| format!("{s:?}")),

@@ -299,16 +299,15 @@ fn main() {
                 full_encoding_size_estimate(&w.template, &w.library, &w.requirements, 2 * end);
             (cons, "~")
         };
-        let full_time = if row_idx == 0 && !skip_full {
+        let full_out = (row_idx == 0 && !skip_full).then(|| {
             let mut fopts = ExploreOptions::full();
             fopts.solver.time_limit = Some(full_tl);
             fopts.solver.rel_gap = 0.005;
-            let fout =
-                explore(&w.template, &w.library, &w.requirements, &fopts).expect("explores");
-            time_cell(&fout, full_tl)
-        } else {
-            "TO".to_string()
-        };
+            explore(&w.template, &w.library, &w.requirements, &fopts).expect("explores")
+        });
+        let full_time = full_out
+            .as_ref()
+            .map_or("TO".to_string(), |f| time_cell(f, full_tl));
 
         table.row(&[
             total.to_string(),
@@ -321,15 +320,20 @@ fn main() {
             ),
             format!("{} / {}", full_time, approx_time),
         ]);
+        let full_solve = full_out.as_ref().map_or(String::new(), |f| {
+            let error = f.error.as_ref().map_or(String::new(), |e| format!(": {e}"));
+            format!(", solve {:?} {}{error}", f.stats.solve_time, f.status)
+        });
         eprintln!(
-            "[{} / {}] approx: {} cons, encode {:?}, solve {:?} ({} B&B nodes); full: {} cons",
+            "[{} / {}] approx: {} cons, encode {:?}, solve {:?} ({} B&B nodes); full: {} cons{}",
             total,
             end,
             approx_stats.num_cons,
             encode_time,
             out.stats.solve_time,
             out.stats.solver.nodes,
-            full_cons
+            full_cons,
+            full_solve
         );
     }
     println!("{}", table.render());

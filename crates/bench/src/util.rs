@@ -30,8 +30,9 @@ pub fn paper_scale() -> bool {
     std::env::var("SCALE").map(|s| s == "paper").unwrap_or(false)
 }
 
-/// Renders a solve time like the paper's tables: seconds, or `TO` when the
-/// limit was hit without proof of optimality.
+/// Renders a solve time like the paper's tables: seconds, `TO` when the
+/// limit was hit without proof of optimality, or `NF` and the solver error
+/// when LP recovery was exhausted.
 pub fn time_cell(outcome: &ExploreOutcome, limit: Duration) -> String {
     match outcome.status {
         milp::Status::Optimal => format!("{:.0}", outcome.stats.solve_time.as_secs_f64().max(1.0)),
@@ -43,6 +44,10 @@ pub fn time_cell(outcome: &ExploreOutcome, limit: Duration) -> String {
             }
         }
         milp::Status::LimitNoSolution => format!("TO({:.0}s)", limit.as_secs_f64()),
+        milp::Status::NumericFailure => match &outcome.error {
+            Some(e) => format!("NF: {e}"),
+            None => "NF".to_string(),
+        },
         s => format!("{}", s),
     }
 }

@@ -116,14 +116,6 @@ impl ExploreOptions {
         self.solver = self.solver.with_threads(n);
         self
     }
-
-    /// Sets the solver's RNG seed (see [`milp::Config::seed`]).
-    /// Per-zone offsets keep parallel zone solves decorrelated yet
-    /// reproducible.
-    pub fn with_solver_seed(mut self, seed: u64) -> Self {
-        self.solver.seed = seed;
-        self
-    }
 }
 
 /// Size and timing statistics of one exploration.
@@ -159,6 +151,9 @@ pub struct ExploreOutcome {
     pub design: Option<NetworkDesign>,
     /// Statistics.
     pub stats: ExploreStats,
+    /// The solver error behind a [`Status::NumericFailure`]
+    /// ([`milp::Solution::solve_error`]); `None` for every other status.
+    pub error: Option<milp::SolveError>,
 }
 
 impl ExploreOutcome {
@@ -246,6 +241,7 @@ pub fn explore(
         status: sol.status(),
         design,
         stats,
+        error: sol.solve_error().cloned(),
     })
 }
 
@@ -585,6 +581,23 @@ mod tests {
         assert!(verify_design(&d, &t, &lib, &req).is_empty());
         assert!(out.stats.num_cons > 0);
         assert!(out.stats.solve_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn exhausted_lp_recovery_names_its_error() {
+        // Each of the root LP's three recovery rungs tries the slack basis
+        // twice, so six forced singular factorizations exhaust the ladder.
+        let faults = (1..=6).fold(milp::FaultInjection::default(), |f, k| f.lu_singular_on(k));
+        let t = template(6);
+        let lib = catalog::zigbee_reference();
+        let req = Requirements::from_spec_text(SPEC).unwrap();
+        let mut opts = ExploreOptions::approx(5).with_threads(1);
+        opts.solver = opts.solver.with_faults(faults);
+        let out = explore(&t, &lib, &req, &opts).unwrap();
+        assert_eq!(out.status, Status::NumericFailure);
+        let singular = milp::SolveError::SingularBasis { position: 0 };
+        assert_eq!(out.error, Some(singular));
+        assert!(!out.has_design());
     }
 
     #[test]

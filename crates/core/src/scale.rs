@@ -461,7 +461,8 @@ pub struct ScaleOptions {
     pub kstar: usize,
     /// Wall-clock budget for the whole decomposed solve.
     pub budget: Duration,
-    /// Base solver seed; each zone solve gets a deterministic offset.
+    /// Has no effect: the solver takes no seed. Kept because `perfbench`
+    /// (a separate workspace) still sets it.
     pub seed: u64,
     /// Outer worker threads for parallel zone solves (`0` = auto).
     pub threads: usize,
@@ -557,14 +558,12 @@ pub fn solve_monolithic(
     city: &CityInstance,
     budget: Duration,
     kstar: usize,
-    seed: u64,
 ) -> crate::explore::ExploreReport {
-    let base = ExploreOptions::approx(kstar).with_solver_seed(seed);
     explore_resilient(
         &city.template,
         &city.library,
         &city.requirements,
-        &LadderOptions::new(base).with_budget(budget),
+        &LadderOptions::new(ExploreOptions::approx(kstar)).with_budget(budget),
     )
 }
 
@@ -736,12 +735,9 @@ pub fn solve_decomposed(
                 if i >= problems.len() {
                     break;
                 }
-                let (z, t, _) = &problems[i];
+                let (_, t, _) = &problems[i];
                 let base = ExploreOptions::approx(opts.kstar)
                     .with_threads(1)
-                    .with_solver_seed(
-                        opts.seed ^ (*z as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    )
                     .with_cancel(cancel.clone());
                 let ladder = LadderOptions::new(base).with_budget(slice);
                 let rep = catch_unwind(AssertUnwindSafe(|| {

@@ -334,6 +334,11 @@ impl ModelSolution {
     pub fn stats(&self) -> &milp::Stats {
         self.sol.stats()
     }
+
+    /// The [`milp::SolveError`] behind a [`Status::NumericFailure`], if any.
+    pub fn solve_error(&self) -> Option<&milp::SolveError> {
+        self.sol.solve_error()
+    }
 }
 
 #[cfg(test)]

@@ -121,8 +121,6 @@ pub struct Config {
     /// default). Every other incumbent comes from the warm start or from an
     /// integral node LP.
     pub heuristics: bool,
-    /// Random seed for tie-breaking perturbations.
-    pub seed: u64,
     /// Number of branch-and-bound workers. `0` (the default) uses
     /// [`std::thread::available_parallelism`]; `1` runs the one worker on
     /// the calling thread. Every count runs the same node loop, and the
@@ -164,7 +162,6 @@ impl Default for Config {
             node_limit: None,
             presolve: true,
             heuristics: true,
-            seed: 0x5eed,
             threads: 0,
             cancel: None,
             warm_start: None,
@@ -220,12 +217,6 @@ impl Config {
     /// Attaches a cooperative cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the random seed for tie-breaking perturbations.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 

@@ -26,11 +26,17 @@
 //! it fall back to the primal path, so the dual method is an accelerator,
 //! never a correctness dependency.
 //!
+//! Both loops pivot through one routine, `Engine::change_basis` (the swap,
+//! an eta update or a refactorization, the slack-basis fallback), and each
+//! quantity has one helper: `duals`, `pivot_row`, `ftran_column`,
+//! `devex_update`, and `LpData::aug_entries`/`aug_dot` for `[A | -I]`.
+//!
 //! Numerical failures are recovered in-solver before surfacing: a singular
 //! factorization triggers a refactorize / slack-basis reset, a persistent
 //! stall restarts the solve under Bland's rule, and a final rung re-solves
 //! with seeded cost perturbations. Only when all rungs fail does
-//! [`solve_lp`] return a [`SolveError`].
+//! [`solve_lp`] return a [`SolveError`]. [`certificate_violation`] checks
+//! an `Optimal` result from its `x` and `y` alone.
 
 use crate::config::Config;
 use crate::error::SolveError;
@@ -240,48 +246,65 @@ pub fn extract_tableau_rows(
     wanted: &[usize],
 ) -> Option<Vec<TableauRow>> {
     let mut eng = Engine::new(lp, var_lb, var_ub, cfg, None);
-    match eng.install(Some(statuses)) {
-        Ok(true) => {}
-        // Falling back to the slack basis would extract rows of a basis
-        // nobody asked about; report failure instead.
-        Ok(false) | Err(_) => return None,
+    // Falling back to the slack basis would extract rows of a basis nobody
+    // asked about; report failure instead.
+    if eng.install(Some(statuses)) != Ok(true) {
+        return None;
     }
     eng.compute_basics();
-    let mut rows = Vec::with_capacity(wanted.len());
-    let mut rho = vec![0.0; eng.m];
-    for &j in wanted {
-        if eng.status.get(j).copied() != Some(VStat::Basic) {
-            continue;
-        }
-        let i = eng.pos[j];
-        rho.iter_mut().for_each(|v| *v = 0.0);
-        rho[i] = 1.0;
-        eng.fact.btran(&mut rho);
-        let mut coefs = Vec::new();
-        for k in 0..eng.nn {
-            if eng.status[k] == VStat::Basic {
-                continue;
+    let rows = wanted
+        .iter()
+        .copied()
+        .filter(|&j| eng.status.get(j) == Some(&VStat::Basic))
+        .map(|j| {
+            let rho = eng.pivot_row(eng.pos[j]);
+            let coefs = (0..eng.nn)
+                .filter(|&k| eng.status[k] != VStat::Basic)
+                .map(|k| (k, lp.aug_dot(k, &rho)))
+                .filter(|&(_, a)| a.abs() > 1e-12)
+                .collect();
+            TableauRow {
+                var: j,
+                rhs: eng.x[j],
+                coefs,
             }
-            let a = if k < eng.n {
-                eng.lp.a.col_dot(k, &rho)
-            } else {
-                -rho[k - eng.n]
-            };
-            if a.abs() > 1e-12 {
-                coefs.push((k, a));
-            }
-        }
-        rows.push(TableauRow {
-            var: j,
-            rhs: eng.x[j],
-            coefs,
-        });
-    }
+        })
+        .collect();
     Some(rows)
+}
+
+impl LpData {
+    /// Calls `f(row, value)` on each entry of column `j` of the augmented
+    /// matrix `[A | -I]`: structural for `j < n`, the slack of row `j - n`
+    /// beyond.
+    fn aug_entries(&self, j: usize, mut f: impl FnMut(usize, f64)) {
+        let n = self.num_vars();
+        if j < n {
+            for (r, v) in self.a.col(j) {
+                f(r, v);
+            }
+        } else {
+            f(j - n, -1.0);
+        }
+    }
+
+    /// `a_j . v` for column `j` of `[A | -I]`.
+    fn aug_dot(&self, j: usize, v: &[f64]) -> f64 {
+        let n = self.num_vars();
+        if j < n {
+            self.a.col_dot(j, v)
+        } else {
+            -v[j - n]
+        }
+    }
 }
 
 /// Refactorize the basis after this many eta updates.
 const REFACTOR_INTERVAL: usize = 64;
+
+/// Recompute the basic values from scratch after this many pivots without
+/// a refactorization.
+const REFRESH_INTERVAL: usize = 512;
 
 struct Engine<'a> {
     lp: &'a LpData,
@@ -304,12 +327,13 @@ struct Engine<'a> {
     phase1_iters: usize,
     dual_iters: usize,
     degenerate_run: usize,
+    /// Pivots since the running loop started or last refactorized.
+    since_refresh: usize,
     deadline: Option<Instant>,
     /// Recovery rung: forces Bland's rule from the first iteration.
     force_bland: bool,
-    /// Slack-basis rebuilds performed after singular factorizations; capped
-    /// so a persistently singular basis surfaces as an error instead of
-    /// looping.
+    /// Slack-basis rebuilds after singular factorizations; capped so a
+    /// persistently singular basis surfaces as an error, not a loop.
     slack_resets: usize,
     /// Last factorization failure, kept for error reporting.
     last_lu: Option<LuError>,
@@ -347,6 +371,44 @@ enum DualRun {
     Fallback,
 }
 
+/// What [`Engine::change_basis`] did to the basis.
+#[derive(PartialEq, Eq)]
+enum BasisChange {
+    /// The entering variable took the leaving one's position.
+    Pivoted,
+    /// The new basis would not factorize; the slack basis replaced it.
+    SlackReset,
+}
+
+/// Devex update of one pivot with pivot element `alpha_p` and pivot weight
+/// `gamma`: each `(k, alpha_k)` of the pivot row (primal) or column (dual)
+/// raises `weights[k]` to `(alpha_k / alpha_p)^2 gamma` if that is larger,
+/// the pivot's own weight becomes `gamma / alpha_p^2` (at least 1), and
+/// weights that have drifted past `1e8` restart at 1 (the classic reset).
+fn devex_update(
+    weights: &mut [f64],
+    entries: impl Iterator<Item = (usize, f64)>,
+    pivot: usize,
+    alpha_p: f64,
+    gamma: f64,
+) {
+    let mut maxw = 1.0f64;
+    for (k, alpha_k) in entries {
+        if alpha_k != 0.0 {
+            let r = alpha_k / alpha_p;
+            let cand = r * r * gamma;
+            if cand > weights[k] {
+                weights[k] = cand;
+            }
+        }
+        maxw = maxw.max(weights[k]);
+    }
+    weights[pivot] = (gamma / (alpha_p * alpha_p)).max(1.0);
+    if maxw > 1e8 {
+        weights.fill(1.0);
+    }
+}
+
 impl<'a> Engine<'a> {
     fn new(
         lp: &'a LpData,
@@ -355,23 +417,13 @@ impl<'a> Engine<'a> {
         cfg: &'a Config,
         deadline: Option<Instant>,
     ) -> Self {
-        let n = lp.num_vars();
-        let m = lp.num_rows();
+        let (n, m) = (lp.num_vars(), lp.num_rows());
         let nn = n + m;
-        let mut lb = Vec::with_capacity(nn);
-        let mut ub = Vec::with_capacity(nn);
-        lb.extend_from_slice(var_lb);
-        ub.extend_from_slice(var_ub);
-        lb.extend_from_slice(&lp.row_lb);
-        ub.extend_from_slice(&lp.row_ub);
-        let mut cost = Vec::with_capacity(nn);
-        cost.extend_from_slice(&lp.c);
-        cost.extend(std::iter::repeat_n(0.0, m));
         Engine {
             lp,
-            lb,
-            ub,
-            cost,
+            lb: [var_lb, &lp.row_lb].concat(),
+            ub: [var_ub, &lp.row_ub].concat(),
+            cost: [&lp.c[..], &vec![0.0; m]].concat(),
             n,
             m,
             nn,
@@ -385,6 +437,7 @@ impl<'a> Engine<'a> {
             phase1_iters: 0,
             dual_iters: 0,
             degenerate_run: 0,
+            since_refresh: 0,
             deadline,
             force_bland: false,
             slack_resets: 0,
@@ -392,18 +445,6 @@ impl<'a> Engine<'a> {
             devex: vec![1.0; nn],
             dual_devex: vec![1.0; m],
             dj: vec![0.0; nn],
-        }
-    }
-
-    /// Column of the augmented matrix `[A | -I]` for variable `j`.
-    fn column(&self, j: usize, buf: &mut Vec<(usize, f64)>) {
-        buf.clear();
-        if j < self.n {
-            for (r, v) in self.lp.a.col(j) {
-                buf.push((r, v));
-            }
-        } else {
-            buf.push((j - self.n, -1.0));
         }
     }
 
@@ -428,8 +469,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Installs the all-slack basis.
-    fn slack_basis(&mut self) {
+    /// Installs and factorizes the all-slack basis. It is `-I` and can only
+    /// fail under injection or a broken workspace; one retry absorbs a
+    /// single injected fault.
+    fn install_slack_basis(&mut self) -> Result<(), SolveError> {
         for j in 0..self.n {
             self.status[j] = Self::natural_status(self.lb[j], self.ub[j]);
             self.pos[j] = usize::MAX;
@@ -439,6 +482,11 @@ impl<'a> Engine<'a> {
             self.status[j] = VStat::Basic;
             self.pos[j] = i;
         }
+        if self.refactorize() || self.refactorize() {
+            Ok(())
+        } else {
+            Err(self.singular_error())
+        }
     }
 
     /// Installs a warm-start status vector if it is usable, else the slack
@@ -446,23 +494,19 @@ impl<'a> Engine<'a> {
     /// knows a dual-feasible start may be available). Errs only when even
     /// the slack basis fails to factorize.
     fn install(&mut self, warm: Option<&[VStat]>) -> Result<bool, SolveError> {
-        self.devex.iter_mut().for_each(|w| *w = 1.0);
-        self.dual_devex.iter_mut().for_each(|w| *w = 1.0);
+        self.devex.fill(1.0);
+        self.dual_devex.fill(1.0);
         if let Some(w) = warm {
             if w.len() == self.nn && w.iter().filter(|s| **s == VStat::Basic).count() == self.m {
                 self.basis.clear();
                 for (j, &s) in w.iter().enumerate() {
+                    // repair statuses that bound changes made inconsistent
+                    let (lb, ub) = (self.lb[j], self.ub[j]);
+                    let natural = Self::natural_status(lb, ub);
                     let s = match s {
-                        // repair statuses that bound changes made inconsistent
-                        VStat::AtLower if !self.lb[j].is_finite() => {
-                            Self::natural_status(self.lb[j], self.ub[j])
-                        }
-                        VStat::AtUpper if !self.ub[j].is_finite() => {
-                            Self::natural_status(self.lb[j], self.ub[j])
-                        }
-                        VStat::Free if self.lb[j].is_finite() || self.ub[j].is_finite() => {
-                            Self::natural_status(self.lb[j], self.ub[j])
-                        }
+                        VStat::AtLower if !lb.is_finite() => natural,
+                        VStat::AtUpper if !ub.is_finite() => natural,
+                        VStat::Free if lb.is_finite() || ub.is_finite() => natural,
                         s => s,
                     };
                     self.status[j] = s;
@@ -478,17 +522,8 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.slack_basis();
-        if self.refactorize() || self.refactorize() {
-            // The slack basis is -I and can only fail under injection or a
-            // broken workspace; one retry absorbs a single injected fault.
-            return Ok(false);
-        }
-        Err(self
-            .last_lu
-            .clone()
-            .map(SolveError::from)
-            .unwrap_or(SolveError::SingularBasis { position: 0 }))
+        self.install_slack_basis()?;
+        Ok(false)
     }
 
     fn refactorize(&mut self) -> bool {
@@ -499,27 +534,49 @@ impl<'a> Engine<'a> {
                 return false;
             }
         }
-        let mut colbuf: Vec<(usize, f64)> = Vec::new();
-        let basis = self.basis.clone();
-        let lp = self.lp;
-        let n = self.n;
-        match self.fact.factorize(|k, out| {
-            let j = basis[k];
-            colbuf.clear();
-            if j < n {
-                for (r, v) in lp.a.col(j) {
-                    out.push((r, v));
-                }
-            } else {
-                out.push((j - n, -1.0));
-            }
-        }) {
+        let (lp, basis) = (self.lp, &self.basis);
+        match self
+            .fact
+            .factorize(|k, out| lp.aug_entries(basis[k], |r, v| out.push((r, v))))
+        {
             Ok(()) => true,
             Err(e) => {
                 self.last_lu = Some(e);
                 false
             }
         }
+    }
+
+    /// The error a basis that will not factorize surfaces as.
+    fn singular_error(&self) -> SolveError {
+        self.last_lu
+            .clone()
+            .map(SolveError::from)
+            .unwrap_or(SolveError::SingularBasis { position: 0 })
+    }
+
+    /// Row duals `y = B^{-T} c_B` of the current basis.
+    fn duals(&self) -> Vec<f64> {
+        let mut y: Vec<f64> = self.basis.iter().map(|&j| self.cost[j]).collect();
+        self.fact.btran(&mut y);
+        y
+    }
+
+    /// Pivot row `rho = B^{-T} e_r` of basis position `r`.
+    fn pivot_row(&self, r: usize) -> Vec<f64> {
+        let mut rho = vec![0.0; self.m];
+        rho[r] = 1.0;
+        self.fact.btran(&mut rho);
+        rho
+    }
+
+    /// Column of variable `j` in the current basis, `w = B^{-1} a_j`,
+    /// indexed by basis position.
+    fn ftran_column(&self, j: usize) -> Vec<f64> {
+        let mut w = vec![0.0; self.m];
+        self.lp.aug_entries(j, |r, v| w[r] = v);
+        self.fact.ftran(&mut w);
+        w
     }
 
     /// Recomputes the values of all basic variables from the nonbasic rest
@@ -533,11 +590,7 @@ impl<'a> Engine<'a> {
             let xj = self.nonbasic_value(j);
             self.x[j] = xj;
             if xj != 0.0 {
-                if j < self.n {
-                    self.lp.a.axpy_col(j, -xj, &mut rhs);
-                } else {
-                    rhs[j - self.n] += xj; // -(-1)*xj
-                }
+                self.lp.aug_entries(j, |r, v| rhs[r] += -xj * v);
             }
         }
         self.fact.ftran(&mut rhs);
@@ -546,20 +599,24 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// How far variable `j` lies outside its bounds, beyond [`FEAS_TOL`],
+    /// and on which side: `-1` below its lower bound, `1` above its upper.
+    fn violation(&self, j: usize) -> Option<(f64, f64)> {
+        let v = self.x[j];
+        if v < self.lb[j] - FEAS_TOL {
+            Some((self.lb[j] - v, -1.0))
+        } else if v > self.ub[j] + FEAS_TOL {
+            Some((v - self.ub[j], 1.0))
+        } else {
+            None
+        }
+    }
+
+    /// Sum of the bound violations of the basic variables.
     fn infeasibility(&self) -> f64 {
-        let t = FEAS_TOL;
         self.basis
             .iter()
-            .map(|&j| {
-                let v = self.x[j];
-                if v < self.lb[j] - t {
-                    self.lb[j] - v
-                } else if v > self.ub[j] + t {
-                    v - self.ub[j]
-                } else {
-                    0.0
-                }
-            })
+            .map(|&j| self.violation(j).map_or(0.0, |(amount, _)| amount))
             .sum()
     }
 
@@ -568,54 +625,33 @@ impl<'a> Engine<'a> {
     /// also record the reduced costs in `self.dj` so a terminating
     /// (complete) pass leaves them valid for reduced-cost fixing.
     fn price(&mut self, phase1: bool, bland: bool) -> Pricing {
-        let t = FEAS_TOL;
-        let mut cb = vec![0.0; self.m];
-        let mut any_cost = false;
-        for (i, &j) in self.basis.iter().enumerate() {
-            let c = if phase1 {
-                let v = self.x[j];
-                if v < self.lb[j] - t {
-                    -1.0
-                } else if v > self.ub[j] + t {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                self.cost[j]
-            };
-            if c != 0.0 {
-                cb[i] = c;
-                any_cost = true;
+        let y = if phase1 {
+            // Composite costs: -1 below the lower bound, 1 above the upper.
+            let mut cb: Vec<f64> = self
+                .basis
+                .iter()
+                .map(|&j| self.violation(j).map_or(0.0, |(_, side)| side))
+                .collect();
+            if cb.iter().all(|&c| c == 0.0) {
+                return Pricing::OptimalOrFeasible;
             }
-        }
-        if phase1 && !any_cost {
-            return Pricing::OptimalOrFeasible;
-        }
-        self.fact.btran(&mut cb); // now y in row space
-        let y = cb;
-        let otol = OPT_TOL;
-        if !phase1 {
+            self.fact.btran(&mut cb);
+            cb
+        } else {
             // Fresh capture per pass: entries not reached (early Bland
             // return) stay zero, which is always safe for fixing.
-            self.dj.iter_mut().for_each(|d| *d = 0.0);
-        }
+            self.dj.fill(0.0);
+            self.duals()
+        };
+        let otol = OPT_TOL;
         let mut best: Option<(usize, f64, f64)> = None; // (j, dir, score)
         for j in 0..self.nn {
             let st = self.status[j];
-            if st == VStat::Basic {
-                continue;
-            }
-            if self.lb[j] == self.ub[j] {
-                continue; // fixed variable can never improve
+            if st == VStat::Basic || self.lb[j] == self.ub[j] {
+                continue; // a fixed variable can never improve
             }
             let cj = if phase1 { 0.0 } else { self.cost[j] };
-            let ay = if j < self.n {
-                self.lp.a.col_dot(j, &y)
-            } else {
-                -y[j - self.n]
-            };
-            let d = cj - ay;
+            let d = cj - self.lp.aug_dot(j, &y);
             if !phase1 {
                 self.dj[j] = d;
             }
@@ -643,9 +679,11 @@ impl<'a> Engine<'a> {
 
     /// Bound-flip-aware ratio test. `w` is the ftran'd entering column
     /// (indexed by basis position), `dir` the movement direction of the
-    /// entering variable, `phase1` enables infeasible-basic handling.
-    /// Under `bland`, ties are broken by smallest leaving-variable index
-    /// (required for Bland's rule to actually prevent cycling).
+    /// entering variable. Under `phase1`, a basic variable outside its
+    /// bounds blocks where it becomes feasible and never while it moves
+    /// away from them. Under `bland`, ties are broken by smallest
+    /// leaving-variable index (required for Bland's rule to actually
+    /// prevent cycling).
     fn ratio_test(&self, j: usize, dir: f64, w: &[f64], phase1: bool, bland: bool) -> Ratio {
         let piv_tol = 1e-9;
         let t_feas = FEAS_TOL;
@@ -665,6 +703,9 @@ impl<'a> Engine<'a> {
                 if phase1 && xv < self.lb[bj] - t_feas {
                     // infeasible below: stops when reaching its lower bound
                     (self.lb[bj], false)
+                } else if phase1 && xv > self.ub[bj] + t_feas {
+                    // infeasible above and moving away: never blocks
+                    continue;
                 } else if self.ub[bj].is_finite() {
                     (self.ub[bj], true)
                 } else {
@@ -674,6 +715,8 @@ impl<'a> Engine<'a> {
                 // moving down
                 if phase1 && xv > self.ub[bj] + t_feas {
                     (self.ub[bj], true)
+                } else if phase1 && xv < self.lb[bj] - t_feas {
+                    continue;
                 } else if self.lb[bj].is_finite() {
                     (self.lb[bj], false)
                 } else {
@@ -720,77 +763,101 @@ impl<'a> Engine<'a> {
 
     /// Updates the primal Devex reference weights after variable `j` is
     /// chosen to enter at basis position `leave_pos` with ftran'd column
-    /// `w`. Must run *before* the basis swap and eta update: the pivot row
-    /// `rho = B^-T e_r` is taken from the pre-pivot factorization, and the
-    /// leaving variable is still `basis[leave_pos]`.
+    /// `w`. Must run *before* [`Engine::change_basis`]: the pivot row is
+    /// taken from the pre-pivot factorization, and the leaving variable is
+    /// still `basis[leave_pos]`.
     fn update_devex(&mut self, j: usize, leave_pos: usize, w: &[f64]) {
         let alpha_q = w[leave_pos];
         if alpha_q.abs() < 1e-12 {
             return;
         }
         let gamma_q = self.devex[j].max(1.0);
-        let mut rho = vec![0.0; self.m];
-        rho[leave_pos] = 1.0;
-        self.fact.btran(&mut rho);
-        let mut maxw = 1.0f64;
-        for k in 0..self.nn {
-            if self.status[k] == VStat::Basic || k == j || self.lb[k] == self.ub[k] {
-                continue;
-            }
-            let alpha_k = if k < self.n {
-                self.lp.a.col_dot(k, &rho)
-            } else {
-                -rho[k - self.n]
-            };
-            if alpha_k != 0.0 {
-                let r = alpha_k / alpha_q;
-                let cand = r * r * gamma_q;
-                if cand > self.devex[k] {
-                    self.devex[k] = cand;
-                }
-            }
-            maxw = maxw.max(self.devex[k]);
-        }
+        let rho = self.pivot_row(leave_pos);
+        let (lp, status, lb, ub) = (self.lp, &self.status, &self.lb, &self.ub);
+        let row = (0..self.nn)
+            .filter(|&k| status[k] != VStat::Basic && k != j && lb[k] != ub[k])
+            .map(|k| (k, lp.aug_dot(k, &rho)));
         let leaving = self.basis[leave_pos];
-        self.devex[leaving] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
-        if maxw > 1e8 {
-            // Weights have drifted far from the reference framework; restart
-            // it (the classic Devex reset).
-            self.devex.iter_mut().for_each(|g| *g = 1.0);
-        }
+        devex_update(&mut self.devex, row, leaving, alpha_q, gamma_q);
     }
 
     /// Whether the current basis is dual-feasible: every nonbasic reduced
     /// cost has the sign its status requires (within a relaxed tolerance).
     fn dual_feasible(&self) -> bool {
-        let mut y = vec![0.0; self.m];
-        for (i, &j) in self.basis.iter().enumerate() {
-            y[i] = self.cost[j];
-        }
-        self.fact.btran(&mut y);
+        let y = self.duals();
         let tol = OPT_TOL * 10.0;
-        for j in 0..self.nn {
+        (0..self.nn).all(|j| {
             let st = self.status[j];
             if st == VStat::Basic || self.lb[j] == self.ub[j] {
-                continue;
+                return true;
             }
-            let ay = if j < self.n {
-                self.lp.a.col_dot(j, &y)
-            } else {
-                -y[j - self.n]
-            };
-            let d = self.cost[j] - ay;
-            let bad = match st {
+            let d = self.cost[j] - self.lp.aug_dot(j, &y);
+            !match st {
                 VStat::AtLower => d < -tol,
                 VStat::AtUpper => d > tol,
                 VStat::Free => d.abs() > tol,
                 VStat::Basic => unreachable!(),
-            };
-            if bad {
-                return false;
+            }
+        })
+    }
+
+    /// Swaps `enter` (ftran'd column `w`) into basis position `leave_pos`;
+    /// the leaving variable rests at its upper bound when `to_upper`, else
+    /// at its lower one. The factorization takes one eta update, or is
+    /// rebuilt every [`REFACTOR_INTERVAL`] updates and whenever an update
+    /// fails. A rebuild that finds the new basis singular installs the
+    /// slack basis instead, at most three times per solve; the fourth
+    /// time, or a slack basis that will not factorize, is an error.
+    fn change_basis(
+        &mut self,
+        enter: usize,
+        leave_pos: usize,
+        to_upper: bool,
+        w: &[f64],
+    ) -> Result<BasisChange, SolveError> {
+        let leaving = self.basis[leave_pos];
+        self.status[leaving] = if to_upper {
+            VStat::AtUpper
+        } else {
+            VStat::AtLower
+        };
+        self.x[leaving] = self.nonbasic_value(leaving);
+        self.pos[leaving] = usize::MAX;
+        self.basis[leave_pos] = enter;
+        self.pos[enter] = leave_pos;
+        self.status[enter] = VStat::Basic;
+        if self.fact.eta_count() < REFACTOR_INTERVAL && self.fact.update(leave_pos, w).is_ok() {
+            return Ok(BasisChange::Pivoted);
+        }
+        if self.refactorize() {
+            self.compute_basics();
+            self.since_refresh = 0;
+            return Ok(BasisChange::Pivoted);
+        }
+        self.slack_resets += 1;
+        if self.slack_resets > 3 {
+            // Persistently singular: the solve_lp ladder gets the next rung.
+            return Err(self.singular_error());
+        }
+        self.install_slack_basis()?;
+        self.compute_basics();
+        Ok(BasisChange::SlackReset)
+    }
+
+    /// Counts one pivot. After [`REFRESH_INTERVAL`] pivots without a
+    /// refactorization, recomputes the basic values from scratch and fails
+    /// on a non-finite one.
+    fn count_pivot(&mut self) -> Result<(), SolveError> {
+        self.iters += 1;
+        self.since_refresh += 1;
+        if self.since_refresh >= REFRESH_INTERVAL {
+            self.compute_basics();
+            self.since_refresh = 0;
+            if !self.x.iter().all(|v| v.is_finite()) {
+                return Err(SolveError::NumericBlowup);
             }
         }
-        true
+        Ok(())
     }
 
     /// Dual simplex: starting from a dual-feasible basis whose primal values
@@ -801,8 +868,7 @@ impl<'a> Engine<'a> {
     fn iterate_dual(&mut self) -> Result<DualRun, SolveError> {
         let piv_tol = 1e-9;
         let t_feas = FEAS_TOL;
-        let mut colbuf: Vec<(usize, f64)> = Vec::new();
-        let mut since_recompute = 0usize;
+        self.since_refresh = 0;
         let mut singular_retries = 0usize;
         loop {
             if self.iters.is_multiple_of(64) && self.out_of_time() {
@@ -814,12 +880,7 @@ impl<'a> Engine<'a> {
             // Leaving variable: largest violation^2 / devex weight.
             let mut leave: Option<(usize, f64, f64, f64)> = None; // (pos, viol, sigma, score)
             for (i, &bj) in self.basis.iter().enumerate() {
-                let v = self.x[bj];
-                let (viol, sigma) = if v < self.lb[bj] - t_feas {
-                    (self.lb[bj] - v, -1.0)
-                } else if v > self.ub[bj] + t_feas {
-                    (v - self.ub[bj], 1.0)
-                } else {
+                let Some((viol, sigma)) = self.violation(bj) else {
                     continue;
                 };
                 let score = viol * viol / self.dual_devex[i];
@@ -830,16 +891,10 @@ impl<'a> Engine<'a> {
             let Some((leave_pos, viol, sigma, _)) = leave else {
                 return Ok(DualRun::Feasible); // primal feasible
             };
-            // Pivot row rho = B^-T e_r and duals y = B^-T c_B; one matrix
-            // pass below computes both alpha_j = rho.A_j and d_j.
-            let mut rho = vec![0.0; self.m];
-            rho[leave_pos] = 1.0;
-            self.fact.btran(&mut rho);
-            let mut y = vec![0.0; self.m];
-            for (i, &bj) in self.basis.iter().enumerate() {
-                y[i] = self.cost[bj];
-            }
-            self.fact.btran(&mut y);
+            // One matrix pass over the pivot row and the duals computes both
+            // alpha_j = rho.A_j and d_j.
+            let rho = self.pivot_row(leave_pos);
+            let y = self.duals();
             // Dual ratio test candidates: (ratio, j, abar, d).
             let mut cands: Vec<(f64, usize, f64, f64)> = Vec::new();
             for j in 0..self.nn {
@@ -847,13 +902,8 @@ impl<'a> Engine<'a> {
                 if st == VStat::Basic || self.lb[j] == self.ub[j] {
                     continue;
                 }
-                let (alpha, ay) = if j < self.n {
-                    (self.lp.a.col_dot(j, &rho), self.lp.a.col_dot(j, &y))
-                } else {
-                    (-rho[j - self.n], -y[j - self.n])
-                };
-                let abar = sigma * alpha;
-                let d = self.cost[j] - ay;
+                let abar = sigma * self.lp.aug_dot(j, &rho);
+                let d = self.cost[j] - self.lp.aug_dot(j, &y);
                 let eligible = match st {
                     VStat::AtLower => abar > piv_tol,
                     VStat::AtUpper => abar < -piv_tol,
@@ -924,11 +974,7 @@ impl<'a> Engine<'a> {
                     let delta = self.nonbasic_value(j) - old;
                     self.x[j] += delta;
                     if delta != 0.0 {
-                        if j < self.n {
-                            self.lp.a.axpy_col(j, delta, &mut rhs);
-                        } else {
-                            rhs[j - self.n] -= delta;
-                        }
+                        self.lp.aug_entries(j, |r, v| rhs[r] += delta * v);
                     }
                 }
                 self.fact.ftran(&mut rhs);
@@ -938,12 +984,7 @@ impl<'a> Engine<'a> {
             }
             // Entering column and step length to land the leaving variable
             // exactly on its violated bound.
-            self.column(j_enter, &mut colbuf);
-            let mut w = vec![0.0; self.m];
-            for &(r, v) in &colbuf {
-                w[r] = v;
-            }
-            self.fact.ftran(&mut w);
+            let w = self.ftran_column(j_enter);
             if w[leave_pos].abs() < piv_tol {
                 // Numerical disagreement between the pivot row and the
                 // ftran'd column; refresh the factorization and retry.
@@ -963,13 +1004,8 @@ impl<'a> Engine<'a> {
             let dir = match self.status[j_enter] {
                 VStat::AtLower => 1.0,
                 VStat::AtUpper => -1.0,
-                _ => {
-                    if (self.x[leaving] - target) / w[leave_pos] >= 0.0 {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                }
+                _ if (self.x[leaving] - target) / w[leave_pos] >= 0.0 => 1.0,
+                _ => -1.0,
             };
             let t = ((self.x[leaving] - target) / (dir * w[leave_pos])).max(0.0);
             if t <= 1e-11 && flips.is_empty() {
@@ -979,74 +1015,17 @@ impl<'a> Engine<'a> {
             }
             self.apply_step(j_enter, dir, t, &w);
             // Dual Devex row-weight update from the entering column (done
-            // before the basis swap so weights still index the old basis).
-            let alpha_r = w[leave_pos];
+            // before the basis change so weights still index the old basis).
             let w_r = self.dual_devex[leave_pos].max(1.0);
-            let mut maxw = 1.0f64;
-            for (i, &wi) in w.iter().enumerate() {
-                if i == leave_pos || wi == 0.0 {
-                    continue;
-                }
-                let r = wi / alpha_r;
-                let cand = r * r * w_r;
-                if cand > self.dual_devex[i] {
-                    self.dual_devex[i] = cand;
-                }
-                maxw = maxw.max(self.dual_devex[i]);
+            let column = w.iter().copied().enumerate();
+            let column = column.filter(|&(i, wi)| i != leave_pos && wi != 0.0);
+            devex_update(&mut self.dual_devex, column, leave_pos, w[leave_pos], w_r);
+            if self.change_basis(j_enter, leave_pos, sigma > 0.0, &w)? == BasisChange::SlackReset {
+                // The slack basis is not dual-feasible: hand control to primal.
+                return Ok(DualRun::Fallback);
             }
-            self.dual_devex[leave_pos] = (w_r / (alpha_r * alpha_r)).max(1.0);
-            if maxw > 1e8 {
-                self.dual_devex.iter_mut().for_each(|g| *g = 1.0);
-            }
-            // Basis swap.
-            self.status[leaving] = if sigma > 0.0 {
-                VStat::AtUpper
-            } else {
-                VStat::AtLower
-            };
-            self.x[leaving] = self.nonbasic_value(leaving);
-            self.pos[leaving] = usize::MAX;
-            self.basis[leave_pos] = j_enter;
-            self.pos[j_enter] = leave_pos;
-            self.status[j_enter] = VStat::Basic;
-            if self.fact.eta_count() >= REFACTOR_INTERVAL
-                || self.fact.update(leave_pos, &w).is_err()
-            {
-                if !self.refactorize() {
-                    // Singular after the swap: rebuild the slack basis (it
-                    // is not dual-feasible, so hand control to primal).
-                    self.slack_resets += 1;
-                    if self.slack_resets > 3 {
-                        return Err(self
-                            .last_lu
-                            .clone()
-                            .map(SolveError::from)
-                            .unwrap_or(SolveError::SingularBasis { position: 0 }));
-                    }
-                    self.slack_basis();
-                    if !self.refactorize() && !self.refactorize() {
-                        return Err(self
-                            .last_lu
-                            .clone()
-                            .map(SolveError::from)
-                            .unwrap_or(SolveError::SingularBasis { position: 0 }));
-                    }
-                    self.compute_basics();
-                    return Ok(DualRun::Fallback);
-                }
-                self.compute_basics();
-                since_recompute = 0;
-            }
-            self.iters += 1;
             self.dual_iters += 1;
-            since_recompute += 1;
-            if since_recompute >= 512 {
-                self.compute_basics();
-                since_recompute = 0;
-                if !self.x.iter().all(|v| v.is_finite()) {
-                    return Err(SolveError::NumericBlowup);
-                }
-            }
+            self.count_pivot()?;
         }
     }
 
@@ -1058,12 +1037,15 @@ impl<'a> Engine<'a> {
     /// active; past this the solve is declared stalled ([`SolveError::Cycling`]).
     const STALL_LIMIT: usize = 5_000;
 
-    /// Runs simplex iterations; `phase1` controls the costs. Returns the
-    /// terminating condition from the inner loop, or a [`SolveError`] when
-    /// the in-loop safeguards (slack reset, Bland's rule) are exhausted.
-    fn iterate(&mut self, phase1: bool) -> Result<LpStatus, SolveError> {
-        let mut colbuf: Vec<(usize, f64)> = Vec::new();
-        let mut since_recompute = 0usize;
+    /// Runs the primal simplex to a terminal status: phase 1 (composite
+    /// infeasibility costs) while the basis is infeasible, then phase 2. A
+    /// slack-basis reset leaves a basis that is rarely feasible, so it
+    /// returns to phase 1. Errs when the in-loop safeguards (slack reset,
+    /// Bland's rule) are exhausted.
+    fn iterate(&mut self) -> Result<LpStatus, SolveError> {
+        let infeas_tol = FEAS_TOL * (1.0 + self.m as f64);
+        let mut phase1 = true;
+        self.since_refresh = 0;
         loop {
             if self.iters.is_multiple_of(64) && self.out_of_time() {
                 return Ok(LpStatus::Limit);
@@ -1071,35 +1053,29 @@ impl<'a> Engine<'a> {
             if self.degenerate_run > Self::STALL_LIMIT {
                 return Err(SolveError::Cycling { iters: self.iters });
             }
-            if phase1 && self.infeasibility() <= FEAS_TOL * (1.0 + self.m as f64) {
-                return Ok(LpStatus::Optimal); // feasible; caller proceeds to phase 2
+            if phase1 && self.infeasibility() <= infeas_tol {
+                // Feasible: phase 2 starts its own refresh count.
+                (phase1, self.since_refresh) = (false, 0);
+                continue;
             }
             let bland = self.force_bland || self.degenerate_run > 200;
             let (j, dir) = match self.price(phase1, bland) {
                 Pricing::Entering { j, dir } => (j, dir),
+                Pricing::OptimalOrFeasible if !phase1 => return Ok(LpStatus::Optimal),
+                Pricing::OptimalOrFeasible if self.infeasibility() > infeas_tol => {
+                    return Ok(LpStatus::Infeasible);
+                }
                 Pricing::OptimalOrFeasible => {
-                    if phase1 && self.infeasibility() > FEAS_TOL * (1.0 + self.m as f64) {
-                        return Ok(LpStatus::Infeasible);
-                    }
-                    return Ok(LpStatus::Optimal);
+                    (phase1, self.since_refresh) = (false, 0);
+                    continue;
                 }
             };
-            self.column(j, &mut colbuf);
-            let mut w = vec![0.0; self.m];
-            for &(r, v) in &colbuf {
-                w[r] = v;
-            }
-            self.fact.ftran(&mut w);
+            let w = self.ftran_column(j);
             match self.ratio_test(j, dir, &w, phase1, bland) {
-                Ratio::Unbounded => {
-                    return if phase1 {
-                        // cannot happen: phase-1 objective is bounded below by 0;
-                        // treat defensively as numerical trouble -> infeasible
-                        Ok(LpStatus::Infeasible)
-                    } else {
-                        Ok(LpStatus::Unbounded)
-                    };
-                }
+                // cannot happen in phase 1, whose objective is bounded below
+                // by 0; treat it defensively as numerical trouble
+                Ratio::Unbounded if phase1 => return Ok(LpStatus::Infeasible),
+                Ratio::Unbounded => return Ok(LpStatus::Unbounded),
                 Ratio::BoundFlip { t } => {
                     self.apply_step(j, dir, t, &w);
                     self.status[j] = if dir > 0.0 {
@@ -1120,88 +1096,36 @@ impl<'a> Engine<'a> {
                     if !bland {
                         self.update_devex(j, leave_pos, &w);
                     }
-                    let leaving = self.basis[leave_pos];
-                    self.status[leaving] = if leave_to_upper {
-                        VStat::AtUpper
-                    } else {
-                        VStat::AtLower
-                    };
-                    self.x[leaving] = self.nonbasic_value(leaving);
-                    self.pos[leaving] = usize::MAX;
-                    self.basis[leave_pos] = j;
-                    self.pos[j] = leave_pos;
-                    self.status[j] = VStat::Basic;
-                    if self.fact.eta_count() >= REFACTOR_INTERVAL
-                        || self.fact.update(leave_pos, &w).is_err()
+                    if self.change_basis(j, leave_pos, leave_to_upper, &w)?
+                        == BasisChange::SlackReset
                     {
-                        if !self.refactorize() {
-                            // numerically singular: rebuild from slack basis
-                            self.slack_resets += 1;
-                            if self.slack_resets > 3 {
-                                // persistently singular: surface it; the
-                                // solve_lp ladder gets the next rung
-                                return Err(self
-                                    .last_lu
-                                    .clone()
-                                    .map(SolveError::from)
-                                    .unwrap_or(SolveError::SingularBasis { position: 0 }));
-                            }
-                            self.slack_basis();
-                            if !self.refactorize() && !self.refactorize() {
-                                return Err(self
-                                    .last_lu
-                                    .clone()
-                                    .map(SolveError::from)
-                                    .unwrap_or(SolveError::SingularBasis { position: 0 }));
-                            }
-                            self.compute_basics();
-                            continue;
-                        }
-                        self.compute_basics();
-                        since_recompute = 0;
+                        phase1 = true;
+                        continue;
                     }
                 }
             }
-            self.iters += 1;
             if phase1 {
                 self.phase1_iters += 1;
             }
-            since_recompute += 1;
-            if since_recompute >= 512 {
-                // periodic accuracy refresh
-                self.compute_basics();
-                since_recompute = 0;
-                if !self.x.iter().all(|v| v.is_finite()) {
-                    return Err(SolveError::NumericBlowup);
-                }
-            }
+            self.count_pivot()?;
         }
-    }
-
-    fn objective(&self) -> f64 {
-        (0..self.n).map(|j| self.cost[j] * self.x[j]).sum()
     }
 
     fn result(&self, status: LpStatus) -> LpResult {
-        // Row duals y = B^{-T} c_B off the final factorization. The slack of
-        // row r enters the augmented system as -e_r with zero cost, so its
-        // reduced cost is 0 - y^T(-e_r) = y_r; for structural column a_j the
-        // reduced cost is c_j - y^T a_j, the form pricing needs.
-        let mut y = vec![0.0; self.m];
-        for (i, &j) in self.basis.iter().enumerate() {
-            y[i] = self.cost[j];
-        }
-        self.fact.btran(&mut y);
         LpResult {
             status,
-            obj: self.objective(),
+            obj: (0..self.n).map(|j| self.cost[j] * self.x[j]).sum(),
             x: self.x[..self.n].to_vec(),
             iters: self.iters,
             phase1_iters: self.phase1_iters,
             dual_iters: self.dual_iters,
             statuses: self.status.clone(),
             dj: self.dj[..self.n].to_vec(),
-            y,
+            // The slack of row r enters the augmented system as -e_r with
+            // zero cost, so its reduced cost is 0 - y^T(-e_r) = y_r; for
+            // structural column a_j the reduced cost is c_j - y^T a_j, the
+            // form pricing needs.
+            y: self.duals(),
             recoveries: 0,
         }
     }
@@ -1216,9 +1140,22 @@ fn hash01(seed: u64, j: usize) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One rung of the recovery ladder: a complete two-phase solve with optional
-/// Bland forcing and seeded cost perturbation.
-#[allow(clippy::too_many_arguments)]
+/// Seed of the cost perturbation on [`Rung::Perturbed`].
+const PERTURB_SEED: u64 = 0x5eed ^ 0xFA17;
+
+/// One rung of the [`solve_lp`] recovery ladder, in ladder order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rung {
+    /// The caller's warm basis, reoptimized by the dual simplex when it is
+    /// dual-feasible.
+    Clean,
+    /// A cold start under Bland's rule from the first pivot.
+    Bland,
+    /// A cold start under Bland's rule with seeded cost perturbations.
+    Perturbed,
+}
+
+/// One rung of the recovery ladder: a complete two-phase solve.
 fn solve_lp_attempt(
     lp: &LpData,
     var_lb: &[f64],
@@ -1226,55 +1163,47 @@ fn solve_lp_attempt(
     cfg: &Config,
     warm: Option<&[VStat]>,
     deadline: Option<Instant>,
-    force_bland: bool,
-    perturb_seed: Option<u64>,
+    rung: Rung,
 ) -> Result<LpResult, SolveError> {
     let mut eng = Engine::new(lp, var_lb, var_ub, cfg, deadline);
-    eng.force_bland = force_bland;
-    if let Some(seed) = perturb_seed {
+    eng.force_bland = rung != Rung::Clean;
+    if rung == Rung::Perturbed {
         // Tiny seeded cost jitter breaks the degenerate ties that defeated
         // the earlier rungs; the true objective is recomputed afterwards.
         for j in 0..eng.n {
             let c = eng.cost[j];
-            eng.cost[j] = c + 1e-7 * (hash01(seed, j) - 0.5) * (1.0 + c.abs());
+            eng.cost[j] = c + 1e-7 * (hash01(PERTURB_SEED, j) - 0.5) * (1.0 + c.abs());
         }
     }
-    let used_warm = eng.install(warm)?;
+    // The recovery rungs discard the (possibly corrupt) warm basis.
+    let used_warm = eng.install(warm.filter(|_| rung == Rung::Clean))?;
     eng.compute_basics();
 
-    let infeas_tol = FEAS_TOL * (1.0 + eng.m as f64);
-    let mut need_phase1 = eng.infeasibility() > infeas_tol;
     // Dual reoptimization: a warm basis that was optimal before a bound
     // change (or before rows were appended with basic slacks) is still
     // dual-feasible, so the dual simplex restores primal feasibility in a
-    // few pivots instead of a full primal Phase 1. Only attempted when the
-    // warm basis installed, and only on the clean rung (no Bland forcing,
-    // no perturbation); any trouble falls back to the primal path below.
-    if need_phase1 && used_warm && !force_bland && perturb_seed.is_none() && eng.dual_feasible() {
+    // few pivots instead of a full primal Phase 1. Only a clean rung
+    // installs a warm basis; any trouble falls back to the primal path
+    // below.
+    let infeasible = eng.infeasibility() > FEAS_TOL * (1.0 + eng.m as f64);
+    if infeasible && used_warm && eng.dual_feasible() {
         match eng.iterate_dual()? {
-            DualRun::Feasible => need_phase1 = false,
             DualRun::Infeasible => return Ok(eng.result(LpStatus::Infeasible)),
             DualRun::Limit => return Ok(eng.result(LpStatus::Limit)),
-            DualRun::Fallback => need_phase1 = eng.infeasibility() > infeas_tol,
+            DualRun::Feasible | DualRun::Fallback => {}
         }
     }
-    // Phase 1 if needed.
-    if need_phase1 {
-        match eng.iterate(true)? {
-            LpStatus::Optimal => {}
-            s => return Ok(eng.result(s)),
-        }
-    }
-    // Phase 2 (after a successful dual run this certifies optimality in a
-    // single pricing pass and captures the reduced costs).
-    let status = eng.iterate(false)?;
+    // Phase 1 while infeasible, then phase 2 (after a successful dual run
+    // this certifies optimality in a single pricing pass and captures the
+    // reduced costs).
+    let status = eng.iterate()?;
     let mut r = eng.result(status);
-    if perturb_seed.is_some() {
+    if rung == Rung::Perturbed {
         // Report the unperturbed objective; the perturbed reduced costs are
         // zeroed out so downstream fixing never trusts them.
         r.obj = (0..lp.num_vars()).map(|j| lp.c[j] * r.x[j]).sum();
-        r.dj.iter_mut().for_each(|d| *d = 0.0);
-        r.y.iter_mut().for_each(|v| *v = 0.0);
+        r.dj.fill(0.0);
+        r.y.fill(0.0);
     }
     Ok(r)
 }
@@ -1306,42 +1235,111 @@ pub fn solve_lp(
     // off this same matrix.
     debug_assert_eq!(var_lb.len(), lp.num_vars());
     debug_assert_eq!(var_ub.len(), lp.num_vars());
-    for j in 0..var_lb.len() {
-        if var_lb[j] > var_ub[j] {
-            // trivially infeasible bounds (possible after branching)
-            return Ok(LpResult {
-                status: LpStatus::Infeasible,
-                obj: f64::INFINITY,
-                x: Vec::new(),
-                iters: 0,
-                phase1_iters: 0,
-                dual_iters: 0,
-                statuses: Vec::new(),
-                dj: Vec::new(),
-                y: Vec::new(),
-                recoveries: 0,
-            });
-        }
+    if var_lb.iter().zip(var_ub).any(|(lb, ub)| lb > ub) {
+        // trivially infeasible bounds (possible after branching)
+        return Ok(LpResult {
+            status: LpStatus::Infeasible,
+            obj: f64::INFINITY,
+            x: Vec::new(),
+            iters: 0,
+            phase1_iters: 0,
+            dual_iters: 0,
+            statuses: Vec::new(),
+            dj: Vec::new(),
+            y: Vec::new(),
+            recoveries: 0,
+        });
     }
     let mut last_err = SolveError::NumericBlowup;
-    for attempt in 0..3u32 {
-        let (w, bland, perturb) = match attempt {
-            0 => (warm, false, None),
-            // Rung 1: discard the (possibly corrupt) warm basis, force
-            // Bland's rule from iteration one.
-            1 => (None, true, None),
-            // Rung 2: additionally perturb costs to break degeneracy.
-            _ => (None, true, Some(cfg.seed ^ 0xFA17)),
-        };
-        match solve_lp_attempt(lp, var_lb, var_ub, cfg, w, deadline, bland, perturb) {
+    let ladder = [Rung::Clean, Rung::Bland, Rung::Perturbed];
+    for (recoveries, rung) in ladder.into_iter().enumerate() {
+        match solve_lp_attempt(lp, var_lb, var_ub, cfg, warm, deadline, rung) {
             Ok(mut r) => {
-                r.recoveries = attempt as usize;
+                r.recoveries = recoveries;
                 return Ok(r);
             }
             Err(e) => last_err = e,
         }
     }
     Err(last_err)
+}
+
+/// Relative tolerance of [`certificate_violation`]; each check scales it by
+/// the magnitude of the terms it sums.
+const CERT_TOL: f64 = 1e-6;
+
+/// Checks an [`LpStatus::Optimal`] result from `x` and `y` alone, without
+/// trusting the engine's basis: `obj = c^T x`; `x` and `Ax` within bounds;
+/// each reduced cost (`c_j - y^T A_j` for a column, `y_r` for a row's slack)
+/// `>= 0` at a lower bound, `<= 0` at an upper one, `0` strictly between;
+/// each nonzero [`LpResult::dj`] equal to the recomputed one. Dual checks
+/// are skipped when `recoveries == 2`: that rung zeroes `y` and `dj`.
+/// Returns the first violation; `None` when it holds or is not `Optimal`.
+pub fn certificate_violation(
+    lp: &LpData,
+    var_lb: &[f64],
+    var_ub: &[f64],
+    r: &LpResult,
+) -> Option<String> {
+    let (n, m) = (lp.num_vars(), lp.num_rows());
+    if r.status != LpStatus::Optimal {
+        return None;
+    }
+    if (r.x.len(), r.y.len(), r.dj.len()) != (n, m, n) {
+        return Some("x, y or dj sized for another LP".to_string());
+    }
+    let tol = |scale: f64| CERT_TOL * (1.0 + scale);
+    let cx: f64 = (0..n).map(|j| lp.c[j] * r.x[j]).sum();
+    if (r.obj - cx).abs() > tol((0..n).map(|j| (lp.c[j] * r.x[j]).abs()).sum()) {
+        return Some(format!("obj {} but c^T x = {cx}", r.obj));
+    }
+    // Row activities and the magnitude of their terms.
+    let mut act = vec![(0.0, 0.0); m];
+    for j in 0..n {
+        for (i, a) in lp.a.col(j) {
+            act[i].0 += a * r.x[j];
+            act[i].1 += (a * r.x[j]).abs();
+        }
+    }
+    let y_scale = r.y.iter().chain(&lp.c).fold(0.0f64, |s, v| s.max(v.abs()));
+    // Every column, then every row through its slack: value, bounds, value
+    // scale, reduced cost and its scale.
+    for k in 0..n + m {
+        let row = k.checked_sub(n);
+        let what = || row.map_or(format!("column {k}"), |i| format!("row {i}"));
+        let (v, lo, hi, v_scale) = match row {
+            None => (r.x[k], var_lb[k], var_ub[k], r.x[k].abs()),
+            Some(i) => (act[i].0, lp.row_lb[i], lp.row_ub[i], act[i].1),
+        };
+        let vt = tol(v_scale);
+        if v < lo - vt || v > hi + vt {
+            return Some(format!("{}: {v} outside [{lo}, {hi}]", what()));
+        }
+        if r.recoveries == 2 {
+            continue;
+        }
+        let (d, d_scale) = match row {
+            None => {
+                let terms: f64 = lp.a.col(k).map(|(i, a)| (a * r.y[i]).abs()).sum();
+                (lp.c[k] - lp.a.col_dot(k, &r.y), lp.c[k].abs() + terms)
+            }
+            Some(i) => (r.y[i], y_scale),
+        };
+        let dt = tol(d_scale);
+        let sign_ok = match (v <= lo + vt, v >= hi - vt) {
+            (true, true) => true,
+            (true, false) => d >= -dt,
+            (false, true) => d <= dt,
+            (false, false) => d.abs() <= dt,
+        };
+        if !sign_ok {
+            return Some(format!("{}: reduced cost {d} at {v}", what()));
+        }
+        if row.is_none() && r.dj[k] != 0.0 && (r.dj[k] - d).abs() > dt {
+            return Some(format!("column {k}: dj {} but {d} from y", r.dj[k]));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -1373,11 +1371,19 @@ mod tests {
 
     const INF: f64 = f64::INFINITY;
 
+    /// Solves with the default config and asserts the result's optimality
+    /// certificate (a no-op unless the result is `Optimal`).
+    fn solve_checked(data: &LpData, lo: &[f64], hi: &[f64], warm: Option<&[VStat]>) -> LpResult {
+        let r = solve_lp(data, lo, hi, &Config::default(), warm, None).unwrap();
+        assert_eq!(certificate_violation(data, lo, hi, &r), None);
+        r
+    }
+
     #[test]
     fn simple_min() {
         // min x + y  s.t. x + y >= 2, x,y in [0, 10]
         let data = lp(&[(&[(0, 1.0), (1, 1.0)], 2.0, INF)], 2, &[1.0, 1.0]);
-        let r = solve_lp(&data, &[0.0, 0.0], &[10.0, 10.0], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[10.0, 10.0], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj - 2.0).abs() < 1e-7, "obj = {}", r.obj);
     }
@@ -1393,7 +1399,7 @@ mod tests {
             2,
             &[-3.0, -2.0],
         );
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj + 12.0).abs() < 1e-7, "obj = {}", r.obj);
         assert!((r.x[0] - 4.0).abs() < 1e-7);
@@ -1411,7 +1417,7 @@ mod tests {
             2,
             &[2.0, 3.0],
         );
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj - 12.0).abs() < 1e-7, "obj = {}", r.obj);
         assert!((r.x[0] - 3.0).abs() < 1e-7);
@@ -1430,7 +1436,7 @@ mod tests {
             2,
             &[-3.0, -2.0],
         );
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert_eq!(r.y.len(), 2);
         assert!((r.y[0] + 3.0).abs() < 1e-7, "y = {:?}", r.y);
@@ -1457,8 +1463,7 @@ mod tests {
             2,
             &[-3.0, -2.0],
         );
-        let cfg = Config::default();
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &cfg, None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         // New column z: cost -5, enters row 0 only. rc = -5 - y0 = -2 < 0.
         let rc = -5.0 - r.y[0];
@@ -1470,15 +1475,7 @@ mod tests {
         let mut warm = r.statuses[..2].to_vec();
         warm.push(VStat::AtLower);
         warm.extend_from_slice(&r.statuses[2..]);
-        let r2 = solve_lp(
-            &data,
-            &[0.0, 0.0, 0.0],
-            &[INF, INF, INF],
-            &cfg,
-            Some(&warm),
-            None,
-        )
-        .unwrap();
+        let r2 = solve_checked(&data, &[0.0, 0.0, 0.0], &[INF, INF, INF], Some(&warm));
         assert_eq!(r2.status, LpStatus::Optimal);
         // Optimum moves to z = 4: obj = -20.
         assert!((r2.obj + 20.0).abs() < 1e-7, "obj = {}", r2.obj);
@@ -1496,7 +1493,7 @@ mod tests {
             1,
             &[1.0],
         );
-        let r = solve_lp(&data, &[0.0], &[INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0], &[INF], None);
         assert_eq!(r.status, LpStatus::Infeasible);
     }
 
@@ -1504,7 +1501,7 @@ mod tests {
     fn unbounded_detected() {
         // min -x, x >= 0, no upper limit
         let data = lp(&[(&[(0, 1.0)], 0.0, INF)], 1, &[-1.0]);
-        let r = solve_lp(&data, &[0.0], &[INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0], &[INF], None);
         assert_eq!(r.status, LpStatus::Unbounded);
     }
 
@@ -1512,7 +1509,7 @@ mod tests {
     fn free_variable() {
         // min x s.t. x >= -5 via row (free var bounds)
         let data = lp(&[(&[(0, 1.0)], -5.0, INF)], 1, &[1.0]);
-        let r = solve_lp(&data, &[-INF], &[INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[-INF], &[INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj + 5.0).abs() < 1e-7, "obj = {}", r.obj);
     }
@@ -1521,7 +1518,7 @@ mod tests {
     fn negative_lower_bounds() {
         // min x + y, x in [-3, 3], y in [-2, 2], x + y >= -4
         let data = lp(&[(&[(0, 1.0), (1, 1.0)], -4.0, INF)], 2, &[1.0, 1.0]);
-        let r = solve_lp(&data, &[-3.0, -2.0], &[3.0, 2.0], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[-3.0, -2.0], &[3.0, 2.0], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj + 4.0).abs() < 1e-7, "obj = {}", r.obj);
     }
@@ -1530,7 +1527,7 @@ mod tests {
     fn range_rows() {
         // min x, 2 <= x + y <= 6, y in [0, 1] -> x >= 1 when y at most 1
         let data = lp(&[(&[(0, 1.0), (1, 1.0)], 2.0, 6.0)], 2, &[1.0, 0.0]);
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, 1.0], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, 1.0], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj - 1.0).abs() < 1e-7, "obj = {}", r.obj);
     }
@@ -1539,20 +1536,12 @@ mod tests {
     fn warm_start_after_bound_change() {
         // min -x - y, x + y <= 4, x,y in [0,3]; opt 4 at e.g. (3,1)
         let data = lp(&[(&[(0, 1.0), (1, 1.0)], -INF, 4.0)], 2, &[-1.0, -1.0]);
-        let r1 = solve_lp(&data, &[0.0, 0.0], &[3.0, 3.0], &Config::default(), None, None).unwrap();
+        let r1 = solve_checked(&data, &[0.0, 0.0], &[3.0, 3.0], None);
         assert_eq!(r1.status, LpStatus::Optimal);
         assert!((r1.obj + 4.0).abs() < 1e-7);
         // Tighten x <= 1 and warm start: optimum becomes -1 - 3 = ... x+y<=4
         // with x<=1, y<=3 -> obj -4 still (1+3). Tighten y <= 1 too -> -2.
-        let r2 = solve_lp(
-            &data,
-            &[0.0, 0.0],
-            &[1.0, 1.0],
-            &Config::default(),
-            Some(&r1.statuses),
-            None,
-        )
-        .unwrap();
+        let r2 = solve_checked(&data, &[0.0, 0.0], &[1.0, 1.0], Some(&r1.statuses));
         assert_eq!(r2.status, LpStatus::Optimal);
         assert!((r2.obj + 2.0).abs() < 1e-7, "obj = {}", r2.obj);
     }
@@ -1561,7 +1550,7 @@ mod tests {
     fn fixed_variables() {
         // x fixed at 2, min y with y >= x
         let data = lp(&[(&[(1, 1.0), (0, -1.0)], 0.0, INF)], 2, &[0.0, 1.0]);
-        let r = solve_lp(&data, &[2.0, 0.0], &[2.0, INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[2.0, 0.0], &[2.0, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj - 2.0).abs() < 1e-7, "obj = {}", r.obj);
         assert!((r.x[0] - 2.0).abs() < 1e-9);
@@ -1581,30 +1570,62 @@ mod tests {
             2,
             &[-1.0, -1.0],
         );
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &Config::default(), None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj + 1.0).abs() < 1e-7, "obj = {}", r.obj);
     }
 
+    /// Random LPs with `<=`, `>=`, ranged and equality rows over boxed,
+    /// free and fixed columns, each solved cold and then re-solved warm
+    /// (the dual path) and cold after one bound change. Every `Optimal`
+    /// result must carry a valid certificate, and warm and cold agree. A
+    /// free column also gets a ranged row of its own, so no LP is
+    /// unbounded.
     #[test]
     fn larger_random_lps_match_feasibility() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..20 {
-            let n = rng.gen_range(2..6);
-            let m = rng.gen_range(1..5);
-            let mut b = TripletBuilder::new(m, n);
-            let mut row_lb = vec![0.0; m];
-            let mut row_ub = vec![0.0; m];
+        let (mut optimal, mut dual_solves) = (0, 0);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..7);
+            let m = rng.gen_range(1..6);
+            let (mut lo, mut hi) = (vec![0.0; n], vec![5.0; n]);
+            let mut free = Vec::new();
+            for j in 0..n {
+                match rng.gen_range(0..6) {
+                    0 => {
+                        (lo[j], hi[j]) = (-INF, INF);
+                        free.push(j);
+                    }
+                    1 => {
+                        let v = rng.gen_range(0.0..5.0);
+                        (lo[j], hi[j]) = (v, v);
+                    }
+                    _ => {}
+                }
+            }
+            let mut b = TripletBuilder::new(m + free.len(), n);
+            let (mut row_lb, mut row_ub) = (Vec::new(), Vec::new());
             for r in 0..m {
                 for j in 0..n {
                     if rng.gen_bool(0.7) {
                         b.push(r, j, rng.gen_range(-2.0..2.0));
                     }
                 }
-                let c = rng.gen_range(-3.0..3.0);
-                row_lb[r] = -INF;
-                row_ub[r] = c;
+                let v = rng.gen_range(-3.0..3.0);
+                let (l, u) = match rng.gen_range(0..4) {
+                    0 => (-INF, v),
+                    1 => (v, INF),
+                    2 => (v, v + rng.gen_range(0.5..3.0)),
+                    _ => (v, v),
+                };
+                row_lb.push(l);
+                row_ub.push(u);
+            }
+            for (k, &j) in free.iter().enumerate() {
+                b.push(m + k, j, 1.0);
+                row_lb.push(-10.0);
+                row_ub.push(10.0);
             }
             let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let data = LpData {
@@ -1613,24 +1634,84 @@ mod tests {
                 row_lb,
                 row_ub,
             };
-            let lo = vec![0.0; n];
-            let hi = vec![5.0; n];
-            let r = solve_lp(&data, &lo, &hi, &Config::default(), None, None).unwrap();
-            // Bounded box + <= rows: never unbounded; x=0 may violate rows
-            // with negative ub, so infeasible is possible but solution, when
-            // claimed optimal, must verify.
-            if r.status == LpStatus::Optimal {
-                let act = data.a.mul_vec(&r.x);
-                for (ri, (&lo, &hi)) in data.row_lb.iter().zip(&data.row_ub).enumerate() {
-                    assert!(
-                        act[ri] >= lo - 1e-6 && act[ri] <= hi + 1e-6,
-                        "row {} violated",
-                        ri
-                    );
+            let r = solve_checked(&data, &lo, &hi, None);
+            assert_ne!(r.status, LpStatus::Unbounded);
+            if r.status != LpStatus::Optimal {
+                continue;
+            }
+            optimal += 1;
+            // One bound change on a column that is not fixed: pull it off
+            // its optimal value from below or from above.
+            let movable: Vec<usize> = (0..n).filter(|&j| lo[j] < hi[j]).collect();
+            if movable.is_empty() {
+                continue;
+            }
+            let j = movable[rng.gen_range(0..movable.len())];
+            let step: f64 = rng.gen_range(0.2..1.5);
+            let (mut lo2, mut hi2) = (lo.clone(), hi.clone());
+            if rng.gen_bool(0.5) {
+                hi2[j] = (r.x[j] - step).max(lo[j]);
+            } else {
+                lo2[j] = (r.x[j] + step).min(hi[j]);
+            }
+            let warm = solve_checked(&data, &lo2, &hi2, Some(&r.statuses));
+            let cold = solve_checked(&data, &lo2, &hi2, None);
+            assert_eq!(warm.status, cold.status);
+            if warm.status == LpStatus::Optimal {
+                let (w, c) = (warm.obj, cold.obj);
+                assert!((w - c).abs() < 1e-6, "warm {w} vs cold {c}");
+            }
+            dual_solves += usize::from(warm.dual_iters > 0);
+        }
+        assert!(optimal >= 50, "only {optimal} of 200 LPs are optimal");
+        assert!(
+            dual_solves >= 20,
+            "only {dual_solves} warm re-solves ran dual pivots"
+        );
+    }
+
+    /// Covering LP `min c x, A x >= 1, x >= 0` with random nonnegative
+    /// `A` (density 0.3) and costs in `[1, 2)`: the slack basis violates
+    /// every row, and no column or slack has a finite upper bound, so every
+    /// pivot is a basis change.
+    fn covering_lp(seed: u64, m: usize, n: usize) -> LpData {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = TripletBuilder::new(m, n);
+        for r in 0..m {
+            for j in 0..n {
+                if rng.gen_bool(0.3) {
+                    b.push(r, j, rng.gen_range(0.1..1.0));
                 }
             }
-            assert_ne!(r.status, LpStatus::Unbounded);
         }
+        LpData {
+            a: b.build(),
+            c: (0..n).map(|_| rng.gen_range(1.0..2.0)).collect(),
+            row_lb: vec![1.0; m],
+            row_ub: vec![INF; m],
+        }
+    }
+
+    /// A singular refactorization in phase 2 falls back to the slack basis,
+    /// which violates every covering row: the solve must return to phase 1
+    /// instead of pricing phase 2 from there and calling that optimal.
+    #[test]
+    fn slack_reset_in_phase_two_returns_to_phase_one() {
+        let (m, n) = (30, 90);
+        let data = covering_lp(0, m, n);
+        let (lo, hi) = (vec![0.0; n], vec![INF; n]);
+        let clean = solve_checked(&data, &lo, &hi, None);
+        // Every pivot changes the basis, so the first refactorization after
+        // the install (the second factorization) falls in phase 2.
+        assert!(clean.phase1_iters < REFACTOR_INTERVAL && clean.iters > REFACTOR_INTERVAL);
+        let faults = crate::FaultInjection::default().lu_singular_on(2);
+        let cfg = Config::default().with_faults(faults);
+        let r = solve_lp(&data, &lo, &hi, &cfg, None, None).unwrap();
+        assert_eq!(certificate_violation(&data, &lo, &hi, &r), None);
+        assert_eq!((r.status, r.recoveries), (LpStatus::Optimal, 0));
+        assert!((r.obj - clean.obj).abs() < 1e-7 * (1.0 + clean.obj.abs()));
+        assert!(r.phase1_iters > clean.phase1_iters, "phase 1 not resumed");
     }
 
     #[test]
@@ -1638,8 +1719,7 @@ mod tests {
         // min -x - y s.t. x + y <= 4; then append x <= 1.5 as an extra row
         // and reoptimize from the old basis padded with one Basic slack.
         let mut data = lp(&[(&[(0, 1.0), (1, 1.0)], -INF, 4.0)], 2, &[-1.0, -1.0]);
-        let cfg = Config::default();
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &cfg, None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.obj + 4.0).abs() < 1e-7);
 
@@ -1647,7 +1727,7 @@ mod tests {
         assert_eq!(data.num_rows(), 2);
         let mut warm = r.statuses.clone();
         warm.push(VStat::Basic);
-        let r2 = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &cfg, Some(&warm), None).unwrap();
+        let r2 = solve_checked(&data, &[0.0, 0.0], &[INF, INF], Some(&warm));
         assert_eq!(r2.status, LpStatus::Optimal);
         assert!((r2.obj + 4.0).abs() < 1e-7, "obj = {}", r2.obj);
         assert!(r2.x[0] <= 1.5 + 1e-7);
@@ -1665,7 +1745,7 @@ mod tests {
             &[-1.0, -1.0],
         );
         let cfg = Config::default();
-        let r = solve_lp(&data, &[0.0, 0.0], &[INF, INF], &cfg, None, None).unwrap();
+        let r = solve_checked(&data, &[0.0, 0.0], &[INF, INF], None);
         assert_eq!(r.status, LpStatus::Optimal);
         let rows = extract_tableau_rows(&data, &[0.0, 0.0], &[INF, INF], &cfg, &r.statuses, &[0, 1])
             .expect("basis reinstalls");

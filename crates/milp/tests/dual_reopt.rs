@@ -8,7 +8,7 @@
 //! random-knapsack generator and rounding discipline match
 //! `fault_injection.rs` so the instances line up across suites.
 
-use milp::simplex::{solve_lp, LpData, LpStatus};
+use milp::simplex::{certificate_violation, solve_lp, LpData, LpResult, LpStatus};
 use milp::sparse::TripletBuilder;
 use milp::{Config, CutConfig, Problem, Row, Sense, Solver, Status, Var, VarId};
 use proptest::prelude::*;
@@ -204,7 +204,9 @@ mod agreement {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Branch-style child solves (down: ub -> 0, up: lb -> 1) via warm
-        /// dual reoptimization must agree with cold solves (no warm basis).
+        /// dual reoptimization must agree with cold solves (no warm basis),
+        /// and every optimal result on either side must carry a valid LP
+        /// certificate.
         #[test]
         fn dual_warm_children_agree_with_cold_primal(
             (obj, wts, cap) in instance(),
@@ -216,13 +218,21 @@ mod agreement {
             let lo = vec![0.0; n];
             let hi = vec![1.0; n];
             let cfg = Config::default();
-            let root = solve_lp(&lp, &lo, &hi, &cfg, None, None).unwrap();
+            let solve = |lo: &[f64], hi: &[f64], warm: Option<&LpResult>| {
+                let r = solve_lp(&lp, lo, hi, &cfg, warm.map(|w| w.statuses.as_slice()), None)
+                    .unwrap();
+                (certificate_violation(&lp, lo, hi, &r), r)
+            };
+            let (violation, root) = solve(&lo, &hi, None);
             prop_assert_eq!(root.status, LpStatus::Optimal);
+            prop_assert_eq!(violation, None);
 
             let mut hi_down = hi.clone();
             hi_down[j] = 0.0;
-            let warm = solve_lp(&lp, &lo, &hi_down, &cfg, Some(&root.statuses), None).unwrap();
-            let cold = solve_lp(&lp, &lo, &hi_down, &cfg, None, None).unwrap();
+            let (warm_violation, warm) = solve(&lo, &hi_down, Some(&root));
+            let (cold_violation, cold) = solve(&lo, &hi_down, None);
+            prop_assert_eq!(warm_violation, None);
+            prop_assert_eq!(cold_violation, None);
             prop_assert_eq!(warm.status, cold.status);
             if warm.status == LpStatus::Optimal {
                 prop_assert!((warm.obj - cold.obj).abs() < 1e-6,
@@ -231,8 +241,10 @@ mod agreement {
 
             let mut lo_up = lo.clone();
             lo_up[j] = 1.0;
-            let warm = solve_lp(&lp, &lo_up, &hi, &cfg, Some(&root.statuses), None).unwrap();
-            let cold = solve_lp(&lp, &lo_up, &hi, &cfg, None, None).unwrap();
+            let (warm_violation, warm) = solve(&lo_up, &hi, Some(&root));
+            let (cold_violation, cold) = solve(&lo_up, &hi, None);
+            prop_assert_eq!(warm_violation, None);
+            prop_assert_eq!(cold_violation, None);
             prop_assert_eq!(warm.status, cold.status);
             if warm.status == LpStatus::Optimal {
                 prop_assert!((warm.obj - cold.obj).abs() < 1e-6,
