@@ -1,5 +1,5 @@
 //! Machine-readable benchmark output (`BENCH_solver.json`,
-//! `BENCH_service.json`, `BENCH_scale.json`).
+//! `BENCH_scale.json`).
 //!
 //! The table binaries print human-oriented tables; CI and the speedup
 //! checks want structured numbers. This module hand-writes the small JSON
@@ -98,125 +98,6 @@ impl SolverRecord {
             json_opt(s.time_to_within_1pct.map(|d| d.as_secs_f64())),
         )
     }
-}
-
-/// One service storm run worth of measurements (`BENCH_service.json`).
-#[derive(Debug, Clone)]
-pub struct ServiceSummary {
-    /// Trace seed the storm ran under.
-    pub seed: u64,
-    /// Synthetic clients (one session each).
-    pub clients: usize,
-    /// Total requests submitted.
-    pub requests: usize,
-    /// Service worker threads.
-    pub workers: usize,
-    /// Admission queue capacity.
-    pub queue_capacity: usize,
-    /// Per-request deadline in milliseconds.
-    pub deadline_ms: f64,
-    /// Wall-clock seconds from first submit to last resolution.
-    pub wall_s: f64,
-    /// Resolved requests per second over `wall_s`.
-    pub throughput_rps: f64,
-    /// Median latency of answered (served + degraded) requests, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile latency of answered requests, ms.
-    pub p99_ms: f64,
-    /// Requests answered at full quality within deadline.
-    pub served: u64,
-    /// Requests answered by a degraded ladder rung.
-    pub degraded: u64,
-    /// Requests shed at admission.
-    pub shed: u64,
-    /// Requests resolved with a typed failure.
-    pub failed: u64,
-    /// Requests whose cancellation token was fault-fired.
-    pub cancelled: u64,
-    /// High-water mark of in-flight requests.
-    pub queue_depth_max: u64,
-    /// Sessions rebuilt from snapshot after injected worker death/panic.
-    pub sessions_rebuilt: u64,
-    /// Solves that reused warm state.
-    pub warm_solves: u64,
-    /// Solves that encoded cold.
-    pub cold_solves: u64,
-}
-
-impl ServiceSummary {
-    fn to_json(&self, indent: &str) -> String {
-        let i = indent;
-        format!(
-            concat!(
-                "{{\n",
-                "{i}  \"seed\": {},\n",
-                "{i}  \"clients\": {},\n",
-                "{i}  \"requests\": {},\n",
-                "{i}  \"workers\": {},\n",
-                "{i}  \"queue_capacity\": {},\n",
-                "{i}  \"deadline_ms\": {},\n",
-                "{i}  \"wall_s\": {},\n",
-                "{i}  \"throughput_rps\": {},\n",
-                "{i}  \"p50_ms\": {},\n",
-                "{i}  \"p99_ms\": {},\n",
-                "{i}  \"served\": {},\n",
-                "{i}  \"degraded\": {},\n",
-                "{i}  \"shed\": {},\n",
-                "{i}  \"failed\": {},\n",
-                "{i}  \"cancelled\": {},\n",
-                "{i}  \"queue_depth_max\": {},\n",
-                "{i}  \"sessions_rebuilt\": {},\n",
-                "{i}  \"warm_solves\": {},\n",
-                "{i}  \"cold_solves\": {}\n",
-                "{i}}}"
-            ),
-            self.seed,
-            self.clients,
-            self.requests,
-            self.workers,
-            self.queue_capacity,
-            json_f64(self.deadline_ms),
-            json_f64(self.wall_s),
-            json_f64(self.throughput_rps),
-            json_f64(self.p50_ms),
-            json_f64(self.p99_ms),
-            self.served,
-            self.degraded,
-            self.shed,
-            self.failed,
-            self.cancelled,
-            self.queue_depth_max,
-            self.sessions_rebuilt,
-            self.warm_solves,
-            self.cold_solves,
-            i = i,
-        )
-    }
-}
-
-/// Writes a storm run as `BENCH_service.json`: the incremental
-/// (warm-session) run plus, when present, the cold-solve-per-request
-/// ablation over the same trace.
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_service_json(
-    path: &Path,
-    bench: &str,
-    incremental: &ServiceSummary,
-    ablation: Option<&ServiceSummary>,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"bench\": \"{bench}\",")?;
-    writeln!(f, "  \"incremental\": {},", incremental.to_json("  "))?;
-    match ablation {
-        Some(a) => writeln!(f, "  \"ablation_cold\": {}", a.to_json("  "))?,
-        None => writeln!(f, "  \"ablation_cold\": null")?,
-    }
-    writeln!(f, "}}")?;
-    Ok(())
 }
 
 /// One city-scale instance worth of measurements (`BENCH_scale.json`):

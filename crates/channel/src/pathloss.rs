@@ -102,13 +102,6 @@ pub struct CachedMultiWall<'a> {
     cache: floorplan::CrossingCache<'a>,
 }
 
-impl CachedMultiWall<'_> {
-    /// `(hits, misses)` of the underlying crossing cache.
-    pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
-    }
-}
-
 impl PathLossModel for CachedMultiWall<'_> {
     fn path_loss_db(&self, a: Point, b: Point) -> f64 {
         self.base.path_loss_db(a, b) + self.cache.wall_loss_db(a, b)

@@ -249,7 +249,7 @@ pub fn encode_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::link_quality::encode_link_quality;
+    use crate::encode::link_quality::{encode_link_quality_with, LqEncoding};
     use crate::encode::mapping::encode_mapping;
     use crate::encode::objective::encode_objective;
     use crate::encode::routing::{encode_approx, resolve_routes};
@@ -276,7 +276,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         encode_energy(&mut enc, &t, &lib, &req);
         encode_objective(&mut enc, &lib, &req);
         (enc, req, t)
@@ -381,7 +381,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         encode_energy(&mut enc, &t, &lib, &req);
         let sol = enc.model.solve(&Config::default());
         assert_eq!(sol.status(), milp::Status::Infeasible);
@@ -402,7 +402,7 @@ mod tests {
             let mut enc = encode_mapping(&t, &lib).unwrap();
             let concrete = resolve_routes(&t, &req).unwrap();
             encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-            encode_link_quality(&mut enc, &t, &lib, &req);
+            encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
             encode_energy(&mut enc, &t, &lib, &req);
             encode_objective(&mut enc, &lib, &req);
             let sol = enc.model.solve(&Config::default());
@@ -429,7 +429,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         encode_energy(&mut enc, &t, &lib, &req);
         let sol = enc.model.solve(&Config::default());
         assert_eq!(sol.status(), milp::Status::Infeasible);

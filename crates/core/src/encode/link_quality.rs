@@ -128,16 +128,6 @@ pub fn encode_link_quality_with(
     }
 }
 
-/// Encodes (2b) with the default (pair-conflict) linearization.
-pub fn encode_link_quality(
-    enc: &mut Encoding,
-    template: &NetworkTemplate,
-    library: &Library,
-    req: &Requirements,
-) {
-    encode_link_quality_with(enc, template, library, req, LqEncoding::default());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +160,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         // fix s0 to sensor-hp (tx 4.5, gain 0), r0 to relay-ant (4.5, 5)
         let fix_comp = |enc: &mut Encoding, node: usize, lib_name: &str| {
             let idx = lib.index_of(lib_name).unwrap();
@@ -210,7 +200,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         crate::encode::objective::encode_objective(&mut enc, &lib, &req);
         let sol = enc.model.solve(&Config::default());
         assert!(sol.has_solution(), "status {:?}", sol.status());
@@ -235,7 +225,7 @@ mod tests {
         // note: prune_links used 0 dB, so candidates exist; the MILP must
         // still prove no sizing clears 90 dB
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         let sol = enc.model.solve(&Config::default());
         assert_eq!(sol.status(), milp::Status::Infeasible);
     }
@@ -253,7 +243,7 @@ mod tests {
         let mut enc = encode_mapping(&t, &lib).unwrap();
         let concrete = resolve_routes(&t, &req).unwrap();
         encode_approx(&mut enc, &t, &req, &concrete, 3).unwrap();
-        encode_link_quality(&mut enc, &t, &lib, &req);
+        encode_link_quality_with(&mut enc, &t, &lib, &req, LqEncoding::default());
         crate::encode::objective::encode_objective(&mut enc, &lib, &req);
         let sol = enc.model.solve(&Config::default());
         assert!(sol.has_solution());

@@ -89,17 +89,24 @@ mod tests {
     use crate::requirements::Requirements;
     use channel::LogDistance;
     use devlib::catalog;
-    use floorplan::Point;
+    use floorplan::{FloorPlan, Marker, MarkerKind, Point};
     use milp::Config;
 
-    /// 4 anchor candidates in a 30 m square, one eval point in the center.
+    /// 4 anchor candidates `a0..a3` in a 30 m square, one eval point in the
+    /// center.
     fn template() -> NetworkTemplate {
-        let mut t = NetworkTemplate::new();
-        t.add_node("a0", Point::new(0.0, 0.0), NodeRole::Anchor);
-        t.add_node("a1", Point::new(30.0, 0.0), NodeRole::Anchor);
-        t.add_node("a2", Point::new(0.0, 30.0), NodeRole::Anchor);
-        t.add_node("a3", Point::new(30.0, 30.0), NodeRole::Anchor);
-        t.add_eval_point(Point::new(15.0, 15.0));
+        let mut plan = FloorPlan::new(30.0, 30.0);
+        for (x, y) in [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (30.0, 30.0)] {
+            plan.add_marker(Marker {
+                position: Point::new(x, y),
+                kind: MarkerKind::Anchor,
+            });
+        }
+        plan.add_marker(Marker {
+            position: Point::new(15.0, 15.0),
+            kind: MarkerKind::EvalPoint,
+        });
+        let mut t = NetworkTemplate::from_plan(&plan);
         t.compute_path_loss(&LogDistance::indoor_2_4ghz());
         t
     }

@@ -138,26 +138,6 @@ pub struct EncodedRoute {
     pub vars: RouteVars,
 }
 
-impl EncodedRoute {
-    /// Affine 0/1 expression for "this route uses directed edge `(i, j)`".
-    pub fn edge_usage_expr(&self, edge: (usize, usize)) -> Option<LinExpr> {
-        match &self.vars {
-            RouteVars::Approx { edge_used, .. } => {
-                edge_used.get(&edge).map(|&v| LinExpr::from(v))
-            }
-            RouteVars::Full { alpha } => alpha.get(&edge).map(|&v| LinExpr::from(v)),
-        }
-    }
-
-    /// All edges this route could use.
-    pub fn edge_domain(&self) -> Vec<(usize, usize)> {
-        match &self.vars {
-            RouteVars::Approx { edge_used, .. } => edge_used.keys().copied().collect(),
-            RouteVars::Full { alpha } => alpha.keys().copied().collect(),
-        }
-    }
-}
-
 /// The complete encoding: model + variable maps.
 #[derive(Debug)]
 pub struct Encoding {

@@ -293,11 +293,6 @@ impl ExploreReport {
     pub fn best_objective(&self) -> Option<f64> {
         self.design.as_ref().map(|d| d.objective)
     }
-
-    /// Number of attempts made.
-    pub fn num_attempts(&self) -> usize {
-        self.attempts.len()
-    }
 }
 
 /// Options for [`explore_resilient`].
@@ -680,7 +675,7 @@ mod tests {
             .with_budget(Duration::from_secs(60));
         let report = explore_resilient(&t, &lib, &req, &ladder);
         assert!(
-            report.num_attempts() >= 2,
+            report.attempts.len() >= 2,
             "expected escalation, got {:?}",
             report.attempts
         );
@@ -702,7 +697,7 @@ mod tests {
         let ladder = LadderOptions::new(ExploreOptions::approx(5))
             .with_budget(Duration::from_secs(60));
         let report = explore_resilient(&t, &lib, &req, &ladder);
-        assert_eq!(report.num_attempts(), 1);
+        assert_eq!(report.attempts.len(), 1);
         assert_eq!(report.final_status, Some(Status::Optimal));
         assert!(report.has_design());
     }
@@ -770,7 +765,7 @@ mod tests {
             LadderOptions::new(ExploreOptions::approx(2)).with_budget(Duration::ZERO);
         let report = explore_resilient(&t, &lib, &req, &ladder);
         assert!(report.budget_exhausted);
-        assert_eq!(report.num_attempts(), 0);
+        assert_eq!(report.attempts.len(), 0);
         assert!(!report.has_design());
         assert_eq!(report.final_status, None);
     }

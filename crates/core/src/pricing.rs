@@ -39,8 +39,13 @@
 //!
 //! The oracle maximizes `sum W(e)` over simple paths, so an empty answer
 //! above the tolerance threshold is a sound "no improving column"
-//! certificate and the pricing loop's final LP bound equals full
-//! enumeration's.
+//! certificate, but only inside the *link universe*. [`PathPricer::new`]
+//! builds the oracle's graph from the template links that already have an
+//! activation column `e_ij`, and [`crate::encode::encode_pricing`] creates
+//! those only for the edges of a `max(4·K, 16)` Yen sweep per route. The
+//! pricing loop's final LP bound therefore equals that of full enumeration
+//! restricted to the universe, not of full enumeration over the whole
+//! template (DESIGN.md §12).
 //!
 //! # Masking by incumbent candidates
 //!
@@ -444,11 +449,6 @@ impl PathPricer {
         }
         self.hooks.replicas[ridx].seen.insert(nodes.to_vec());
         true
-    }
-
-    /// Number of columns this pricer has emitted across all rounds.
-    pub fn cols_emitted(&self) -> usize {
-        self.records.len()
     }
 
     /// Decodes a [`ColumnSource::snapshot_state`] payload; `Err` leaves the

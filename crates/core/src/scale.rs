@@ -183,21 +183,6 @@ impl CityInstance {
         self.template.num_nodes()
     }
 
-    /// The merged campus floor plan (every building translated to its
-    /// origin), for figures and geometry checks. The plan is derived data:
-    /// path loss is computed per building, never on the merged plan.
-    pub fn campus_plan(&self) -> FloorPlan {
-        let mut out: Option<FloorPlan> = None;
-        for b in &self.buildings {
-            let t = b.plan.translated(b.origin.x, b.origin.y);
-            match &mut out {
-                None => out = Some(t),
-                Some(p) => p.merge(&t),
-            }
-        }
-        out.unwrap_or_else(|| FloorPlan::new(1.0, 1.0))
-    }
-
     /// FNV-1a digest of the instance: node names, positions, roles, links,
     /// and the path-loss matrix. Two runs of [`generate_city`] with the
     /// same parameters must agree bit for bit (determinism contract).
@@ -1125,8 +1110,6 @@ mod tests {
                 assert!(city.elevated[i] && city.elevated[j], "link {}->{}", i, j);
             }
         }
-        let plan = city.campus_plan();
-        assert!(plan.width() > 100.0 && plan.height() > 50.0);
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct ServiceConfig {
     /// the time rung 3 runs the deadline is usually gone, and a degraded
     /// answer soon beats a perfect answer never.
     pub degraded_budget: Duration,
-    /// Ablation switch: drop each session's encoding and warm state before
-    /// every request, forcing the cold-solve-per-request baseline the
-    /// incremental path is measured against. Never set in production.
-    pub force_cold: bool,
 }
 
 impl Default for ServiceConfig {
@@ -64,14 +60,14 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             default_deadline: Duration::from_secs(5),
             degraded_budget: Duration::from_millis(250),
-            force_cold: false,
         }
     }
 }
 
 /// Deterministic service-level fault plan, keyed by request ordinal
-/// (0-based submission order). Used by the storm harness and the tier-1
-/// smoke to prove the ladder under injected trouble.
+/// (0-based submission order). The service tests and the fault-injected
+/// request storm (`crates/bench/tests/service_storm.rs`) use it to prove
+/// the ladder under injected trouble.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceFaults {
     cancel_requests: BTreeSet<u64>,
@@ -188,10 +184,6 @@ pub struct ServiceMetrics {
     pub queue_depth_max: AtomicU64,
     /// Sessions rebuilt from snapshot (fault-killed or post-panic).
     pub sessions_rebuilt: AtomicU64,
-    /// Solves that shipped a warm vector.
-    pub warm_solves: AtomicU64,
-    /// Solves that re-encoded cold.
-    pub cold_solves: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -362,9 +354,6 @@ fn worker_loop(
             snapshot: seed.clone(),
         });
 
-        if cfg.force_cold {
-            slot.session.make_cold();
-        }
         let result = catch_unwind(AssertUnwindSafe(|| {
             process(&mut slot.session, &job, &cfg, &metrics, &faults)
         }));
@@ -438,20 +427,14 @@ fn process(
     // Rung 1: warm (or cold-encode) solve under the remaining budget.
     // Skipped entirely when the queue already burned the deadline.
     let rung1 = (remaining > Duration::ZERO).then(|| session.solve_with(&solver_cfg));
-    match rung1 {
-        Some(Ok(out)) if conclusive(&out) && job.submitted.elapsed() <= deadline => {
-            let info = info_from(&out, wait, job, 1);
-            bump_solve_kind(metrics, &out);
-            return Outcome::Served(info);
+    if let Some(Ok(out)) = rung1 {
+        if conclusive(&out) && job.submitted.elapsed() <= deadline {
+            return Outcome::Served(info_from(&out, wait, job, 1));
         }
-        Some(Ok(out)) => {
-            // Within-budget but inconclusive (limit hit, cancelled) —
-            // or conclusive but late. Fall through the ladder; a feasible
-            // incumbent from this very solve is already the session's
-            // last design and rung 2 will pick it up.
-            bump_solve_kind(metrics, &out);
-        }
-        Some(Err(_)) | None => {}
+        // Within-budget but inconclusive (limit hit, cancelled) — or
+        // conclusive but late. Fall through the ladder; a feasible
+        // incumbent from this very solve is already the session's last
+        // design and rung 2 will pick it up.
     }
 
     // Rung 2: incumbent repair. Free: re-verify the last design against
@@ -516,14 +499,6 @@ fn info_from(out: &SessionOutcome, wait: Duration, job: &Job, rung: u8) -> Serve
         wait,
         total: job.submitted.elapsed(),
         rung,
-    }
-}
-
-fn bump_solve_kind(metrics: &ServiceMetrics, out: &SessionOutcome) {
-    if out.reencoded {
-        metrics.cold_solves.fetch_add(1, Ordering::Relaxed);
-    } else if out.warm_used {
-        metrics.warm_solves.fetch_add(1, Ordering::Relaxed);
     }
 }
 

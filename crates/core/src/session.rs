@@ -311,20 +311,6 @@ impl DesignSession {
         &self.opts
     }
 
-    /// `true` when the next solve can reuse the live encoding (no
-    /// structural delta pending).
-    pub fn is_warm(&self) -> bool {
-        self.enc.is_some() && !self.dirty
-    }
-
-    /// Drops the live encoding and warm state, forcing the next solve to
-    /// start cold. Used by the ablation baseline and by fault recovery.
-    pub fn make_cold(&mut self) {
-        self.enc = None;
-        self.warm = None;
-        self.dirty = false;
-    }
-
     /// Applies one delta, validating it completely before mutating: on
     /// `Err`, the session is untouched.
     ///
@@ -702,7 +688,6 @@ mod tests {
             delta_db: 60.0,
         })
         .unwrap();
-        assert!(!s.is_warm());
         let second = s.solve().unwrap();
         assert!(second.reencoded, "wall edit is structural");
         assert_eq!(second.status, Status::Optimal);
@@ -782,9 +767,11 @@ mod tests {
         assert!(matches!(errs[5], DeltaError::UnknownRoute(_)));
 
         assert_eq!(s.revision(), rev, "failed deltas must not bump revision");
-        assert!(s.is_warm(), "failed deltas must not dirty the encoding");
         let again = s.solve().unwrap();
-        assert!(!again.reencoded);
+        assert!(
+            !again.reencoded,
+            "failed deltas must not dirty the encoding"
+        );
     }
 
     #[test]

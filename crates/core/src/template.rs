@@ -140,11 +140,6 @@ impl NetworkTemplate {
         self.nodes.len() - 1
     }
 
-    /// Adds an evaluation point for localization.
-    pub fn add_eval_point(&mut self, p: Point) {
-        self.eval_points.push(p);
-    }
-
     /// All nodes.
     pub fn nodes(&self) -> &[TemplateNode] {
         &self.nodes

@@ -245,6 +245,10 @@ pub fn localization_markers(
 mod tests {
     use super::*;
 
+    fn count(plan: &FloorPlan, kind: MarkerKind) -> usize {
+        plan.markers().iter().filter(|m| m.kind == kind).count()
+    }
+
     #[test]
     fn office_floor_structure() {
         let plan = office_floor(&OfficeParams::default());
@@ -305,9 +309,9 @@ mod tests {
         let (sensors, _sink, relays) = data_collection_markers(&mut plan, 35, (10, 10));
         assert_eq!(sensors.len(), 35);
         assert_eq!(relays.len(), 100);
-        assert_eq!(plan.markers_of(MarkerKind::Sensor).count(), 35);
-        assert_eq!(plan.markers_of(MarkerKind::Sink).count(), 1);
-        assert_eq!(plan.markers_of(MarkerKind::Relay).count(), 100);
+        assert_eq!(count(&plan, MarkerKind::Sensor), 35);
+        assert_eq!(count(&plan, MarkerKind::Sink), 1);
+        assert_eq!(count(&plan, MarkerKind::Relay), 100);
         // total node count mirrors the paper's 136-node template
         assert_eq!(plan.markers().len(), 136);
     }
@@ -318,9 +322,9 @@ mod tests {
         let (sensors, relays) = building_markers(&mut plan, 7, (4, 3));
         assert_eq!(sensors.len(), 7);
         assert_eq!(relays.len(), 12);
-        assert_eq!(plan.markers_of(MarkerKind::Sensor).count(), 7);
-        assert_eq!(plan.markers_of(MarkerKind::Relay).count(), 12);
-        assert_eq!(plan.markers_of(MarkerKind::Sink).count(), 0);
+        assert_eq!(count(&plan, MarkerKind::Sensor), 7);
+        assert_eq!(count(&plan, MarkerKind::Relay), 12);
+        assert_eq!(count(&plan, MarkerKind::Sink), 0);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Segment {
         self.a.distance(self.b)
     }
 
-    /// Midpoint of the segment.
-    pub fn midpoint(self) -> Point {
-        Point::new((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-    }
-
     /// Tests whether two segments properly intersect (cross at an interior
     /// point of both), with tolerance for near-touching endpoints treated as
     /// *not* crossing.
@@ -109,17 +104,6 @@ impl Segment {
         let t = diff.cross(d2) / denom;
         let u = diff.cross(d1) / denom;
         t > EPS && t < 1.0 - EPS && u > EPS && u < 1.0 - EPS
-    }
-
-    /// Distance from a point to this segment.
-    pub fn distance_to_point(self, p: Point) -> f64 {
-        let d = self.b - self.a;
-        let len2 = d.dot(d);
-        if len2 < 1e-18 {
-            return self.a.distance(p);
-        }
-        let t = ((p - self.a).dot(d) / len2).clamp(0.0, 1.0);
-        (self.a + d * t).distance(p)
     }
 }
 
@@ -180,20 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn point_segment_distance() {
-        let s = Segment::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        assert_eq!(s.distance_to_point(Point::new(5.0, 3.0)), 3.0);
-        assert_eq!(s.distance_to_point(Point::new(-4.0, 3.0)), 5.0);
-        assert_eq!(s.distance_to_point(Point::new(13.0, 4.0)), 5.0);
-        // degenerate segment
-        let d = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 1.0));
-        assert_eq!(d.distance_to_point(Point::new(4.0, 5.0)), 5.0);
-    }
-
-    #[test]
     fn segment_length_midpoint() {
         let s = Segment::new(Point::new(0.0, 0.0), Point::new(4.0, 0.0));
         assert_eq!(s.length(), 4.0);
-        assert_eq!(s.midpoint(), Point::new(2.0, 0.0));
     }
 }

@@ -202,11 +202,6 @@ impl FloorPlan {
         &self.markers
     }
 
-    /// Markers of one kind.
-    pub fn markers_of(&self, kind: MarkerKind) -> impl Iterator<Item = &Marker> {
-        self.markers.iter().filter(move |m| m.kind == kind)
-    }
-
     /// Walls crossed by the straight ray `a -> b`.
     pub fn walls_crossed(&self, a: Point, b: Point) -> impl Iterator<Item = &Wall> {
         let ray = Segment::new(a, b);
@@ -337,26 +332,6 @@ mod tests {
         assert_eq!(MarkerKind::from_name("base"), Some(MarkerKind::Sink));
         assert_eq!(MarkerKind::from_name("eval"), Some(MarkerKind::EvalPoint));
         assert_eq!(MarkerKind::from_name("blimp"), None);
-    }
-
-    #[test]
-    fn markers_filtered_by_kind() {
-        let mut plan = FloorPlan::new(5.0, 5.0);
-        plan.add_marker(Marker {
-            position: Point::new(1.0, 1.0),
-            kind: MarkerKind::Sensor,
-        });
-        plan.add_marker(Marker {
-            position: Point::new(2.0, 2.0),
-            kind: MarkerKind::Sink,
-        });
-        plan.add_marker(Marker {
-            position: Point::new(3.0, 3.0),
-            kind: MarkerKind::Sensor,
-        });
-        assert_eq!(plan.markers_of(MarkerKind::Sensor).count(), 2);
-        assert_eq!(plan.markers_of(MarkerKind::Sink).count(), 1);
-        assert_eq!(plan.markers_of(MarkerKind::Relay).count(), 0);
     }
 
     #[test]

@@ -169,21 +169,6 @@ impl LinExpr {
             },
         }
     }
-
-    /// Builds `self >= other` as a constraint between two expressions.
-    pub fn geq_expr(self, other: LinExpr) -> Cons {
-        (self - other).geq(0.0)
-    }
-
-    /// Builds `self <= other` as a constraint between two expressions.
-    pub fn leq_expr(self, other: LinExpr) -> Cons {
-        (self - other).leq(0.0)
-    }
-
-    /// Builds `self == other` as a constraint between two expressions.
-    pub fn eq_expr(self, other: LinExpr) -> Cons {
-        (self - other).eq(0.0)
-    }
 }
 
 /// Sums an iterator of expressions.
@@ -474,7 +459,7 @@ mod tests {
     fn expr_vs_expr_constraints() {
         let a = 2.0 * v(0) + 1.0;
         let b = v(1) + 3.0;
-        let c = a.geq_expr(b);
+        let c = (a - b).geq(0.0);
         assert_eq!(c.expr().coef(v(0)), 2.0);
         assert_eq!(c.expr().coef(v(1)), -1.0);
         assert_eq!(c.lo(), 2.0); // 2x - y >= 2

@@ -128,16 +128,6 @@ impl Model {
         // expr - M*b >= rhs - M
         self.add((expr.clone() - LinExpr::term(b, big_m)).geq(rhs - big_m));
     }
-
-    /// Creates a binary `r` with `r = 1  =>  expr >= rhs` **and**
-    /// `r = 0 => nothing` — a "reified-one-direction" reachability literal
-    /// as used by localization constraint (4a) of the paper.
-    pub fn reach_literal(&mut self, expr: &LinExpr, rhs: f64) -> Vid {
-        let name = self.fresh_name("reach");
-        let r = self.binary(name);
-        self.indicator_geq(r, expr, rhs);
-        r
-    }
 }
 
 #[cfg(test)]
@@ -285,25 +275,6 @@ mod tests {
         m2.fix(b2, 0.0);
         let s2 = m2.solve(&Config::default());
         assert!(s2.value(x2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reach_literal_maximization_respects_threshold() {
-        // maximize r subject to r => x >= 3, with x <= 2: r must be 0
-        let mut m = Model::maximize();
-        let x = m.cont("x", 0.0, 2.0);
-        let r = m.reach_literal(&LinExpr::from(x), 3.0);
-        m.set_objective(LinExpr::from(r));
-        let s = m.solve(&Config::default());
-        assert!(s.value(r) < 0.5);
-
-        // with x allowed up to 4: r can be 1
-        let mut m2 = Model::maximize();
-        let x2 = m2.cont("x", 0.0, 4.0);
-        let r2 = m2.reach_literal(&LinExpr::from(x2), 3.0);
-        m2.set_objective(LinExpr::from(r2));
-        let s2 = m2.solve(&Config::default());
-        assert!(s2.value(r2) > 0.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Model`] builder: a symbolic layer over the raw MILP problem.
 
 use crate::expr::{Cons, LinExpr, Vid};
-use milp::{Config, Problem, Row, Sense, Solution, Solver, Status, Var, VarId, VarType};
+use milp::{Config, Problem, Row, Sense, Solution, Solver, Status, Var, VarId};
 
 /// A symbolic MILP model (the YALMIP analog of the stack).
 ///
@@ -151,11 +151,6 @@ impl Model {
     /// Bounds of `v`.
     pub fn bounds(&self, v: Vid) -> (f64, f64) {
         self.problem.var_bounds(self.registry[v.0])
-    }
-
-    /// Whether `v` is binary or integer.
-    pub fn is_integer(&self, v: Vid) -> bool {
-        self.problem.var_type(self.registry[v.0]) != VarType::Continuous
     }
 
     /// Computes conservative bounds of an expression from variable bounds.

@@ -331,11 +331,6 @@ impl CutContext {
     pub fn conflicting(&self, u: usize, v: usize) -> bool {
         u != v && self.conflicts.contains(&ordered(u, v))
     }
-
-    /// Whether any separator has raw material to work with.
-    pub fn has_structure(&self) -> bool {
-        !self.knapsack_rows.is_empty() || !self.conflicts.is_empty()
-    }
 }
 
 fn ordered(a: usize, b: usize) -> (usize, usize) {
@@ -495,11 +490,6 @@ impl CutPool {
     /// Number of cuts applied so far.
     pub fn applied_len(&self) -> usize {
         self.applied.len()
-    }
-
-    /// Number of cuts pending selection.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Appends a cut directly to the applied list, bypassing every filter.
@@ -743,7 +733,7 @@ mod tests {
         };
         assert!(!pool.offer(scaled, &lb, &ub), "rescaled duplicate rejected");
         assert_eq!(pool.generated, 3);
-        assert_eq!(pool.pending_len(), 1);
+        assert_eq!(pool.pending.len(), 1);
     }
 
     #[test]
@@ -801,6 +791,5 @@ mod tests {
         let ctx = CutContext::from_problem(&p);
         assert!(ctx.conflicting(v[0].index(), v[1].index()));
         assert!(!ctx.conflicting(v[2].index(), v[3].index()));
-        assert!(ctx.has_structure());
     }
 }

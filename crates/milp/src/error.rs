@@ -10,7 +10,6 @@
 //! [`FaultInjection`] hooks let tests force each rung of that ladder to run
 //! deterministically.
 
-use crate::lu::LuError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -22,11 +21,6 @@ pub enum SolveError {
     /// always-nonsingular) slack basis.
     SingularBasis {
         /// Basis position where elimination found no acceptable pivot.
-        position: usize,
-    },
-    /// An eta update pivot was too small and refactorization did not help.
-    UnstableUpdate {
-        /// Basis position of the offending update.
         position: usize,
     },
     /// Iterates or the objective became non-finite (NaN/∞ blow-up).
@@ -45,9 +39,6 @@ impl std::fmt::Display for SolveError {
             SolveError::SingularBasis { position } => {
                 write!(f, "singular basis at position {} (recovery exhausted)", position)
             }
-            SolveError::UnstableUpdate { position } => {
-                write!(f, "unstable eta update at position {} (recovery exhausted)", position)
-            }
             SolveError::NumericBlowup => write!(f, "non-finite iterate (numeric blow-up)"),
             SolveError::Cycling { iters } => {
                 write!(f, "simplex stalled after {} iterations despite Bland's rule", iters)
@@ -57,15 +48,6 @@ impl std::fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
-
-impl From<LuError> for SolveError {
-    fn from(e: LuError) -> Self {
-        match e {
-            LuError::Singular { position } => SolveError::SingularBasis { position },
-            LuError::UnstableUpdate { position } => SolveError::UnstableUpdate { position },
-        }
-    }
-}
 
 /// Locks a mutex, recovering the guard when a panicking thread poisoned it.
 /// The solver's shared structures (node heap, incumbent) stay consistent
@@ -417,8 +399,7 @@ mod tests {
 
     #[test]
     fn lu_error_conversion() {
-        let e: SolveError = LuError::Singular { position: 3 }.into();
-        assert_eq!(e, SolveError::SingularBasis { position: 3 });
+        let e = SolveError::SingularBasis { position: 3 };
         assert!(e.to_string().contains("position 3"));
     }
 }

@@ -3,7 +3,7 @@
 //! Useful for debugging the home-grown solver against external tools: the
 //! emitted text can be fed unchanged to CPLEX, Gurobi, HiGHS, or `glpsol`.
 
-use crate::problem::{Problem, RowId, Sense, Var, VarId, VarType};
+use crate::problem::{Problem, RowId, Sense, VarId, VarType};
 use std::fmt::Write as _;
 
 /// Renders `problem` in CPLEX LP format.
@@ -136,313 +136,6 @@ pub fn to_lp_string(problem: &Problem) -> String {
     s
 }
 
-/// Error from [`parse_lp_string`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseLpError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseLpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lp line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseLpError {}
-
-/// Parses the CPLEX LP subset emitted by [`to_lp_string`] back into a
-/// [`Problem`] — used for round-trip tests and for loading instances
-/// exported from external tools.
-///
-/// Supported sections: `Minimize`/`Maximize`, `Subject To`, `Bounds`,
-/// `Generals`, `Binaries`, `End`. Each constraint must sit on one line.
-///
-/// # Errors
-///
-/// Returns [`ParseLpError`] with the offending line for malformed input.
-pub fn parse_lp_string(text: &str) -> Result<Problem, ParseLpError> {
-    /// Accumulated row: coefficient list plus `[lb, ub]` range.
-    type RawRow = (Vec<(usize, f64)>, f64, f64);
-    #[derive(PartialEq, Clone, Copy)]
-    enum Section {
-        Preamble,
-        Objective,
-        Rows,
-        Bounds,
-        Generals,
-        Binaries,
-    }
-    let mut sense = Sense::Minimize;
-    let mut section = Section::Preamble;
-    // name -> (index, coef accumulation happens later)
-    let mut var_ids: std::collections::HashMap<String, usize> = Default::default();
-    let mut var_names: Vec<String> = Vec::new();
-    let mut obj: Vec<(usize, f64)> = Vec::new();
-    let mut rows: Vec<RawRow> = Vec::new();
-    let mut bounds: std::collections::HashMap<usize, (f64, f64)> = Default::default();
-    let mut generals: Vec<usize> = Vec::new();
-    let mut binaries: Vec<usize> = Vec::new();
-
-    let intern = |name: &str, var_ids: &mut std::collections::HashMap<String, usize>,
-                      var_names: &mut Vec<String>| -> usize {
-        if let Some(&i) = var_ids.get(name) {
-            return i;
-        }
-        let i = var_names.len();
-        var_ids.insert(name.to_string(), i);
-        var_names.push(name.to_string());
-        i
-    };
-
-    /// Parses `[+-] [num [*]] name` sequences into terms.
-    fn parse_terms(
-        tokens: &[&str],
-        lineno: usize,
-        intern: &mut dyn FnMut(&str) -> usize,
-    ) -> Result<Vec<(usize, f64)>, ParseLpError> {
-        let mut terms = Vec::new();
-        let mut sign = 1.0f64;
-        let mut pending: Option<f64> = None;
-        for &tok in tokens {
-            match tok {
-                "+" => sign = 1.0,
-                "-" => sign = -1.0,
-                "*" => {}
-                t => {
-                    if let Ok(v) = t.parse::<f64>() {
-                        if pending.is_some() {
-                            return Err(ParseLpError {
-                                line: lineno,
-                                message: format!("two consecutive numbers near `{}`", t),
-                            });
-                        }
-                        pending = Some(v);
-                    } else {
-                        let coef = sign * pending.take().unwrap_or(1.0);
-                        terms.push((intern(t), coef));
-                        sign = 1.0;
-                    }
-                }
-            }
-        }
-        if pending.is_some() {
-            return Err(ParseLpError {
-                line: lineno,
-                message: "dangling coefficient without variable".into(),
-            });
-        }
-        Ok(terms)
-    }
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('\\') {
-            continue;
-        }
-        let lower = line.to_ascii_lowercase();
-        match lower.as_str() {
-            "minimize" | "min" => {
-                sense = Sense::Minimize;
-                section = Section::Objective;
-                continue;
-            }
-            "maximize" | "max" => {
-                sense = Sense::Maximize;
-                section = Section::Objective;
-                continue;
-            }
-            "subject to" | "st" | "s.t." => {
-                section = Section::Rows;
-                continue;
-            }
-            "bounds" => {
-                section = Section::Bounds;
-                continue;
-            }
-            "generals" | "general" => {
-                section = Section::Generals;
-                continue;
-            }
-            "binaries" | "binary" => {
-                section = Section::Binaries;
-                continue;
-            }
-            "end" => break,
-            _ => {}
-        }
-        // strip a leading `name:` label
-        let body = match line.split_once(':') {
-            Some((_, rest)) => rest,
-            None => line,
-        };
-        // tokenize with operators separated
-        let spaced = body
-            .replace("<=", " <= ")
-            .replace(">=", " >= ")
-            .replace('+', " + ")
-            .replace('*', " * ");
-        // careful with '-' inside numbers like 1e-5: split on whitespace
-        // first, then split leading minus signs off identifiers
-        let mut tokens: Vec<String> = Vec::new();
-        for t in spaced.split_whitespace() {
-            if let Some(rest) = t.strip_prefix('-') {
-                if rest.parse::<f64>().is_err() && !rest.is_empty() {
-                    tokens.push("-".into());
-                    tokens.push(rest.to_string());
-                    continue;
-                }
-                if t.parse::<f64>().is_ok() {
-                    tokens.push(t.to_string());
-                    continue;
-                }
-                tokens.push("-".into());
-                if !rest.is_empty() {
-                    tokens.push(rest.to_string());
-                }
-                continue;
-            }
-            // remaining tokens (including lone '=', '<', '>') pass through
-            tokens.push(t.to_string());
-        }
-        let toks: Vec<&str> = tokens.iter().map(|s| s.as_str()).collect();
-        match section {
-            Section::Preamble => {
-                return Err(ParseLpError {
-                    line: lineno,
-                    message: "expected Minimize/Maximize header".into(),
-                })
-            }
-            Section::Objective => {
-                let terms = parse_terms(&toks, lineno, &mut |n| {
-                    intern(n, &mut var_ids, &mut var_names)
-                })?;
-                obj.extend(terms);
-            }
-            Section::Rows => {
-                // find the comparison operator
-                let op_pos = toks
-                    .iter()
-                    .position(|t| matches!(*t, "<=" | ">=" | "="))
-                    .ok_or(ParseLpError {
-                        line: lineno,
-                        message: "constraint lacks <=, >= or =".into(),
-                    })?;
-                let rhs: f64 = toks
-                    .get(op_pos + 1)
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(ParseLpError {
-                        line: lineno,
-                        message: "constraint lacks numeric right-hand side".into(),
-                    })?;
-                let terms = parse_terms(&toks[..op_pos], lineno, &mut |n| {
-                    intern(n, &mut var_ids, &mut var_names)
-                })?;
-                let (lo, hi) = match toks[op_pos] {
-                    "<=" => (f64::NEG_INFINITY, rhs),
-                    ">=" => (rhs, f64::INFINITY),
-                    _ => (rhs, rhs),
-                };
-                rows.push((terms, lo, hi));
-            }
-            Section::Bounds => {
-                // forms: `x free` | `lo <= x <= hi` | `x >= lo` | `x <= hi`
-                if toks.len() == 2 && toks[1].eq_ignore_ascii_case("free") {
-                    let v = intern(toks[0], &mut var_ids, &mut var_names);
-                    bounds.insert(v, (f64::NEG_INFINITY, f64::INFINITY));
-                } else if toks.len() == 5 && toks[1] == "<=" && toks[3] == "<=" {
-                    let parse_bound = |t: &str| -> f64 {
-                        match t.to_ascii_lowercase().as_str() {
-                            "-inf" | "-infinity" => f64::NEG_INFINITY,
-                            "inf" | "+inf" | "infinity" => f64::INFINITY,
-                            other => other.parse().unwrap_or(f64::NAN),
-                        }
-                    };
-                    let lo = parse_bound(toks[0]);
-                    let hi = parse_bound(toks[4]);
-                    if lo.is_nan() || hi.is_nan() {
-                        return Err(ParseLpError {
-                            line: lineno,
-                            message: "malformed bound values".into(),
-                        });
-                    }
-                    let v = intern(toks[2], &mut var_ids, &mut var_names);
-                    bounds.insert(v, (lo, hi));
-                } else if toks.len() == 3 && (toks[1] == ">=" || toks[1] == "<=") {
-                    let v = intern(toks[0], &mut var_ids, &mut var_names);
-                    let b: f64 = toks[2].parse().map_err(|_| ParseLpError {
-                        line: lineno,
-                        message: "malformed bound value".into(),
-                    })?;
-                    let entry = bounds.entry(v).or_insert((0.0, f64::INFINITY));
-                    if toks[1] == ">=" {
-                        entry.0 = b;
-                    } else {
-                        entry.1 = b;
-                    }
-                } else {
-                    return Err(ParseLpError {
-                        line: lineno,
-                        message: format!("unrecognized bounds line `{}`", line),
-                    });
-                }
-            }
-            Section::Generals => {
-                for t in &toks {
-                    generals.push(intern(t, &mut var_ids, &mut var_names));
-                }
-            }
-            Section::Binaries => {
-                for t in &toks {
-                    binaries.push(intern(t, &mut var_ids, &mut var_names));
-                }
-            }
-        }
-    }
-
-    // Assemble the problem.
-    let mut p = Problem::new(sense);
-    let mut ids = Vec::with_capacity(var_names.len());
-    let obj_map: std::collections::HashMap<usize, f64> = {
-        let mut m = std::collections::HashMap::new();
-        for (v, c) in obj {
-            *m.entry(v).or_insert(0.0) += c;
-        }
-        m
-    };
-    let generals: std::collections::HashSet<usize> = generals.into_iter().collect();
-    let binaries: std::collections::HashSet<usize> = binaries.into_iter().collect();
-    for (i, name) in var_names.iter().enumerate() {
-        let (lo, hi) = bounds.get(&i).copied().unwrap_or((0.0, f64::INFINITY));
-        let base = if binaries.contains(&i) {
-            Var::binary()
-        } else if generals.contains(&i) {
-            Var::integer()
-        } else {
-            Var::cont()
-        };
-        let builder = if binaries.contains(&i) {
-            base // binaries keep their 0/1 box
-        } else {
-            base.bounds(lo, hi)
-        };
-        ids.push(p.add_var(
-            builder.obj(obj_map.get(&i).copied().unwrap_or(0.0)).name(name.clone()),
-        ));
-    }
-    for (terms, lo, hi) in rows {
-        let mut row = crate::problem::Row::new().range(lo.min(hi), hi.max(lo));
-        for (v, c) in terms {
-            row = row.coef(ids[v], c);
-        }
-        p.add_row(row);
-    }
-    Ok(p)
-}
-
 fn sign_coef(c: f64, first: bool) -> String {
     if first {
         format!("{}", c)
@@ -517,73 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_solves_identically() {
-        // write -> parse -> both versions must have the same optimum
-        let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_var(Var::integer().bounds(0.0, 10.0).obj(5.0).name("a"));
-        let b = p.add_var(Var::integer().bounds(0.0, 10.0).obj(4.0).name("b"));
-        let x = p.add_var(Var::cont().bounds(0.0, 2.5).obj(1.5).name("x"));
-        p.add_row(Row::new().coef(a, 6.0).coef(b, 4.0).le(24.0));
-        p.add_row(Row::new().coef(a, 1.0).coef(b, 2.0).coef(x, 1.0).le(6.0));
-        let text = to_lp_string(&p);
-        let q = parse_lp_string(&text).unwrap();
-        assert_eq!(q.num_vars(), 3);
-        assert_eq!(q.num_rows(), 2);
-        let sp = crate::solve(&p);
-        let sq = crate::solve(&q);
-        assert_eq!(sp.status(), crate::Status::Optimal);
-        assert_eq!(sq.status(), crate::Status::Optimal);
-        assert!(
-            (sp.objective() - sq.objective()).abs() < 1e-6,
-            "{} vs {}",
-            sp.objective(),
-            sq.objective()
-        );
-    }
-
-    #[test]
-    fn roundtrip_with_ranges_binaries_and_free() {
-        let mut p = Problem::new(Sense::Minimize);
-        let f = p.add_var(Var::free().obj(1.0).name("f"));
-        let z = p.add_var(Var::binary().obj(-2.0).name("z"));
-        let g = p.add_var(Var::integer().bounds(-3.0, 7.0).obj(0.5).name("g"));
-        p.add_row(Row::new().coef(f, 1.0).coef(z, 2.0).range(-1.0, 4.0));
-        p.add_row(Row::new().coef(g, 1.0).coef(f, -1.0).ge(0.0));
-        p.add_row(Row::new().coef(f, 1.0).ge(-5.0)); // bounds f from below
-        let text = to_lp_string(&p);
-        let q = parse_lp_string(&text).unwrap();
-        let sp = crate::solve(&p);
-        let sq = crate::solve(&q);
-        assert_eq!(sp.status(), sq.status());
-        if sp.status() == crate::Status::Optimal {
-            assert!((sp.objective() - sq.objective()).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn parse_handwritten_lp() {
-        let text = "\\ comment\nMinimize\n obj: 2 x + 3 y\nSubject To\n c1: x + y >= 4\n c2: x - y <= 2\nBounds\n 0 <= x <= 10\n 0 <= y <= 10\nEnd\n";
-        let p = parse_lp_string(text).unwrap();
-        assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.num_rows(), 2);
-        let s = crate::solve(&p);
-        assert_eq!(s.status(), crate::Status::Optimal);
-        // optimum: x=y=2 (cost 10)? min 2x+3y with x+y>=4, x-y<=2:
-        // best puts weight on x: x=3,y=1 -> 9; check
-        assert!((s.objective() - 9.0).abs() < 1e-6, "obj {}", s.objective());
-    }
-
-    #[test]
-    fn parse_errors_report_lines() {
-        let bad = "Minimize\n obj: x\nSubject To\n c1: x + y\nEnd\n";
-        let err = parse_lp_string(bad).unwrap_err();
-        assert_eq!(err.line, 4);
-        assert!(err.message.contains("<="));
-        let no_header = " x + y <= 1\n";
-        assert!(parse_lp_string(no_header).is_err());
-    }
-
-    #[test]
     fn equality_rendered_once() {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var(Var::cont().obj(1.0));
@@ -591,5 +217,61 @@ mod tests {
         let s = to_lp_string(&p);
         assert!(s.contains("= 4"));
         assert!(!s.contains("r0_lo"));
+    }
+
+    /// Pins the whole text of one small problem under both senses: a
+    /// ranged row (`_lo`/`_hi`), an equality, a repeated coefficient,
+    /// free, negative-lower-bound and lower-bounded columns, `Generals`,
+    /// `Binaries` and sanitized names.
+    #[test]
+    fn golden_text() {
+        let build = |sense| {
+            let mut p = Problem::new(sense);
+            let f = p.add_var(Var::free().obj(1.0).name("f"));
+            let n = p.add_var(Var::cont().bounds(-2.5, 4.0).obj(-3.0).name("flow a->b"));
+            let w = p.add_var(Var::cont().bounds(1.5, f64::INFINITY));
+            let g = p.add_var(Var::integer().bounds(0.0, 9.0).name("g"));
+            let z = p.add_var(Var::binary().obj(2.0).name("z"));
+            p.add_row(
+                Row::new()
+                    .coef(f, 1.0)
+                    .coef(z, -2.0)
+                    .range(-1.0, 4.0)
+                    .name("cap"),
+            );
+            p.add_row(
+                Row::new()
+                    .coef(n, 1.0)
+                    .coef(g, 1.0)
+                    .coef(n, 0.5)
+                    .eq(3.0)
+                    .name("bal"),
+            );
+            p.add_row(Row::new().coef(w, 1.0).coef(f, -1.0).ge(0.0));
+            p.add_row(Row::new().coef(g, 2.0).le(7.0).name("my row"));
+            to_lp_string(&p)
+        };
+        let body = concat!(
+            " obj: 1 f - 3 flow_a__b + 2 z\n",
+            "Subject To\n",
+            " cap_lo: 1 f - 2 z >= -1\n",
+            " cap_hi: 1 f - 2 z <= 4\n",
+            " bal: 1.5 flow_a__b + 1 g = 3\n",
+            " r2: -1 f + 1 x2 >= 0\n",
+            " my_row: 2 g <= 7\n",
+            "Bounds\n",
+            " f free\n",
+            " -2.5 <= flow_a__b <= 4\n",
+            " x2 >= 1.5\n",
+            " 0 <= g <= 9\n",
+            " 0 <= z <= 1\n",
+            "Generals\n",
+            " g\n",
+            "Binaries\n",
+            " z\n",
+            "End\n",
+        );
+        assert_eq!(build(Sense::Minimize), format!("Minimize\n{body}"));
+        assert_eq!(build(Sense::Maximize), format!("Maximize\n{body}"));
     }
 }

@@ -99,21 +99,9 @@ impl Factorization {
         }
     }
 
-    /// Dimension of the basis.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Number of eta updates accumulated since the last refactorization.
     pub fn eta_count(&self) -> usize {
         self.etas.len()
-    }
-
-    /// Total stored nonzeros in L and U (a fill-in diagnostic).
-    pub fn fill_nnz(&self) -> usize {
-        let l: usize = self.lower.iter().map(|c| c.entries.len()).sum();
-        let u: usize = self.upper.iter().map(|c| c.entries.len() + 1).sum();
-        l + u
     }
 
     /// Factorizes the basis whose column at position `k` is produced by

@@ -68,11 +68,6 @@ impl Presolved {
             .collect()
     }
 
-    /// Number of variables in the original problem.
-    pub fn original_num_vars(&self) -> usize {
-        self.map.len()
-    }
-
     /// Maps an original-space point into the reduced space, when it is
     /// consistent with the reductions: every presolve-removed variable must
     /// sit at its fixed value within `tol`. Returns `None` on a size

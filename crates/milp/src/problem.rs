@@ -497,18 +497,6 @@ impl Problem {
         self.vars.iter().map(|v| v.obj).collect()
     }
 
-    /// Evaluates the objective (including offset) at a point.
-    pub fn eval_objective(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.vars.len());
-        self.obj_offset
-            + self
-                .vars
-                .iter()
-                .zip(x)
-                .map(|(v, xi)| v.obj * xi)
-                .sum::<f64>()
-    }
-
     /// Evaluates row activity `a_r^T x`.
     pub fn eval_row(&self, r: RowId, x: &[f64]) -> f64 {
         self.rows[r.0].coefs.iter().map(|&(v, c)| c * x[v.0]).sum()
@@ -584,7 +572,6 @@ mod tests {
         p.add_row(Row::new().coef(x, 2.0).coef(y, 1.0).range(1.0, 8.0));
         p.shift_objective(10.0);
         let sol = [2.0, 3.0];
-        assert_eq!(p.eval_objective(&sol), 10.0 + 6.0 + 3.0);
         assert!(p.check_feasible(&sol, 1e-9).is_none());
         assert!(p.check_feasible(&[2.0, 3.5], 1e-9).is_some()); // fractional int
         assert!(p.check_feasible(&[20.0, 0.0], 1e-9).is_some()); // bound

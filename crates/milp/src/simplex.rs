@@ -335,8 +335,9 @@ struct Engine<'a> {
     /// Slack-basis rebuilds after singular factorizations; capped so a
     /// persistently singular basis surfaces as an error, not a loop.
     slack_resets: usize,
-    /// Last factorization failure, kept for error reporting.
-    last_lu: Option<LuError>,
+    /// Basis position of the last singular factorization, kept for error
+    /// reporting.
+    singular_at: usize,
     /// Primal Devex reference weights over all variables (reset to 1 with
     /// every basis install).
     devex: Vec<f64>,
@@ -441,7 +442,7 @@ impl<'a> Engine<'a> {
             deadline,
             force_bland: false,
             slack_resets: 0,
-            last_lu: None,
+            singular_at: 0,
             devex: vec![1.0; nn],
             dual_devex: vec![1.0; m],
             dj: vec![0.0; nn],
@@ -530,7 +531,7 @@ impl<'a> Engine<'a> {
         if let Some(f) = &self.cfg.faults {
             if f.on_factorize() {
                 // Injected singularity: report exactly what a real one would.
-                self.last_lu = Some(LuError::Singular { position: 0 });
+                self.singular_at = 0;
                 return false;
             }
         }
@@ -540,8 +541,11 @@ impl<'a> Engine<'a> {
             .factorize(|k, out| lp.aug_entries(basis[k], |r, v| out.push((r, v))))
         {
             Ok(()) => true,
-            Err(e) => {
-                self.last_lu = Some(e);
+            // `factorize` reports only singular pivots; `UnstableUpdate`
+            // comes from eta updates, which `change_basis` answers by
+            // refactorizing.
+            Err(LuError::Singular { position } | LuError::UnstableUpdate { position }) => {
+                self.singular_at = position;
                 false
             }
         }
@@ -549,10 +553,9 @@ impl<'a> Engine<'a> {
 
     /// The error a basis that will not factorize surfaces as.
     fn singular_error(&self) -> SolveError {
-        self.last_lu
-            .clone()
-            .map(SolveError::from)
-            .unwrap_or(SolveError::SingularBasis { position: 0 })
+        SolveError::SingularBasis {
+            position: self.singular_at,
+        }
     }
 
     /// Row duals `y = B^{-T} c_B` of the current basis.

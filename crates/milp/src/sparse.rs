@@ -46,17 +46,6 @@ impl CscMatrix {
         }
     }
 
-    /// Creates an identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        CscMatrix {
-            nrows: n,
-            ncols: n,
-            col_ptr: (0..=n).collect(),
-            row_idx: (0..n).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -87,28 +76,6 @@ impl CscMatrix {
         }
     }
 
-    /// Row indices of column `j` as a slice.
-    pub fn col_rows(&self, j: usize) -> &[usize] {
-        &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
-    }
-
-    /// Values of column `j` as a slice, parallel to [`Self::col_rows`].
-    pub fn col_values(&self, j: usize) -> &[f64] {
-        &self.values[self.col_ptr[j]..self.col_ptr[j + 1]]
-    }
-
-    /// Computes `y += alpha * A[:, j]` into the dense vector `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != nrows` or `j >= ncols`.
-    pub fn axpy_col(&self, j: usize, alpha: f64, y: &mut [f64]) {
-        assert_eq!(y.len(), self.nrows);
-        for (r, v) in self.col(j) {
-            y[r] += alpha * v;
-        }
-    }
-
     /// Computes the dot product of column `j` with the dense vector `x`.
     pub fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
         let mut acc = 0.0;
@@ -116,24 +83,6 @@ impl CscMatrix {
             acc += v * x[r];
         }
         acc
-    }
-
-    /// Computes the dense matrix-vector product `y = A * x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.ncols);
-        let mut y = vec![0.0; self.nrows];
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                self.axpy_col(j, xj, &mut y);
-            }
-        }
-        y
-    }
-
-    /// Computes the dense transposed product `y = A^T * x`.
-    pub fn mul_vec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.nrows);
-        (0..self.ncols).map(|j| self.col_dot(j, x)).collect()
     }
 
     /// Returns the matrix in row-major triplets, useful for row-wise scans
@@ -401,29 +350,6 @@ mod tests {
         b.push(1, 1, -4.0);
         let m = b.build();
         assert_eq!(m.nnz(), 0);
-    }
-
-    #[test]
-    fn identity_matvec() {
-        let m = CscMatrix::identity(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(m.mul_vec(&x), x);
-        assert_eq!(m.mul_vec_transpose(&x), x);
-    }
-
-    #[test]
-    fn matvec_and_transpose_agree() {
-        let mut b = TripletBuilder::new(2, 3);
-        b.push(0, 0, 1.0);
-        b.push(0, 1, 2.0);
-        b.push(1, 1, -1.0);
-        b.push(1, 2, 4.0);
-        let m = b.build();
-        let y = m.mul_vec(&[1.0, 1.0, 1.0]);
-        assert_eq!(y, vec![3.0, 3.0]);
-        let t = m.transpose();
-        let yt = t.mul_vec_transpose(&[1.0, 1.0, 1.0]);
-        assert_eq!(yt, y);
     }
 
     #[test]

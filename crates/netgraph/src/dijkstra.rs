@@ -173,9 +173,13 @@ mod tests {
     use super::*;
 
     fn grid_line() -> DiGraph {
-        // 0 -1-> 1 -1-> 2 -1-> 3 plus shortcut 0 -2.5-> 2
+        line_with_first_hop(1.0)
+    }
+
+    /// 0 -w-> 1 -1-> 2 -1-> 3 plus shortcut 0 -2.5-> 2
+    fn line_with_first_hop(w: f64) -> DiGraph {
         let mut g = DiGraph::new(4);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
+        g.add_edge(NodeId(0), NodeId(1), w);
         g.add_edge(NodeId(1), NodeId(2), 1.0);
         g.add_edge(NodeId(2), NodeId(3), 1.0);
         g.add_edge(NodeId(0), NodeId(2), 2.5);
@@ -193,9 +197,8 @@ mod tests {
 
     #[test]
     fn shortcut_taken_when_cheaper() {
-        let mut g = grid_line();
         // make the line expensive
-        g.set_weight(EdgeId(0), 5.0);
+        let g = line_with_first_hop(5.0);
         let p = shortest_path(&g, NodeId(0), NodeId(3)).unwrap();
         assert_eq!(p.cost(), 3.5); // 2.5 + 1
         assert_eq!(p.nodes(), &[NodeId(0), NodeId(2), NodeId(3)]);
@@ -270,7 +273,7 @@ mod tests {
             let mut dist = vec![f64::INFINITY; n];
             dist[src] = 0.0;
             for _ in 0..n {
-                for e in g.edge_ids() {
+                for e in (0..g.num_edges()).map(EdgeId) {
                     let (f, t) = g.endpoints(e);
                     let w = g.weight(e);
                     if dist[f.index()] + w < dist[t.index()] {

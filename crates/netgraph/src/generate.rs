@@ -31,34 +31,6 @@ pub fn grid(rows: usize, cols: usize) -> DiGraph {
     g
 }
 
-/// Builds a random geometric digraph: `n` nodes placed uniformly in a
-/// `side x side` square, with a symmetric pair of edges between nodes closer
-/// than `radius`; edge weight = Euclidean distance. Returns the graph and
-/// the node positions.
-pub fn random_geometric(
-    n: usize,
-    side: f64,
-    radius: f64,
-    rng: &mut impl rand::Rng,
-) -> (DiGraph, Vec<(f64, f64)>) {
-    let pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
-        .collect();
-    let mut g = DiGraph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = pos[i].0 - pos[j].0;
-            let dy = pos[i].1 - pos[j].1;
-            let d = (dx * dx + dy * dy).sqrt();
-            if d <= radius {
-                g.add_edge(NodeId(i), NodeId(j), d);
-                g.add_edge(NodeId(j), NodeId(i), d);
-            }
-        }
-    }
-    (g, pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,18 +41,5 @@ mod tests {
         let g = grid(4, 5);
         let p = shortest_path(&g, NodeId(0), NodeId(3 * 5 + 4)).unwrap();
         assert_eq!(p.cost(), 7.0); // 3 down + 4 right
-    }
-
-    #[test]
-    fn geometric_graph_is_symmetric() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(3);
-        let (g, pos) = random_geometric(30, 100.0, 30.0, &mut rng);
-        assert_eq!(pos.len(), 30);
-        for e in g.edge_ids() {
-            let (f, t) = g.endpoints(e);
-            assert!(g.find_edge(t, f).is_some(), "missing reverse edge");
-            assert!(g.weight(e) <= 30.0);
-        }
     }
 }

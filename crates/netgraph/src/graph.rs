@@ -62,7 +62,6 @@ pub struct DiGraph {
     edges: Vec<EdgeData>,
     /// adjacency: out_adj[v] = edge ids leaving v
     out_adj: Vec<Vec<usize>>,
-    in_adj: Vec<Vec<usize>>,
 }
 
 impl DiGraph {
@@ -72,7 +71,6 @@ impl DiGraph {
             num_nodes: n,
             edges: Vec::new(),
             out_adj: vec![Vec::new(); n],
-            in_adj: vec![Vec::new(); n],
         }
     }
 
@@ -89,7 +87,6 @@ impl DiGraph {
     /// Adds a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
         self.num_nodes += 1;
         NodeId(self.num_nodes - 1)
     }
@@ -111,7 +108,6 @@ impl DiGraph {
             weight,
         });
         self.out_adj[from.0].push(id);
-        self.in_adj[to.0].push(id);
         EdgeId(id)
     }
 
@@ -126,12 +122,6 @@ impl DiGraph {
         self.edges[e.0].weight
     }
 
-    /// Overwrites the weight of an edge.
-    pub fn set_weight(&mut self, e: EdgeId, w: f64) {
-        assert!(!w.is_nan());
-        self.edges[e.0].weight = w;
-    }
-
     /// Iterates `(edge, to, weight)` over edges leaving `v`.
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId, f64)> + '_ {
         self.out_adj[v.0].iter().map(move |&e| {
@@ -140,62 +130,9 @@ impl DiGraph {
         })
     }
 
-    /// Iterates `(edge, from, weight)` over edges entering `v`.
-    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId, f64)> + '_ {
-        self.in_adj[v.0].iter().map(move |&e| {
-            let d = &self.edges[e];
-            (EdgeId(e), NodeId(d.from), d.weight)
-        })
-    }
-
-    /// Finds an edge `from -> to` (the first if parallel edges exist).
-    pub fn find_edge(&self, from: NodeId, to: NodeId) -> Option<EdgeId> {
-        self.out_adj[from.0]
-            .iter()
-            .find(|&&e| self.edges[e].to == to.0)
-            .map(|&e| EdgeId(e))
-    }
-
     /// Iterates all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes).map(NodeId)
-    }
-
-    /// Iterates all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
-    }
-
-    /// The node-edge incidence matrix in dense row-major form
-    /// (`num_nodes x num_edges`): `+1` at the source row of an edge, `-1`
-    /// at its target row — the matrix `c` of the paper's flow-balance
-    /// constraint (1a).
-    pub fn incidence_matrix(&self) -> Vec<f64> {
-        let (n, m) = (self.num_nodes, self.edges.len());
-        let mut c = vec![0.0; n * m];
-        for (e, d) in self.edges.iter().enumerate() {
-            c[d.from * m + e] = 1.0;
-            c[d.to * m + e] = -1.0;
-        }
-        c
-    }
-
-    /// Multiplies the incidence matrix with an edge-indicator vector:
-    /// `(c x)_v = outflow(v) - inflow(v)`. For a simple path indicator this
-    /// yields `+1` at the source, `-1` at the target, `0` elsewhere —
-    /// constraint (1a)'s balance vector `z`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != num_edges`.
-    pub fn incidence_apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.edges.len(), "edge vector length");
-        let mut out = vec![0.0; self.num_nodes];
-        for (e, d) in self.edges.iter().enumerate() {
-            out[d.from] += x[e];
-            out[d.to] -= x[e];
-        }
-        out
     }
 }
 
@@ -217,24 +154,6 @@ mod tests {
         assert_eq!(g.weight(e1), 2.0);
         let outs: Vec<_> = g.out_edges(NodeId(0)).map(|(_, t, _)| t).collect();
         assert_eq!(outs, vec![NodeId(1), NodeId(2)]);
-        let ins: Vec<_> = g.in_edges(c).map(|(_, f, _)| f).collect();
-        assert_eq!(ins, vec![NodeId(1), NodeId(0)]);
-    }
-
-    #[test]
-    fn find_edge_works() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(NodeId(0), NodeId(2), 4.0);
-        assert!(g.find_edge(NodeId(0), NodeId(2)).is_some());
-        assert!(g.find_edge(NodeId(2), NodeId(0)).is_none());
-    }
-
-    #[test]
-    fn set_weight_updates() {
-        let mut g = DiGraph::new(2);
-        let e = g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.set_weight(e, 9.0);
-        assert_eq!(g.weight(e), 9.0);
     }
 
     #[test]
@@ -242,28 +161,6 @@ mod tests {
     fn bad_endpoint_panics() {
         let mut g = DiGraph::new(1);
         g.add_edge(NodeId(0), NodeId(5), 1.0);
-    }
-
-    #[test]
-    fn incidence_matrix_matches_structure() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(2), 1.0);
-        let c = g.incidence_matrix();
-        // edge 0: +1 at row 0, -1 at row 1; edge 1: +1 at row 1, -1 at row 2
-        assert_eq!(c, vec![1.0, 0.0, -1.0, 1.0, 0.0, -1.0]);
-        // path indicator over both edges: balance +1 at source, -1 at sink
-        let z = g.incidence_apply(&[1.0, 1.0]);
-        assert_eq!(z, vec![1.0, 0.0, -1.0]);
-    }
-
-    #[test]
-    fn incidence_apply_detects_cycles() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(1), NodeId(0), 1.0);
-        // a cycle's balance vector is all zeros
-        assert_eq!(g.incidence_apply(&[1.0, 1.0]), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -108,18 +108,6 @@ impl Path {
         self.shared_edges(other) == 0
     }
 
-    /// `true` if the two paths share no intermediate node (endpoints are
-    /// allowed to coincide).
-    pub fn is_node_disjoint_interior(&self, other: &Path) -> bool {
-        if self.nodes.len() <= 2 || other.nodes.len() <= 2 {
-            return true;
-        }
-        let interior: HashSet<_> = self.nodes[1..self.nodes.len() - 1].iter().collect();
-        other.nodes[1..other.nodes.len() - 1]
-            .iter()
-            .all(|n| !interior.contains(n))
-    }
-
     /// Concatenates `self` with `tail` (whose source must equal this path's
     /// target), keeping looplessness.
     ///
@@ -155,12 +143,6 @@ impl Path {
             edges: self.edges[..hops].to_vec(),
             cost: f64::NAN, // cost recomputed by callers that need it
         }
-    }
-
-    /// Recomputes and stores the cost from graph weights.
-    pub fn with_cost_from(mut self, g: &DiGraph) -> Path {
-        self.cost = self.edges.iter().map(|&e| g.weight(e)).sum();
-        self
     }
 }
 
@@ -238,7 +220,6 @@ mod tests {
             4.0,
         );
         assert!(a.is_link_disjoint(&b));
-        assert!(a.is_node_disjoint_interior(&b));
         assert_eq!(a.shared_edges(&a), 2);
         assert!(!a.is_link_disjoint(&a));
     }

@@ -1,7 +1,7 @@
 //! Property tests for Dijkstra and Yen's K-shortest paths on random
 //! digraphs.
 
-use netgraph::{distances_from, k_shortest_paths, shortest_path, DiGraph, NodeId};
+use netgraph::{distances_from, k_shortest_paths, shortest_path, DiGraph, EdgeId, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random digraph as (n, edge list with weights).
@@ -103,7 +103,7 @@ proptest! {
         let g = build(n, &edges);
         let d = distances_from(&g, NodeId(0));
         // triangle-ish check: relaxing any edge cannot improve final dists
-        for e in g.edge_ids() {
+        for e in (0..g.num_edges()).map(EdgeId) {
             let (f, t) = g.endpoints(e);
             if d[f.index()].is_finite() {
                 prop_assert!(d[t.index()] <= d[f.index()] + g.weight(e) + 1e-9);

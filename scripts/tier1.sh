@@ -4,7 +4,14 @@
 #   1. release build of the whole workspace
 #   2. the whole workspace test suite (the root `Cargo.toml` sets
 #      `default-members` to every crate): determinism, integration,
-#      kill-and-resume, fault-injection, cuts, and degradation-ladder tests
+#      kill-and-resume, fault-injection, cuts, and degradation-ladder tests,
+#      and the fault-injected service storm
+#      (crates/bench/tests/service_storm.rs): seeded clients send typed spec
+#      deltas to the design-session service through two injected
+#      mid-request cancellations, a simulated worker death and one poisoned
+#      delta, and the test fails on any panic, any request served past its
+#      deadline, a served p99 over the deadline, a fault that did not land,
+#      or service counters that disagree with the clients' outcomes
 #   3. clippy on every target with warnings promoted to errors, then the
 #      benchmark's own tests (`perfbench` is a separate workspace that
 #      builds against these crates, so an API change it relies on fails
@@ -20,12 +27,7 @@
 #   5. durability smoke: a checkpointed one-worker [50/20] solve is
 #      SIGKILLed mid-search and resumed from its frame; the resume must
 #      prove Optimal with a verified design at the row's proven optimum
-#   6. service smoke: a short request storm against the design-session
-#      service with seeded clients, injected mid-request cancellations,
-#      a simulated worker death, and one poisoned delta — the binary
-#      itself exits non-zero on any panic, any missed deadline without a
-#      degraded/shed outcome, or served p99 over the deadline budget
-#   7. scale smoke: a small 4-building campus solved by spatial
+#   6. scale smoke: a small 4-building campus solved by spatial
 #      decomposition under a 30 s budget — the stitched design must pass
 #      verify_design on the full un-partitioned instance and land within
 #      10% of the monolithic solve's objective
@@ -96,20 +98,6 @@ if ! DUR_MODE=resume DUR_TL=600 DUR_CKPT="$DUR_FRAME" ./target/release/durabilit
     exit 1
 fi
 echo "tier1: durability smoke OK"
-
-echo "== tier1: service smoke (fault-injected request storm) =="
-# 24 seeded clients x 3 rounds of typed spec deltas against the
-# design-session service, with two injected mid-request cancellations,
-# one simulated worker death (session rebuilt from snapshot), and one
-# poisoned delta. The storm binary does its own gating and exits
-# non-zero on any panic, any request served past its deadline without a
-# degraded/shed outcome, a served p99 over the deadline budget, or a
-# fault that failed to land (see crates/bench/src/bin/storm.rs).
-if ! STORM_MODE=smoke STORM_JSON= ./target/release/storm; then
-    echo "tier1: service smoke FAILED" >&2
-    exit 1
-fi
-echo "tier1: service smoke OK"
 
 echo "== tier1: scale smoke (4-building campus, decomposed, 30 s budget) =="
 # The city-scale bench in smoke mode runs only the small campus: a
