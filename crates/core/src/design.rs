@@ -3,6 +3,7 @@
 //! re-checked from first principles (channel math, energy model) without
 //! trusting the MILP encoding.
 
+use crate::encode::link_quality::pair_snr_db;
 use crate::encode::{Encoding, RouteVars};
 use crate::requirements::Requirements;
 use crate::template::{NetworkTemplate, NodeRole};
@@ -121,10 +122,7 @@ pub fn true_snr_db(
 ) -> Option<f64> {
     let ci = library.get(design.component_of(i)?)?;
     let cj = library.get(design.component_of(j)?)?;
-    Some(
-        ci.tx_power_dbm + ci.antenna_gain_dbi + cj.antenna_gain_dbi - template.path_loss(i, j)
-            - noise_dbm,
-    )
+    Some(pair_snr_db(template, i, j, ci, cj, noise_dbm))
 }
 
 /// Extracts the design from a solved encoding, recomputing all reported

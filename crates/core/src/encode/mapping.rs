@@ -39,12 +39,8 @@ pub fn encode_mapping(
             sum.add_term(m, 1.0);
             vars.push((k, m));
         }
-        // GUB-annotated: for fixed nodes presolve substitutes u_i = 1 and
-        // the row becomes the set-partitioning form `sum_k m_ki = 1`, which
-        // the clique separator picks up; non-conforming rows (free u_i) are
-        // dropped harmlessly by the solver-side validation.
         enc.model
-            .add_gub_named(format!("sizing_{}", i), (sum - u).eq(0.0));
+            .add_named(format!("sizing_{}", i), (sum - u).eq(0.0));
         enc.map_vars.push(vars);
         let _ = i;
     }

@@ -361,9 +361,8 @@ pub fn encode_approx_with_threads(
                     edges,
                 });
             }
-            // One-candidate-per-route disjunction: annotated as a GUB row
-            // so the solver's clique separator can use it structurally.
-            let gub_row = enc.model.add_gub_named(
+            // One-candidate-per-route disjunction.
+            let gub_row = enc.model.add_named(
                 format!("route_{}_{}_{}", fam.name, src, rep),
                 selector_sum.eq(1.0),
             );

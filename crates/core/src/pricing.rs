@@ -351,7 +351,6 @@ impl PathPricer {
                             coefs,
                             lb: f64::NEG_INFINITY,
                             ub: 1.0,
-                            gub: true,
                             name: Some(format!("dpj_{}_{}_{}", key.0, i, j)),
                         });
                         pending_disjoint.insert((key, (i, j)), pos);
@@ -393,7 +392,6 @@ impl PathPricer {
                 coefs: vec![(base + s_batch, 1.0), (base + a_batch, -1.0)],
                 lb: 0.0,
                 ub: 0.0,
-                gub: false,
                 name: Some(format!("dpd_{}_{}_{}", route_idx, i, j)),
             });
             // Link row a <= e.
@@ -402,7 +400,6 @@ impl PathPricer {
                     coefs: vec![(base + a_batch, 1.0), (ecol, -1.0)],
                     lb: f64::NEG_INFINITY,
                     ub: 0.0,
-                    gub: false,
                     name: Some(format!("dpl_{}_{}_{}", route_idx, i, j)),
                 });
             }
@@ -438,7 +435,6 @@ impl PathPricer {
                         ],
                         lb: -etx_cap,
                         ub: f64::INFINITY,
-                        gub: false,
                         name: Some(format!("dpw_{}_{}_{}", route_idx, i, j)),
                     });
                 }

@@ -29,6 +29,7 @@
 //!    ladder on the full template.
 
 use crate::design::{recompute_metrics, verify_design, DesignNode, DesignRoute, NetworkDesign};
+use crate::encode::link_quality::pair_snr_db;
 use crate::encode::EncodeError;
 use crate::explore::{explore_resilient, ExploreOptions, LadderOptions};
 use crate::requirements::Requirements;
@@ -1007,9 +1008,7 @@ fn repair_components(d: &mut NetworkDesign, city: &CityInstance) {
         let (Some(a), Some(b)) = (city.library.get(ci), city.library.get(cj)) else {
             return f64::NEG_INFINITY;
         };
-        a.tx_power_dbm + a.antenna_gain_dbi + b.antenna_gain_dbi
-            - city.template.path_loss(i, j)
-            - noise
+        pair_snr_db(&city.template, i, j, a, b, noise)
     };
     let mut hops_left = vec![0usize; city.template.num_nodes()];
     for r in &d.routes {

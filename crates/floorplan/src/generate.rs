@@ -188,8 +188,8 @@ pub fn data_collection_markers(
 /// `n_sensors` sensor markers spread over the rooms plus a relay-candidate
 /// grid — like [`data_collection_markers`] but with **no sink**, since a
 /// campus has a single sink overall rather than one per building. Returns
-/// `(sensors, relays)` positions (building-local coordinates; compose into
-/// the campus frame with [`FloorPlan::translated`]).
+/// `(sensors, relays)` positions in building-local coordinates; add the
+/// building's origin to place them in the campus frame.
 pub fn building_markers(
     plan: &mut FloorPlan,
     n_sensors: usize,

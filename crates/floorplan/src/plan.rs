@@ -225,49 +225,6 @@ impl FloorPlan {
     pub fn contains(&self, p: Point) -> bool {
         p.x >= 0.0 && p.x <= self.width && p.y >= 0.0 && p.y <= self.height
     }
-
-    /// Returns this plan shifted by `(dx, dy)`: every wall endpoint and
-    /// marker moves, and the bounds grow so the shifted geometry still fits
-    /// (`width + dx`, `height + dy`). Used to compose per-building floor
-    /// plans into one campus/district coordinate frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dx` or `dy` is negative or non-finite (campus composition
-    /// only ever moves buildings into the positive quadrant).
-    pub fn translated(&self, dx: f64, dy: f64) -> FloorPlan {
-        assert!(
-            dx >= 0.0 && dy >= 0.0 && dx.is_finite() && dy.is_finite(),
-            "translation must be non-negative and finite"
-        );
-        let mut out = FloorPlan::new(self.width + dx, self.height + dy);
-        let d = Point::new(dx, dy);
-        for w in &self.walls {
-            out.add_wall(Wall {
-                segment: Segment::new(w.segment.a + d, w.segment.b + d),
-                material: w.material,
-            });
-        }
-        for m in &self.markers {
-            out.add_marker(Marker {
-                position: m.position + d,
-                kind: m.kind,
-            });
-        }
-        out
-    }
-
-    /// Absorbs every wall and marker of `other` into this plan, growing the
-    /// bounds to cover both. Together with [`Self::translated`] this
-    /// composes building plans into one campus-wide plan (for figures and
-    /// SVG export; path-loss evaluation keeps per-building plans so a ray
-    /// is only tested against the walls of its own building).
-    pub fn merge(&mut self, other: &FloorPlan) {
-        self.width = self.width.max(other.width);
-        self.height = self.height.max(other.height);
-        self.walls.extend(other.walls.iter().copied());
-        self.markers.extend(other.markers.iter().copied());
-    }
 }
 
 #[cfg(test)]
@@ -347,43 +304,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_size_rejected() {
         let _ = FloorPlan::new(0.0, 5.0);
-    }
-
-    #[test]
-    fn translated_moves_walls_and_markers() {
-        let mut plan = two_room_plan();
-        plan.add_marker(Marker {
-            position: Point::new(2.0, 2.0),
-            kind: MarkerKind::Sensor,
-        });
-        let t = plan.translated(100.0, 50.0);
-        assert_eq!(t.width(), 120.0);
-        assert_eq!(t.height(), 60.0);
-        assert_eq!(t.markers()[0].position, Point::new(102.0, 52.0));
-        // the wall crossing moves with the geometry
-        assert_eq!(
-            t.crossing_count(Point::new(102.0, 52.0), Point::new(118.0, 52.0)),
-            1
-        );
-        assert_eq!(plan.crossing_count(Point::new(2.0, 2.0), Point::new(18.0, 2.0)), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_translation_rejected() {
-        let _ = two_room_plan().translated(-1.0, 0.0);
-    }
-
-    #[test]
-    fn merge_unions_geometry() {
-        let mut a = two_room_plan();
-        let walls_a = a.walls().len();
-        let b = two_room_plan().translated(40.0, 0.0);
-        a.merge(&b);
-        assert_eq!(a.walls().len(), walls_a + b.walls().len());
-        assert_eq!(a.width(), 60.0);
-        // both copies of the wall are present, in their own frames
-        assert_eq!(a.crossing_count(Point::new(2.0, 2.0), Point::new(18.0, 2.0)), 1);
-        assert_eq!(a.crossing_count(Point::new(42.0, 2.0), Point::new(58.0, 2.0)), 1);
     }
 }

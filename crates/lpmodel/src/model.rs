@@ -101,22 +101,6 @@ impl Model {
         self.problem.add_row(row).index()
     }
 
-    /// Adds a named constraint annotated as a generalized-upper-bound /
-    /// set-partitioning row (e.g. "exactly one candidate path per route").
-    ///
-    /// The annotation is a structural hint for the solver's clique
-    /// separator ([`milp::Problem::mark_gub`]); it never changes the
-    /// feasible set, so callers can use it freely on any one-of-N row.
-    pub fn add_gub_named(&mut self, name: impl Into<String>, c: Cons) -> usize {
-        let mut row = Row::new().range(c.lo, c.hi).name(name);
-        for (v, coef) in c.expr.iter() {
-            row = row.coef(self.registry[v.0], coef);
-        }
-        let id = self.problem.add_row(row);
-        self.problem.mark_gub(id);
-        id.index()
-    }
-
     /// Sets the objective to `expr` (replacing any previous objective).
     pub fn set_objective(&mut self, expr: LinExpr) {
         for &id in &self.registry {
@@ -352,23 +336,6 @@ mod tests {
         assert!((s.objective() - 8.0).abs() < 1e-6);
         assert!((s.value(x) - 4.0).abs() < 1e-6);
         assert!(s.value(y).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gub_named_rows_carry_the_annotation() {
-        let mut m = Model::maximize();
-        let a = m.binary("a");
-        let b = m.binary("b");
-        let c = m.binary("c");
-        m.add_gub_named("pick_one", (a + b + c).eq(1.0));
-        m.add_named("plain", (a + b).leq(2.0));
-        assert_eq!(m.problem().gub_rows().len(), 1);
-        assert_eq!(m.problem().gub_rows()[0].index(), 0);
-        m.set_objective(a + 2.0 * b + 3.0 * c);
-        let s = m.solve(&Config::default());
-        assert!(s.is_optimal());
-        assert!((s.objective() - 3.0).abs() < 1e-6);
-        assert!(s.is_one(c));
     }
 
     #[test]

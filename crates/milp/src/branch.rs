@@ -361,29 +361,6 @@ impl SearchCtx<'_> {
     }
 }
 
-/// Most fractional integer variable of `x`, if any. Fractionality ties are
-/// broken by larger objective coefficient magnitude (branching on a
-/// variable the objective actually cares about moves the bound faster on
-/// symmetric routing models), then by lower index for determinism.
-fn most_fractional(x: &[f64], c: &[f64], int_vars: &[usize], int_tol: f64) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64, f64, f64)> = None; // (j, frac, dist, |c_j|)
-    for &j in int_vars {
-        let f = x[j] - x[j].floor();
-        let dist = (f - 0.5).abs();
-        if f > int_tol && f < 1.0 - int_tol {
-            let mag = c[j].abs();
-            let better = match best {
-                None => true,
-                Some((_, _, d, m)) => dist < d - 1e-12 || (dist < d + 1e-12 && mag > m),
-            };
-            if better {
-                best = Some((j, f, dist, mag));
-            }
-        }
-    }
-    best.map(|(j, f, _, _)| (j, f))
-}
-
 /// Reduced-cost variable fixing: given the root LP bound `lp_bound` and an
 /// incumbent objective `inc_obj` (both internal minimize sense) plus the
 /// root reduced costs `dj`, any solution better than the incumbent keeps a
@@ -522,7 +499,6 @@ pub fn solve_milp_with(
     // old basis (cut slacks enter basic, which keeps it dual-feasible).
     // Gomory cuts are derived here, at the root bounds, so every cut is
     // globally valid and baked into the LP every node solves.
-    let cut_ctx = cuts::CutContext::from_problem(&base.ps.reduced);
     let mut cut_pool = cuts::CutPool::new();
     if cfg.cuts.enabled && !base.int_vars.is_empty() {
         cuts::run_root_cuts(
@@ -530,7 +506,7 @@ pub fn solve_milp_with(
             &base.lb,
             &base.ub,
             cfg,
-            &cut_ctx,
+            &cuts::CutContext::from_problem(&base.ps.reduced),
             &mut root,
             &mut cut_pool,
             deadline,
@@ -963,19 +939,15 @@ fn frame_node(n: &Node) -> FrameNode {
     }
 }
 
-/// Picks the branching variable: the best pseudo-cost score, scoring a
-/// variable whose costs are not initialized yet by its fractionality.
-fn choose_branch(
-    pc: &PseudoCosts,
-    x: &[f64],
-    int_vars: &[usize],
-    mf_var: usize,
-    mf_frac: f64,
-) -> (usize, f64) {
-    let mut best = (mf_var, mf_frac, -1.0f64);
+/// Picks the branching variable among the fractional integer variables of
+/// `x`: the best pseudo-cost score, scoring a variable whose costs are not
+/// initialized yet by its fractionality, ties to the first in `int_vars`.
+/// `None` when `x` is integral.
+fn choose_branch(pc: &PseudoCosts, x: &[f64], int_vars: &[usize]) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
     for &j in int_vars {
         let f = x[j] - x[j].floor();
-        if f <= INT_TOL || f >= 1.0 - INT_TOL {
+        if !(f > INT_TOL && f < 1.0 - INT_TOL) {
             continue;
         }
         let s = if pc.initialized(j) {
@@ -984,11 +956,11 @@ fn choose_branch(
             // uninitialized: prefer most fractional
             0.25 - (f - 0.5) * (f - 0.5)
         };
-        if s > best.2 {
-            best = (j, f, s);
+        if best.is_none_or(|(_, b)| s > b) {
+            best = Some((j, s));
         }
     }
-    (best.0, best.1)
+    best.map(|(j, _)| j)
 }
 
 /// Builds the two children of a branch on `bvar` at `floor`.
@@ -1382,8 +1354,7 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             continue; // bound-dominated
         }
 
-        let Some((mf_var, mf_frac)) = most_fractional(&r.x, &base.lp.c, int_vars, INT_TOL)
-        else {
+        let Some(bvar) = choose_branch(&pc, &r.x, int_vars) else {
             // Integral: new incumbent.
             let mut x = r.x;
             for &j in int_vars {
@@ -1396,7 +1367,6 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared, id: usize, tally: &mut Stats) {
             shared.finish(id);
             continue;
         };
-        let (bvar, _bfrac) = choose_branch(&pc, &r.x, int_vars, mf_var, mf_frac);
         let xval = r.x[bvar];
         let floor = xval.floor();
         // Node-level reduced-cost fixing: this node's reduced costs bound
@@ -1446,20 +1416,17 @@ mod tests {
     }
 
     #[test]
-    fn most_fractional_breaks_ties_by_objective_magnitude() {
-        // Both variables sit exactly at 0.5; the larger |c| must win.
-        let x = [0.5, 0.5];
-        let c = [1.0, -3.0];
-        let got = most_fractional(&x, &c, &[0, 1], 1e-6);
-        assert_eq!(got, Some((1, 0.5)));
-        // Equal magnitudes: the lower index wins for determinism.
-        let c_eq = [2.0, -2.0];
-        let got = most_fractional(&x, &c_eq, &[0, 1], 1e-6);
-        assert_eq!(got, Some((0, 0.5)));
-        // No tie: fractionality still dominates the coefficient.
-        let x2 = [0.5, 0.9];
-        let got = most_fractional(&x2, &c, &[0, 1], 1e-6);
-        assert_eq!(got, Some((0, 0.5)));
+    fn choose_branch_picks_most_fractional_and_none_when_integral() {
+        let pc = PseudoCosts::new(3);
+        // Uninitialized costs: the most fractional variable wins.
+        assert_eq!(choose_branch(&pc, &[0.9, 0.4, 0.7], &[0, 1, 2]), Some(1));
+        // Equal fractionality: the lower index wins.
+        assert_eq!(choose_branch(&pc, &[0.2, 0.5, 0.5], &[0, 1, 2]), Some(1));
+        assert_eq!(choose_branch(&pc, &[0.25, 1.75, 0.0], &[0, 1, 2]), Some(0));
+        // Only integer variables are candidates.
+        assert_eq!(choose_branch(&pc, &[0.5, 0.3, 2.0], &[1, 2]), Some(1));
+        // Integral point (within the tolerance): nothing to branch on.
+        assert_eq!(choose_branch(&pc, &[1.0, 0.0, 3.0 + 1e-9], &[0, 1, 2]), None);
     }
 
     #[test]

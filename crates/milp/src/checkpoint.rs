@@ -16,7 +16,10 @@
 //! line up), the append-only cut pool, the open node list (bound + depth +
 //! branching changes; warm bases are dropped — resumed nodes cold-solve
 //! once and re-warm from there), and an opaque [`ColumnSource`] payload so
-//! the modeling layer can restore its column bookkeeping.
+//! the modeling layer can restore its column bookkeeping. Each batch row
+//! and each cut carries one reserved byte: writers store 0, and readers
+//! skip it, except that a cut's must be at most 2 (older writers stored
+//! the producing separator there).
 //!
 //! # Torn-write tolerance
 //!
@@ -32,7 +35,7 @@
 //! [`FaultInjection::corrupt_checkpoint`]: crate::FaultInjection::corrupt_checkpoint
 
 use crate::config::CheckpointConfig;
-use crate::cuts::{Cut, CutSource};
+use crate::cuts::Cut;
 use crate::error::{relock, FaultInjection};
 use crate::pricing::{NewColumn, NewRow};
 use std::path::{Path, PathBuf};
@@ -385,22 +388,9 @@ fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, FrameError> {
     Ok(v)
 }
 
-fn cut_source_tag(s: CutSource) -> u8 {
-    match s {
-        CutSource::Gomory => 0,
-        CutSource::Cover => 1,
-        CutSource::Clique => 2,
-    }
-}
-
-fn cut_source_from_tag(t: u8) -> Result<CutSource, FrameError> {
-    match t {
-        0 => Ok(CutSource::Gomory),
-        1 => Ok(CutSource::Cover),
-        2 => Ok(CutSource::Clique),
-        _ => Err(FrameError::Corrupt("unknown cut source")),
-    }
-}
+/// Largest value of a cut's reserved byte: older writers stored the
+/// producing separator there (0 Gomory, 1 cover, 2 clique).
+const MAX_CUT_TAG: u8 = 2;
 
 /// Serializes a frame to its on-disk representation (header + payload +
 /// checksum).
@@ -435,7 +425,7 @@ pub fn encode_frame(f: &SearchFrame) -> Vec<u8> {
             put_coefs(&mut p, &r.coefs);
             p.put_f64(r.lb);
             p.put_f64(r.ub);
-            p.put_bool(r.gub);
+            p.put_u8(0); // reserved
             p.put_str(r.name.as_deref().unwrap_or(""));
         }
     }
@@ -444,7 +434,7 @@ pub fn encode_frame(f: &SearchFrame) -> Vec<u8> {
         put_coefs(&mut p, &c.coefs);
         p.put_f64(c.lb);
         p.put_f64(c.ub);
-        p.put_u8(cut_source_tag(c.source));
+        p.put_u8(0); // reserved
     }
     p.put_usize(f.root_cuts);
     p.put_usize(f.open_nodes.len());
@@ -523,13 +513,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<SearchFrame, FrameError> {
             let coefs = get_coefs(&mut r)?;
             let lb = r.f64()?;
             let ub = r.f64()?;
-            let gub = r.bool()?;
+            r.u8()?; // reserved
             let name = r.str()?;
             b.rows.push(NewRow {
                 coefs,
                 lb,
                 ub,
-                gub,
                 name: (!name.is_empty()).then_some(name),
             });
         }
@@ -540,13 +529,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<SearchFrame, FrameError> {
         let coefs = get_coefs(&mut r)?;
         let lb = r.f64()?;
         let ub = r.f64()?;
-        let source = cut_source_from_tag(r.u8()?)?;
-        f.cuts.push(Cut {
-            coefs,
-            lb,
-            ub,
-            source,
-        });
+        if r.u8()? > MAX_CUT_TAG {
+            return Err(FrameError::Corrupt("unknown cut source"));
+        }
+        f.cuts.push(Cut { coefs, lb, ub });
     }
     f.root_cuts = r.usize()?;
     if f.root_cuts > f.cuts.len() {
@@ -770,7 +756,6 @@ mod tests {
                     coefs: vec![(1, 1.0), (3, 1.0)],
                     lb: f64::NEG_INFINITY,
                     ub: 1.0,
-                    gub: true,
                     name: None,
                 }],
             }],
@@ -778,7 +763,6 @@ mod tests {
                 coefs: vec![(0, 1.0), (1, 1.0)],
                 lb: f64::NEG_INFINITY,
                 ub: 1.0,
-                source: CutSource::Cover,
             }],
             root_cuts: 1,
             open_nodes: vec![FrameNode {
@@ -807,9 +791,14 @@ mod tests {
         assert_eq!(a.batches.len(), b.batches.len());
         assert_eq!(a.batches[0].cols[0].name, b.batches[0].cols[0].name);
         assert_eq!(a.batches[0].cols[0].entries, b.batches[0].cols[0].entries);
-        assert_eq!(a.batches[0].rows[0].gub, b.batches[0].rows[0].gub);
+        let (ra, rb) = (&a.batches[0].rows[0], &b.batches[0].rows[0]);
+        assert_eq!(
+            (&ra.coefs, ra.lb, ra.ub, &ra.name),
+            (&rb.coefs, rb.lb, rb.ub, &rb.name)
+        );
         assert_eq!(a.cuts.len(), b.cuts.len());
-        assert_eq!(a.cuts[0].source, b.cuts[0].source);
+        let (ca, cb) = (&a.cuts[0], &b.cuts[0]);
+        assert_eq!((&ca.coefs, ca.lb, ca.ub), (&cb.coefs, cb.lb, cb.ub));
         assert_eq!(a.root_cuts, b.root_cuts);
         assert_eq!(a.open_nodes.len(), b.open_nodes.len());
         assert_eq!(a.open_nodes[0].changes, b.open_nodes[0].changes);
@@ -821,6 +810,50 @@ mod tests {
         let f = sample_frame();
         let g = decode_frame(&encode_frame(&f)).expect("round trip");
         assert_frames_equal(&f, &g);
+    }
+
+    /// Offset of the byte written right after the `ub` that `bump` moves:
+    /// the last payload byte where the two encodings differ is that `ub`'s
+    /// high byte.
+    fn byte_after_ub(f: &SearchFrame, bump: fn(&mut SearchFrame)) -> usize {
+        let mut g = f.clone();
+        bump(&mut g);
+        let (a, b) = (encode_frame(f), encode_frame(&g));
+        (0..a.len() - 8)
+            .rev()
+            .find(|&i| a[i] != b[i])
+            .expect("ub moved")
+            + 1
+    }
+
+    /// `bytes` with `v` at `at` and the checksum re-sealed, as a writer
+    /// that stored `v` there would have left it.
+    fn patched(bytes: &[u8], at: usize, v: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at] = v;
+        let end = out.len() - 8;
+        let sum = fnv1a64(&out[16..end]);
+        out[end..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn reserved_bytes_of_older_frames_decode() {
+        let f = sample_frame();
+        let bytes = encode_frame(&f);
+        let cut_tag = byte_after_ub(&f, |g| g.cuts[0].ub = 4.0);
+        let row_flag = byte_after_ub(&f, |g| g.batches[0].rows[0].ub = 4.0);
+        assert_eq!((bytes[cut_tag], bytes[row_flag]), (0, 0), "writers store 0");
+        // Cover (1) and clique (2) cut tags and a marked batch row, as older
+        // writers stored them, decode to the same cuts and rows.
+        for (at, v) in [(cut_tag, 1), (cut_tag, 2), (row_flag, 1)] {
+            let g = decode_frame(&patched(&bytes, at, v)).expect("older frame decodes");
+            assert_frames_equal(&f, &g);
+        }
+        assert!(matches!(
+            decode_frame(&patched(&bytes, cut_tag, 3)),
+            Err(FrameError::Corrupt("unknown cut source"))
+        ));
     }
 
     #[test]

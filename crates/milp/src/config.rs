@@ -3,15 +3,14 @@
 use crate::error::{CancelToken, FaultInjection};
 use std::time::Duration;
 
-/// Cutting-plane configuration: a master switch and one toggle per
-/// separator.
+/// Cutting-plane configuration: one switch for the root cut rounds.
 ///
-/// Cuts are separated in rounds at the root, appended to the LP every node
-/// solves, and reoptimized with the dual simplex. Every cut is a valid
-/// inequality for the integer hull, so any combination of toggles leaves
-/// the optimum unchanged — the toggles only trade separation effort against
-/// LP tightness. The round limit and the pool's filters are fixed in
-/// [`crate::cuts`].
+/// Cuts are separated in rounds at the root (cover cuts, then Gomory
+/// mixed-integer cuts), appended to the LP every node solves, and
+/// reoptimized with the dual simplex. Every cut is a valid inequality for
+/// the integer hull, so the switch leaves the optimum unchanged; it only
+/// trades separation effort against LP tightness. The round limit and the
+/// pool's filters are fixed in [`crate::cuts`].
 ///
 /// # Examples
 ///
@@ -22,37 +21,20 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CutConfig {
-    /// Master switch; `false` skips separation entirely.
+    /// `false` skips separation entirely.
     pub enabled: bool,
-    /// Gomory mixed-integer cuts from the optimal root tableau.
-    pub gomory: bool,
-    /// Lifted knapsack cover cuts from all-binary rows.
-    pub cover: bool,
-    /// Clique/GUB cuts from one-candidate-per-route disjunctions and
-    /// pairwise binary conflicts.
-    pub clique: bool,
 }
 
 impl Default for CutConfig {
     fn default() -> Self {
-        CutConfig {
-            enabled: true,
-            gomory: true,
-            cover: true,
-            clique: true,
-        }
+        CutConfig { enabled: true }
     }
 }
 
 impl CutConfig {
-    /// A configuration with every separator disabled (cuts-off ablation).
+    /// Cut separation switched off (cuts-off ablation).
     pub fn off() -> Self {
-        CutConfig {
-            enabled: false,
-            gomory: false,
-            cover: false,
-            clique: false,
-        }
+        CutConfig { enabled: false }
     }
 }
 
@@ -290,11 +272,8 @@ mod tests {
 
     #[test]
     fn cut_config_defaults_and_off() {
-        let d = Config::default();
-        assert!(d.cuts.enabled && d.cuts.gomory && d.cuts.cover && d.cuts.clique);
-        let off = Config::default().with_cuts(CutConfig::off());
-        assert!(!off.cuts.enabled);
-        assert!(!off.cuts.gomory && !off.cuts.cover && !off.cuts.clique);
+        assert!(Config::default().cuts.enabled);
+        assert!(!Config::default().with_cuts(CutConfig::off()).cuts.enabled);
     }
 
     #[test]

@@ -12,24 +12,13 @@
 //! Cover cuts depend only on the original rows and binary bounds, so they
 //! are valid everywhere in the branch-and-bound tree.
 
-use super::{Cut, CutContext, CutSource, SepInput, Separator, MIN_VIOLATION};
+use super::{Cut, CutContext, MIN_VIOLATION};
 
 const EPS: f64 = 1e-9;
 
-/// Knapsack cover separator.
-pub struct CoverSeparator;
-
-impl Separator for CoverSeparator {
-    fn name(&self) -> &'static str {
-        "cover"
-    }
-
-    fn separate(&self, inp: &SepInput<'_>, ctx: &CutContext, out: &mut Vec<Cut>) {
-        separate_cover(ctx, inp.x, inp.max_cuts, out);
-    }
-}
-
-pub(crate) fn separate_cover(
+/// Appends up to `max_cuts` lifted cover cuts violated at `x`, at most one
+/// per side of each knapsack row of `ctx`.
+pub fn separate_cover(
     ctx: &CutContext,
     x: &[f64],
     max_cuts: usize,
@@ -130,7 +119,6 @@ fn try_cover(items: &[(usize, f64)], b: f64, x: &[f64], out: &mut Vec<Cut>) -> b
         coefs,
         lb: f64::NEG_INFINITY,
         ub: rhs,
-        source: CutSource::Cover,
     });
     true
 }

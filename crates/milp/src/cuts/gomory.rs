@@ -14,7 +14,7 @@
 //! root (see the module docs of [`super`]); inside the tree the bounds
 //! differ and the same derivation would not be globally valid.
 
-use super::{Cut, CutContext, CutSource, SepInput, Separator, MIN_VIOLATION};
+use super::{Cut, CutContext, SepInput, MIN_VIOLATION};
 use crate::simplex::{extract_tableau_rows, TableauRow, VStat};
 
 /// Basic variables whose fractional part is closer than this to 0 or 1
@@ -25,32 +25,15 @@ const FRAC_TOL: f64 = 5e-3;
 /// Tableau coefficients below this magnitude are treated as exact zeros.
 const COEF_ZERO: f64 = 1e-11;
 
-/// Tableau-based GMI separator.
-pub struct GomorySeparator;
-
-impl Separator for GomorySeparator {
-    fn name(&self) -> &'static str {
-        "gomory"
-    }
-
-    fn separate(&self, inp: &SepInput<'_>, ctx: &CutContext, out: &mut Vec<Cut>) {
-        let Some(statuses) = inp.statuses else {
-            return;
-        };
-        separate_gomory(inp, statuses, ctx, out);
-    }
-}
-
 fn frac(v: f64) -> f64 {
     v - v.floor()
 }
 
-pub(crate) fn separate_gomory(
-    inp: &SepInput<'_>,
-    statuses: &[VStat],
-    ctx: &CutContext,
-    out: &mut Vec<Cut>,
-) {
+/// Appends at most one GMI cut for each of up to `inp.max_cuts` basic
+/// integer variables with a usefully fractional value, most fractional
+/// first.
+pub fn separate_gomory(inp: &SepInput<'_>, ctx: &CutContext, out: &mut Vec<Cut>) {
+    let statuses = inp.statuses;
     let n = inp.lp.num_vars();
     // Candidate rows: basic integer variables with usefully fractional
     // values, most fractional (closest to .5) first.
@@ -78,7 +61,7 @@ pub(crate) fn separate_gomory(
     let mut dense = vec![0.0f64; n];
     let mut touched: Vec<usize> = Vec::new();
     for row in rows {
-        if let Some(cut) = gmi_from_row(&row, inp, statuses, ctx, &at, &mut dense, &mut touched) {
+        if let Some(cut) = gmi_from_row(&row, inp, ctx, &at, &mut dense, &mut touched) {
             out.push(cut);
         }
         for &j in &touched {
@@ -91,11 +74,9 @@ pub(crate) fn separate_gomory(
 /// Derives one GMI cut `g^T x >= d` from a tableau row, or `None` when the
 /// row is unusable (free nonbasic with a nonzero coefficient, infinite
 /// resting bound, or the final violation check fails).
-#[allow(clippy::too_many_arguments)]
 fn gmi_from_row(
     row: &TableauRow,
     inp: &SepInput<'_>,
-    statuses: &[VStat],
     ctx: &CutContext,
     at: &crate::sparse::CscMatrix,
     dense: &mut [f64],
@@ -127,7 +108,7 @@ fn gmi_from_row(
         } else {
             (inp.lp.row_lb[k - n], inp.lp.row_ub[k - n])
         };
-        let (ahat, at_lower) = match statuses[k] {
+        let (ahat, at_lower) = match inp.statuses[k] {
             VStat::AtLower => {
                 if !lk.is_finite() {
                     return None;
@@ -207,6 +188,5 @@ fn gmi_from_row(
         coefs,
         lb: d,
         ub: f64::INFINITY,
-        source: CutSource::Gomory,
     })
 }

@@ -1,27 +1,26 @@
-//! Cutting-plane subsystem: separation framework, cut pool, and concrete
-//! separators.
+//! Cutting-plane subsystem: the cut pool and the two separators.
 //!
-//! Separation runs in **rounds**: every enabled [`Separator`] proposes
-//! violated valid inequalities for the current LP relaxation point, the
-//! [`CutPool`] filters them (deduplication, numerical safety, efficacy,
-//! pairwise parallelism), and the survivors are appended to the LP via
-//! [`LpData::append_rows`] and reoptimized with the **dual simplex**:
-//! appending a row whose slack enters the basis keeps the old basis
-//! dual-feasible, so each round costs a handful of dual pivots instead of a
-//! cold resolve.
+//! Separation runs in **rounds**: [`cover::separate_cover`] and then
+//! [`gomory::separate_gomory`] propose violated valid inequalities for the
+//! current LP relaxation point, the [`CutPool`] filters them
+//! (deduplication, numerical safety, efficacy, pairwise parallelism), and
+//! the survivors are appended to the LP via [`LpData::append_rows`] and
+//! reoptimized with the **dual simplex**: appending a row whose slack
+//! enters the basis keeps the old basis dual-feasible, so each round costs
+//! a handful of dual pivots instead of a cold resolve. A further separator
+//! is one more call in [`run_root_cuts`].
 //!
 //! Validity discipline: every cut must hold for *all* integer-feasible
 //! points of the original problem, so cuts can be shared freely across the
-//! branch-and-bound tree. Cover and clique cuts derive from original rows
-//! and are always globally valid; Gomory cuts are derived with the root
-//! bounds. Separation runs only at the root, so every applied cut is baked
-//! into the LP each node solves.
+//! branch-and-bound tree. Cover cuts derive from original rows and are
+//! always globally valid; Gomory cuts are derived with the root bounds.
+//! Separation runs only at the root, so every applied cut is baked into the
+//! LP each node solves.
 
-pub mod clique;
 pub mod cover;
 pub mod gomory;
 
-use crate::config::{Config, CutConfig};
+use crate::config::Config;
 use crate::problem::{Problem, VarType};
 use crate::simplex::{solve_lp, LpData, LpResult, SparseRow, VStat};
 use crate::solution::Stats;
@@ -40,17 +39,6 @@ pub const MAX_DYNAMIC_RANGE: f64 = 1e8;
 /// dropped (with a conservative right-hand-side adjustment).
 const TINY_REL: f64 = 1e-11;
 
-/// Which separator produced a cut (diagnostics and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutSource {
-    /// Gomory mixed-integer cut from the optimal simplex tableau.
-    Gomory,
-    /// Lifted knapsack cover cut.
-    Cover,
-    /// Clique/GUB cut from the binary conflict graph.
-    Clique,
-}
-
 /// One cutting plane over the structural variables: `lb <= g^T x <= ub`
 /// (one of the bounds is typically infinite).
 #[derive(Debug, Clone)]
@@ -61,8 +49,6 @@ pub struct Cut {
     pub lb: f64,
     /// Row upper bound.
     pub ub: f64,
-    /// Producing separator.
-    pub source: CutSource,
 }
 
 impl Cut {
@@ -214,27 +200,18 @@ impl Cut {
             coefs: kept,
             lb,
             ub,
-            source: self.source,
         })
     }
 }
 
-/// Problem-structure context shared by all separators: integrality flags,
-/// knapsack candidate rows, and the binary conflict graph seeded from GUB
-/// annotations ([`Problem::mark_gub`]) plus structurally detected pairwise
-/// conflicts.
+/// Problem-structure context shared by the separators: integrality flags
+/// and knapsack candidate rows.
 #[derive(Debug)]
 pub struct CutContext {
-    /// Number of structural variables.
-    pub n: usize,
     /// Per-variable integrality.
     pub is_int: Vec<bool>,
-    /// Per-variable "binary" flag (integer with bounds within `[0, 1]`).
-    pub is_binary: Vec<bool>,
     /// All-binary rows usable as knapsack candidates: `(coefs, lb, ub)`.
     pub knapsack_rows: Vec<SparseRow>,
-    /// Pairwise conflict edges (ordered pairs `u < v`): `x_u + x_v <= 1`.
-    conflicts: HashSet<(usize, usize)>,
 }
 
 impl CutContext {
@@ -279,69 +256,14 @@ impl CutContext {
                 knapsack_rows.push((out, lo, hi));
             }
         }
-        // Validate GUB hints: all-binary, unit coefficients, rhs 1. A row
-        // reshaped by presolve (substituted fixed variable, shifted rhs)
-        // simply fails validation and is ignored.
-        let mut conflicts = HashSet::new();
-        for &r in p.gub_rows() {
-            let coefs = p.row_coefs(r);
-            let (lo, hi) = p.row_bounds(r);
-            let rhs_ok = hi.is_finite() && (hi - 1.0).abs() < 1e-9 && lo <= hi + 1e-9;
-            let shape_ok = coefs.len() >= 2
-                && coefs
-                    .iter()
-                    .all(|&(v, c)| is_binary[v.index()] && (c - 1.0).abs() < 1e-9);
-            if !(rhs_ok && shape_ok) {
-                continue;
-            }
-            let members: Vec<usize> = coefs.iter().map(|&(v, _)| v.index()).collect();
-            for a in 0..members.len() {
-                for b in a + 1..members.len() {
-                    let (u, v) = ordered(members[a], members[b]);
-                    conflicts.insert((u, v));
-                }
-            }
-        }
-        // Structural pairwise conflicts: two-binary rows where (1, 1) is
-        // infeasible while the row admits some assignment.
-        for (coefs, lo, hi) in &knapsack_rows {
-            if coefs.len() != 2 {
-                continue;
-            }
-            let (j0, c0) = coefs[0];
-            let (j1, c1) = coefs[1];
-            let both = c0 + c1;
-            let feasible_some = [0.0, c0, c1]
-                .iter()
-                .any(|&a| a >= lo - 1e-9 && a <= hi + 1e-9);
-            if feasible_some && (both > hi + 1e-9 || both < lo - 1e-9) {
-                conflicts.insert(ordered(j0, j1));
-            }
-        }
         CutContext {
-            n,
             is_int,
-            is_binary,
             knapsack_rows,
-            conflicts,
         }
     }
-
-    /// Whether `u` and `v` cannot both be 1.
-    pub fn conflicting(&self, u: usize, v: usize) -> bool {
-        u != v && self.conflicts.contains(&ordered(u, v))
-    }
 }
 
-fn ordered(a: usize, b: usize) -> (usize, usize) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Everything a separator may inspect for one separation call.
+/// Everything the Gomory separator inspects for one separation call.
 pub struct SepInput<'a> {
     /// Current LP (including previously applied cut rows).
     pub lp: &'a LpData,
@@ -351,43 +273,16 @@ pub struct SepInput<'a> {
     pub var_ub: &'a [f64],
     /// The fractional point to separate.
     pub x: &'a [f64],
-    /// Optimal basis statuses (needed by tableau-based separators).
-    pub statuses: Option<&'a [VStat]>,
+    /// Optimal basis statuses of the LP at `x`.
+    pub statuses: &'a [VStat],
     /// Solver configuration (tolerances, fault hooks).
     pub cfg: &'a Config,
     /// Soft cap on cuts to generate in this call.
     pub max_cuts: usize,
 }
 
-/// A cutting-plane separator: proposes violated valid inequalities for a
-/// fractional LP point.
-pub trait Separator: Send + Sync {
-    /// Diagnostic name.
-    fn name(&self) -> &'static str;
-    /// Appends violated cuts for `inp.x` to `out`.
-    fn separate(&self, inp: &SepInput<'_>, ctx: &CutContext, out: &mut Vec<Cut>);
-}
-
-/// The separators enabled by `cfg`, in application order.
-pub fn enabled_separators(cfg: &CutConfig) -> Vec<Box<dyn Separator>> {
-    let mut v: Vec<Box<dyn Separator>> = Vec::new();
-    if !cfg.enabled {
-        return v;
-    }
-    if cfg.clique {
-        v.push(Box::new(clique::CliqueSeparator));
-    }
-    if cfg.cover {
-        v.push(Box::new(cover::CoverSeparator));
-    }
-    if cfg.gomory {
-        v.push(Box::new(gomory::GomorySeparator));
-    }
-    v
-}
-
-/// Maximum cuts applied per round (most efficacious first); also the
-/// per-separator budget of a round.
+/// Maximum cuts applied per round (most efficacious first); also each
+/// separator's budget in a round.
 const MAX_CUTS_PER_ROUND: usize = 50;
 /// Minimum efficacy (violation / coefficient 2-norm) for a cut to be
 /// applied.
@@ -529,12 +424,7 @@ pub fn run_root_cuts(
     deadline: Option<Instant>,
     stats: &mut Stats,
 ) {
-    let ccfg = &cfg.cuts;
-    if !ccfg.enabled || root.status != crate::simplex::LpStatus::Optimal {
-        return;
-    }
-    let separators = enabled_separators(ccfg);
-    if separators.is_empty() {
+    if !cfg.cuts.enabled || root.status != crate::simplex::LpStatus::Optimal {
         return;
     }
     let mut injected = false;
@@ -547,14 +437,13 @@ pub fn run_root_cuts(
             var_lb,
             var_ub,
             x: &root.x,
-            statuses: Some(&root.statuses),
+            statuses: &root.statuses,
             cfg,
             max_cuts: MAX_CUTS_PER_ROUND,
         };
         let mut found = Vec::new();
-        for s in &separators {
-            s.separate(&inp, ctx, &mut found);
-        }
+        cover::separate_cover(ctx, inp.x, inp.max_cuts, &mut found);
+        gomory::separate_gomory(&inp, ctx, &mut found);
         for c in found {
             pool.offer(c, var_lb, var_ub);
         }
@@ -591,7 +480,6 @@ pub fn run_root_cuts(
                     // Slightly relaxed bounds keep the duplicate valid.
                     lb: if base.lb.is_finite() { base.lb - 1e-7 } else { base.lb },
                     ub: if base.ub.is_finite() { base.ub + 1e-7 } else { base.ub },
-                    source: base.source,
                 };
                 selected.push(pool.force_apply(twin));
             }
@@ -632,15 +520,6 @@ pub fn run_root_cuts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Row, Sense, Var};
-
-    fn binary_problem() -> (Problem, Vec<crate::problem::VarId>) {
-        let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..4)
-            .map(|i| p.add_var(Var::binary().obj(1.0 + i as f64)))
-            .collect();
-        (p, vars)
-    }
 
     #[test]
     fn sanitize_merges_and_sorts() {
@@ -648,7 +527,6 @@ mod tests {
             coefs: vec![(2, 1.0), (0, 2.0), (2, 0.5)],
             lb: f64::NEG_INFINITY,
             ub: 3.0,
-            source: CutSource::Cover,
         };
         let s = c.sanitize(&[0.0; 3], &[1.0; 3]).expect("valid");
         assert_eq!(s.coefs, vec![(0, 2.0), (2, 1.5)]);
@@ -660,7 +538,6 @@ mod tests {
             coefs: vec![(0, 1.0), (1, 1e9)],
             lb: f64::NEG_INFINITY,
             ub: 1.0,
-            source: CutSource::Gomory,
         };
         assert!(c.sanitize(&[0.0; 2], &[1.0; 2]).is_none());
     }
@@ -673,7 +550,6 @@ mod tests {
             coefs: vec![(0, 1.0), (1, 1e-13)],
             lb: f64::NEG_INFINITY,
             ub: 1.0,
-            source: CutSource::Cover,
         };
         let s = c.sanitize(&[0.0; 2], &[1.0; 2]).expect("valid");
         assert_eq!(s.coefs.len(), 1);
@@ -686,7 +562,6 @@ mod tests {
             coefs: vec![(0, f64::NAN)],
             lb: 0.0,
             ub: 1.0,
-            source: CutSource::Gomory,
         };
         assert!(c.sanitize(&[0.0], &[1.0]).is_none());
     }
@@ -697,7 +572,6 @@ mod tests {
             coefs: vec![(0, 1.0), (1, 1.0)],
             lb: f64::NEG_INFINITY,
             ub: 1.0,
-            source: CutSource::Clique,
         };
         assert!((a.violation(&[0.8, 0.8]) - 0.6).abs() < 1e-12);
         assert_eq!(a.violation(&[0.3, 0.3]), 0.0);
@@ -721,7 +595,6 @@ mod tests {
             coefs: vec![(0, 1.0), (1, 1.0)],
             lb: f64::NEG_INFINITY,
             ub: 1.0,
-            source: CutSource::Clique,
         };
         assert!(pool.offer(mk(), &lb, &ub));
         assert!(!pool.offer(mk(), &lb, &ub), "duplicate rejected");
@@ -745,7 +618,6 @@ mod tests {
                 coefs: vec![(0, 1.0), (1, 1.0)],
                 lb: f64::NEG_INFINITY,
                 ub: 1.0,
-                source: CutSource::Clique,
             },
             &lb,
             &ub,
@@ -757,7 +629,6 @@ mod tests {
                 coefs: vec![(0, 1.0), (1, 1.0 + 1e-6)],
                 lb: f64::NEG_INFINITY,
                 ub: 1.0,
-                source: CutSource::Cover,
             },
             &lb,
             &ub,
@@ -765,31 +636,5 @@ mod tests {
         let sel = pool.select(&[0.9, 0.9]);
         assert_eq!(sel.len(), 1, "parallel twin filtered");
         assert_eq!(pool.applied_len(), 1);
-    }
-
-    #[test]
-    fn context_validates_gub_hints() {
-        let (mut p, v) = binary_problem();
-        let good = p.add_row(Row::new().coef(v[0], 1.0).coef(v[1], 1.0).eq(1.0));
-        // Wrong shape: rhs is 2, not 1 — the hint must be ignored, and the
-        // row implies no conflict either.
-        let bad = p.add_row(Row::new().coef(v[2], 1.0).coef(v[3], 1.0).le(2.0));
-        p.mark_gub(good);
-        p.mark_gub(bad);
-        let ctx = CutContext::from_problem(&p);
-        assert!(ctx.conflicting(v[0].index(), v[1].index()));
-        assert!(!ctx.conflicting(v[2].index(), v[3].index()));
-    }
-
-    #[test]
-    fn context_detects_pairwise_conflicts() {
-        let (mut p, v) = binary_problem();
-        // 3x0 + 2x1 <= 4: (1,1) infeasible -> conflict edge.
-        p.add_row(Row::new().coef(v[0], 3.0).coef(v[1], 2.0).le(4.0));
-        // x2 + x3 <= 2: no conflict.
-        p.add_row(Row::new().coef(v[2], 1.0).coef(v[3], 1.0).le(2.0));
-        let ctx = CutContext::from_problem(&p);
-        assert!(ctx.conflicting(v[0].index(), v[1].index()));
-        assert!(!ctx.conflicting(v[2].index(), v[3].index()));
     }
 }

@@ -42,8 +42,8 @@
 //! * [`heur`] — the root primal heuristics: rounding and two LP dives,
 //!   each dive bounded by a number of LP solves; every other incumbent
 //!   comes from the warm start or an integral node LP.
-//! * [`cuts`] — cutting-plane subsystem: round-based separation (Gomory
-//!   mixed-integer, knapsack cover, clique/GUB) through a deduplicating
+//! * [`cuts`] — cutting-plane subsystem: round-based root separation
+//!   (knapsack cover, then Gomory mixed-integer) through a deduplicating
 //!   pool, reoptimized with the dual simplex.
 //! * [`pricing`] — column-generation subsystem: a caller-supplied
 //!   [`pricing::ColumnSource`] prices improving variables against the root

@@ -456,8 +456,7 @@ pub fn presolve(problem: &Problem, minimize: bool) -> Presolved {
         }
     }
     let mut rows_removed = 0usize;
-    let mut row_map = vec![None; w.rows.len()];
-    for (orig_idx, row) in w.rows.iter().enumerate() {
+    for row in &w.rows {
         match row {
             None => rows_removed += 1,
             Some(r) => {
@@ -467,17 +466,8 @@ pub fn presolve(problem: &Problem, minimize: bool) -> Presolved {
                         builder = builder.coef(VarId(rj), c);
                     }
                 }
-                row_map[orig_idx] = Some(reduced.add_row(builder));
+                reduced.add_row(builder);
             }
-        }
-    }
-    // Carry surviving GUB annotations over to the reduced problem. The
-    // clique separator re-validates the row shape anyway (substituted fixed
-    // variables may have changed it), so a remapped hint is never trusted
-    // blindly.
-    for &g in problem.gub_rows() {
-        if let Some(Some(new_id)) = row_map.get(g.index()) {
-            reduced.mark_gub(*new_id);
         }
     }
     let vars_removed = w.removed_var.iter().filter(|&&b| b).count();
@@ -496,28 +486,6 @@ pub fn presolve(problem: &Problem, minimize: bool) -> Presolved {
 mod tests {
     use super::*;
     use crate::problem::{Sense};
-
-    #[test]
-    fn gub_annotations_remap_to_surviving_rows() {
-        let mut p = Problem::new(Sense::Minimize);
-        // Singleton row on x gets folded into bounds (removed); the GUB row
-        // over y/z survives and its annotation must follow the new index.
-        let x = p.add_var(Var::cont().bounds(0.0, 10.0).obj(1.0));
-        let y = p.add_var(Var::binary().obj(1.0));
-        let z = p.add_var(Var::binary().obj(2.0));
-        p.add_row(Row::new().coef(x, 1.0).ge(2.0)); // singleton -> removed
-        let gub = p.add_row(Row::new().coef(y, 1.0).coef(z, 1.0).eq(1.0));
-        p.add_row(Row::new().coef(x, 1.0).coef(y, 1.0).le(11.0));
-        p.mark_gub(gub);
-        let ps = presolve(&p, true);
-        assert!(ps.conclusion.is_none());
-        assert!(ps.rows_removed >= 1);
-        let gubs = ps.reduced.gub_rows();
-        assert_eq!(gubs.len(), 1);
-        let (lo, hi) = ps.reduced.row_bounds(gubs[0]);
-        assert_eq!((lo, hi), (1.0, 1.0), "annotation must point at the GUB row");
-        assert_eq!(ps.reduced.row_coefs(gubs[0]).len(), 2);
-    }
 
     #[test]
     fn fixed_variable_substituted() {

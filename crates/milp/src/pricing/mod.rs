@@ -3,7 +3,7 @@
 //! The solver core knows nothing about what a column *means* — a caller
 //! supplies a [`ColumnSource`] that, given the optimal row duals of the
 //! restricted LP, proposes improving columns (and any side rows those
-//! columns need). [`run_root_pricing`] drives the classic restricted-master
+//! columns need). `run_root_pricing` drives the classic restricted-master
 //! loop at the root of the branch-and-bound tree:
 //!
 //! 1. solve the restricted LP over the current column set;
@@ -123,8 +123,6 @@ pub struct NewRow {
     pub lb: f64,
     /// Row upper bound.
     pub ub: f64,
-    /// Annotate the row as a GUB disjunction for the clique separator.
-    pub gub: bool,
     /// Diagnostic name.
     pub name: Option<String>,
 }
@@ -348,10 +346,7 @@ pub(crate) fn apply_batch(
             Some(name) => builder.name(name.clone()),
             None => builder,
         };
-        let rid = ps.reduced.add_row(builder);
-        if row.gub {
-            ps.reduced.mark_gub(rid);
-        }
+        ps.reduced.add_row(builder);
     }
     ps.register_appended_vars(batch.cols.len());
     let sparse_cols: Vec<SparseCol> = batch
@@ -452,7 +447,6 @@ mod tests {
                     coefs: vec![(2, 1.0)], // num_vars + 0 = 2
                     lb: f64::NEG_INFINITY,
                     ub: 1.0,
-                    gub: false,
                     name: None,
                 }],
             }],

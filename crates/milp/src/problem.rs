@@ -273,11 +273,6 @@ pub struct Problem {
     vars: Vec<VarData>,
     rows: Vec<RowData>,
     obj_offset: f64,
-    /// Rows annotated as generalized-upper-bound (GUB) disjunctions — e.g.
-    /// the encoder's one-candidate-per-route rows. Structural *hints* for
-    /// the clique cut separator, which re-validates the row shape before
-    /// trusting them; never affects feasibility or the optimum.
-    gub_rows: Vec<RowId>,
 }
 
 // Parallel branch and bound shares the presolved `Problem` across worker
@@ -295,7 +290,6 @@ impl Problem {
             vars: Vec::new(),
             rows: Vec::new(),
             obj_offset: 0.0,
-            gub_rows: Vec::new(),
         }
     }
 
@@ -460,27 +454,6 @@ impl Problem {
         (0..self.rows.len()).map(RowId)
     }
 
-    /// Annotates row `r` as a GUB/set-partitioning disjunction (e.g. "pick
-    /// exactly one candidate path"). The annotation is advisory: the clique
-    /// cut separator re-validates the row shape (all-binary, unit
-    /// coefficients, right-hand side 1) before using it, so a stale or
-    /// wrong hint can never produce an invalid cut.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not a row of this problem.
-    pub fn mark_gub(&mut self, r: RowId) {
-        assert!(r.0 < self.rows.len(), "GUB annotation references unknown row {}", r);
-        if !self.gub_rows.contains(&r) {
-            self.gub_rows.push(r);
-        }
-    }
-
-    /// Rows annotated via [`Problem::mark_gub`], in annotation order.
-    pub fn gub_rows(&self) -> &[RowId] {
-        &self.gub_rows
-    }
-
     /// Assembles the constraint matrix in CSC form (rows x vars).
     pub fn matrix(&self) -> CscMatrix {
         let mut b = TripletBuilder::new(self.rows.len(), self.vars.len());
@@ -576,19 +549,6 @@ mod tests {
         assert!(p.check_feasible(&[2.0, 3.5], 1e-9).is_some()); // fractional int
         assert!(p.check_feasible(&[20.0, 0.0], 1e-9).is_some()); // bound
         assert!(p.check_feasible(&[0.0, 0.0], 1e-9).is_some()); // row lower
-    }
-
-    #[test]
-    fn gub_annotations_dedup_and_survive_clone() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var(Var::binary());
-        let y = p.add_var(Var::binary());
-        let r = p.add_row(Row::new().coef(x, 1.0).coef(y, 1.0).eq(1.0));
-        p.mark_gub(r);
-        p.mark_gub(r); // duplicate annotation is a no-op
-        assert_eq!(p.gub_rows(), &[r]);
-        let q = p.clone();
-        assert_eq!(q.gub_rows(), &[r]);
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Cutting-plane correctness tests.
 //!
-//! Two layers: a hand-computed Gomory mixed-integer cut on a textbook
+//! Three layers: a hand-computed Gomory mixed-integer cut on a textbook
 //! 2-variable LP (checked coefficient-by-coefficient against the pencil
-//! derivation), and property tests asserting that branch and bound reaches
-//! the same optimum with every combination of separators enabled — cuts may
-//! only tighten the relaxation, never change the integer optimum.
+//! derivation), a check that every root cover and Gomory cut holds at each
+//! integer-feasible point of small seeded instances (enumerated), and
+//! property tests asserting that branch and bound reaches the same optimum
+//! with cuts on and off — cuts may only tighten the relaxation, never
+//! change the integer optimum.
 
 use milp::config::{Config, CutConfig};
-use milp::cuts::{gomory::GomorySeparator, CutContext, CutSource, SepInput, Separator};
+use milp::cuts::{
+    cover::separate_cover, gomory::separate_gomory, run_root_cuts, CutContext, CutPool, SepInput,
+};
 use milp::simplex::{solve_lp, LpData, LpStatus};
 use milp::sparse::TripletBuilder;
-use milp::{Problem, Row, Sense, Solver, Status, Var, VarId};
+use milp::{Problem, Row, Sense, Solver, Stats, Status, Var, VarId};
 use proptest::prelude::*;
 
 const INF: f64 = f64::INFINITY;
@@ -77,12 +81,12 @@ fn gomory_cut_matches_hand_derivation() {
         var_lb: &lo,
         var_ub: &hi,
         x: &r.x,
-        statuses: Some(&r.statuses),
+        statuses: &r.statuses,
         cfg: &cfg,
         max_cuts: 10,
     };
     let mut out = Vec::new();
-    GomorySeparator.separate(&inp, &ctx, &mut out);
+    separate_gomory(&inp, &ctx, &mut out);
     assert_eq!(out.len(), 2, "one GMI cut per fractional basic variable");
 
     // Each cut is g^T x >= d; normalize to `a x + b y <= rhs` with a
@@ -90,7 +94,6 @@ fn gomory_cut_matches_hand_derivation() {
     let mut normalized: Vec<(f64, f64, f64)> = out
         .iter()
         .map(|cut| {
-            assert_eq!(cut.source, CutSource::Gomory);
             assert_eq!(cut.ub, INF);
             assert_eq!(cut.coefs.len(), 2);
             assert_eq!((cut.coefs[0].0, cut.coefs[1].0), (0, 1));
@@ -143,9 +146,9 @@ fn cuts_close_the_textbook_gap_at_the_root() {
     );
 }
 
-/// Seeded knapsack + GUB instances: a weight row over binary variables plus
-/// one-of-pair disjunction rows annotated through the GUB hint channel, so
-/// all three separators have material to work with.
+/// Seeded knapsack instances: a weight row over binary variables plus
+/// one-of-pair disjunction rows, so both separators have material to work
+/// with.
 fn instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, f64)> {
     (3usize..=9).prop_flat_map(|n| {
         let obj = prop::collection::vec(0.5..6.0f64, n);
@@ -167,45 +170,80 @@ fn build(obj: &[f64], wts: &[f64], cap: f64) -> Problem {
     p.add_row(row);
     for pair in vars.chunks(2) {
         if let [a, b] = pair {
-            let r = p.add_row(Row::new().coef(*a, 1.0).coef(*b, 1.0).le(1.0));
-            p.mark_gub(r);
+            p.add_row(Row::new().coef(*a, 1.0).coef(*b, 1.0).le(1.0));
         }
     }
     p
 }
 
-fn combo(bits: u32) -> CutConfig {
-    CutConfig {
-        enabled: true,
-        gomory: bits & 1 != 0,
-        cover: bits & 2 != 0,
-        clique: bits & 4 != 0,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every separator combination (including all-off) reaches the same
-    /// status and optimum: cuts are valid inequalities, so they tighten the
-    /// relaxation without excluding any integer solution.
+    /// Cuts on and off reach the same status and optimum: cuts are valid
+    /// inequalities, so they tighten the relaxation without excluding any
+    /// integer solution.
     #[test]
-    fn separator_combinations_preserve_the_optimum((obj, wts, cap) in instance()) {
+    fn cuts_preserve_the_optimum((obj, wts, cap) in instance()) {
         let p = build(&obj, &wts, cap);
-        let base = Solver::new(Config::default().with_cuts(CutConfig::off())).solve(&p);
-        for bits in 0..8u32 {
-            let sol = Solver::new(Config::default().with_cuts(combo(bits))).solve(&p);
-            prop_assert_eq!(
-                base.status(), sol.status(),
-                "status diverged with separator combo {:#05b}", bits
+        let off = Solver::new(Config::default().with_cuts(CutConfig::off())).solve(&p);
+        let on = Solver::new(Config::default()).solve(&p);
+        prop_assert_eq!(off.status(), on.status());
+        if off.status().has_solution() {
+            prop_assert!(
+                (off.objective() - on.objective()).abs() < 1e-6,
+                "cuts-off {} vs cuts-on {}",
+                off.objective(), on.objective()
             );
-            if base.status().has_solution() {
-                prop_assert!(
-                    (base.objective() - sol.objective()).abs() < 1e-6,
-                    "combo {:#05b}: cuts-off {} vs cuts-on {}",
-                    bits, base.objective(), sol.objective()
-                );
-                prop_assert!(p.check_feasible(sol.values(), 1e-6).is_none());
+            prop_assert!(p.check_feasible(on.values(), 1e-6).is_none());
+        }
+    }
+
+    /// Each separator's cuts at the root LP point, and every cut the root
+    /// loop applies over its rounds, hold at each integer-feasible point
+    /// of the instance (all `2^n` binary points, `n <= 9`, enumerated).
+    #[test]
+    fn root_cuts_hold_at_every_integer_point((obj, wts, cap) in instance()) {
+        let p = build(&obj, &wts, cap);
+        let n = p.num_vars();
+        let (row_lb, row_ub) = p.row_ids().map(|r| p.row_bounds(r)).unzip();
+        let mut lp = LpData {
+            a: p.matrix(),
+            c: p.objective().iter().map(|&v| -v).collect(), // maximize
+            row_lb,
+            row_ub,
+        };
+        let (lo, hi) = (vec![0.0; n], vec![1.0; n]);
+        let cfg = Config::default();
+        let mut root = solve_lp(&lp, &lo, &hi, &cfg, None, None).expect("root LP solves");
+        prop_assert_eq!(root.status, LpStatus::Optimal);
+        let ctx = CutContext::from_problem(&p);
+        let inp = SepInput {
+            lp: &lp,
+            var_lb: &lo,
+            var_ub: &hi,
+            x: &root.x,
+            statuses: &root.statuses,
+            cfg: &cfg,
+            max_cuts: 50,
+        };
+        let (mut cover, mut gomory) = (Vec::new(), Vec::new());
+        separate_cover(&ctx, inp.x, inp.max_cuts, &mut cover);
+        separate_gomory(&inp, &ctx, &mut gomory);
+        let mut pool = CutPool::new();
+        run_root_cuts(&mut lp, &lo, &hi, &cfg, &ctx, &mut root, &mut pool, None, &mut Stats::default());
+        let sets = [("cover", &cover[..]), ("gomory", &gomory[..]), ("applied", pool.applied())];
+        for bits in 0..1u32 << n {
+            let x: Vec<f64> = (0..n).map(|j| f64::from((bits >> j) & 1)).collect();
+            if p.check_feasible(&x, 1e-9).is_some() {
+                continue;
+            }
+            for (name, cuts) in sets {
+                for cut in cuts {
+                    prop_assert!(
+                        cut.violation(&x) <= 1e-6,
+                        "{} cut {:?} cuts off integer point {:?}", name, cut, x
+                    );
+                }
             }
         }
     }

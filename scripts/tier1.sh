@@ -12,10 +12,12 @@
 #      delta, and the test fails on any panic, any request served past its
 #      deadline, a served p99 over the deadline, a fault that did not land,
 #      or service counters that disagree with the clients' outcomes
-#   3. clippy on every target with warnings promoted to errors, then the
-#      benchmark's own tests (`perfbench` is a separate workspace that
-#      builds against these crates, so an API change it relies on fails
-#      here, not only when the benchmark runs)
+#   3. clippy on every target with warnings promoted to errors, rustdoc
+#      on the whole workspace with warnings promoted to errors (a broken or
+#      private intra-doc link fails here), then the benchmark's own tests
+#      (`perfbench` is a separate workspace that builds against these
+#      crates, so an API change it relies on fails here, not only when the
+#      benchmark runs)
 #   4. table3 [50/20] gates: the Table 3 [50/20] row and its pricing pair
 #      run under a 30 s solver budget, the heuristic (root heuristics on
 #      vs off) pair under 10 s (it checks the default solver), and the cuts
@@ -44,6 +46,9 @@ cargo test -q
 
 echo "== tier1: cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tier1: cargo doc --workspace --no-deps (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tier1: perfbench tests =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
